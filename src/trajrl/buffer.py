@@ -1,39 +1,13 @@
 """Replay storage for solver-generated training samples.
 
 Samples are kept columnar (one array per field) so loss evaluation over a
-minibatch is a handful of vectorized ops; `TOSample` is the per-record view
-used at API boundaries.
+minibatch is a handful of vectorized ops; `SampleBatch` carries the same
+columns in and out of the buffer.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
-
-from .envs import TimeState
-
-_MAGIC = b"TRLB"
-_HEADER = struct.Struct("<4s16sIIIQ")  # magic, model name, n, m, K, count
-
-
-@dataclass(frozen=True)
-class TOSample:
-    """One replay record: state, control, partial cost-to-go and its gradient,
-    and the state K steps later."""
-
-    state: TimeState
-    u: np.ndarray
-    v_bar: float
-    v_bar_x: np.ndarray
-    state_plus_k: TimeState
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "v_bar_x", np.asarray(self.v_bar_x, dtype=float))
-        if not np.isfinite(self.v_bar):
-            raise ValueError("v_bar must be finite")
 
 
 class SampleBatch:
@@ -54,46 +28,16 @@ class SampleBatch:
     def n(self):
         return self.xa.shape[1] - 1
 
-    @classmethod
-    def from_samples(cls, samples, t_max: int) -> "SampleBatch":
-        samples = list(samples)
-        if not samples:
-            raise ValueError("empty sample list")
-        return cls(
-            xa=np.stack([s.state.augmented for s in samples]),
-            u=np.stack([s.u for s in samples]),
-            v_bar=np.array([s.v_bar for s in samples]),
-            v_bar_x=np.stack([s.v_bar_x for s in samples]),
-            xa_plus_k=np.stack([s.state_plus_k.augmented for s in samples]),
-            t_max=t_max,
-        )
-
-    def to_samples(self) -> list[TOSample]:
-        out = []
-        for i in range(len(self)):
-            out.append(TOSample(
-                state=TimeState(self.xa[i, :-1], int(round(self.xa[i, -1]))),
-                u=self.u[i],
-                v_bar=float(self.v_bar[i]),
-                v_bar_x=self.v_bar_x[i],
-                state_plus_k=TimeState(self.xa_plus_k[i, :-1],
-                                       int(round(self.xa_plus_k[i, -1]))),
-            ))
-        return out
-
 
 class ReplayBuffer:
     """FIFO ring buffer with uniform with-replacement minibatch sampling."""
 
-    def __init__(self, n: int, m: int, t_max: int, capacity: int = 2**20,
-                 model_name: str = "", k_lookahead: int = 0):
+    def __init__(self, n: int, m: int, t_max: int, capacity: int = 2**20):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.n, self.m = n, m
         self.t_max = t_max
         self.capacity = capacity
-        self.model_name = model_name
-        self.k_lookahead = k_lookahead
         self._xa = np.empty((capacity, n + 1))
         self._u = np.empty((capacity, m))
         self._v = np.empty(capacity)
@@ -105,18 +49,17 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def push_many(self, samples) -> int:
-        """Append in order with FIFO eviction; returns the number stored."""
-        if isinstance(samples, SampleBatch):
-            batch = samples
-        else:
-            samples = list(samples)
-            if not samples:
-                return 0
-            batch = SampleBatch.from_samples(samples, self.t_max)
+    def push_many(self, batch: SampleBatch) -> int:
+        """Append in order with FIFO eviction; returns the number stored.
+
+        A batch with a non-finite v_bar is rejected whole, before any row is
+        written.
+        """
         count = len(batch)
         if count == 0:
             return 0
+        if not np.all(np.isfinite(batch.v_bar)):
+            raise ValueError("v_bar must be finite")
         start = max(0, count - self.capacity)          # keep only the newest
         kept = count - start
         idx = (self._cursor + np.arange(kept)) % self.capacity
@@ -136,33 +79,3 @@ class ReplayBuffer:
         idx = rng.integers(0, self._size, size=batch_size)
         return SampleBatch(self._xa[idx], self._u[idx], self._v[idx],
                            self._vx[idx], self._xk[idx], self.t_max)
-
-    # -- binary dump/restore --------------------------------------------------
-
-    def dump(self, path):
-        """Fixed-width little-endian records, oldest first."""
-        order = (np.arange(self._size) + (self._cursor - self._size)) % self.capacity
-        name = self.model_name.encode()[:16].ljust(16, b"\0")
-        rec = np.hstack([self._xa[order], self._u[order],
-                         self._v[order, None], self._vx[order], self._xk[order]])
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, name, self.n, self.m,
-                                  self.k_lookahead, self._size))
-            fh.write(np.ascontiguousarray(rec, dtype="<f8").tobytes())
-
-    @classmethod
-    def restore(cls, path, capacity: int = 2**20, t_max: int = 0) -> "ReplayBuffer":
-        with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size or head[:4] != _MAGIC:
-                raise ValueError(f"not a buffer dump: {path}")
-            _, name, n, m, k, count = _HEADER.unpack(head)
-            width = (n + 1) + m + 1 + n + (n + 1)
-            data = np.frombuffer(fh.read(count * width * 8), dtype="<f8")
-        rec = data.reshape(count, width).astype(float)
-        buf = cls(n, m, t_max=t_max, capacity=capacity,
-                  model_name=name.rstrip(b"\0").decode(), k_lookahead=k)
-        cols = np.split(rec, np.cumsum([n + 1, m, 1, n]), axis=1)
-        buf.push_many(SampleBatch(cols[0], cols[1], cols[2][:, 0], cols[3],
-                                  cols[4], t_max))
-        return buf

@@ -3,6 +3,10 @@
 Subcommands: train, eval, demo1d, bench.  Every command writes its outputs
 plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
 3 checkpoint error, 4 model mismatch, 1 runtime failure.
+
+The run seed is taken from --seed when given, else from the CACTO_SEED
+environment variable when set, else from the config's trainer seed;
+manifest.json records which one as seed_source (cli / env / config).
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import numpy as np
 
 from . import __version__, nets
 from .config import ConfigError, RunConfig, load_config
-from .envs import Region, sample_initial_states, system_for, toy1d_cost
+from .envs import Region, sample_initial_states, toy1d_cost
 from .ilqr import RegularizerConfig, solve_batch
-from .trainer import (TrainConfig, evaluate_policy_costs, toy1d_diagnostic,
-                      train)
+from .trainer import evaluate_policy_costs, toy1d_diagnostic, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -54,13 +57,15 @@ def _build_id() -> str:
     return f"trajrl-{__version__}"
 
 
-def _write_manifest(out: Path, rc: RunConfig, seeds, command: str):
+def _write_manifest(out: Path, rc: RunConfig, seeds, seed_source: str,
+                    command: str):
     manifest = {
         "command": command,
         "build": _build_id(),
         "config_hash": rc.config_hash,
         "config": rc.raw,
         "seeds": list(seeds),
+        "seed_source": seed_source,
         "out_dir": str(out),
         "timings_file": "timings.json",
     }
@@ -73,13 +78,14 @@ def _write_timings(out: Path, phases: dict[str, float]):
         json.dump({k: round(v, 3) for k, v in phases.items()}, fh, indent=2)
 
 
-def _resolve_seed(args, rc: RunConfig) -> int:
+def _resolve_seed(args, rc: RunConfig) -> tuple[int, str]:
+    """The run seed and where it came from: --seed, CACTO_SEED, config."""
+    if args.seed is not None:
+        return args.seed, "cli"
     env = os.environ.get("CACTO_SEED")
     if env is not None:
-        return int(env)
-    if args.seed is not None:
-        return args.seed
-    return rc.train.seed
+        return int(env), "env"
+    return rc.train.seed, "config"
 
 
 def _fmt(value) -> str:
@@ -90,13 +96,13 @@ def _fmt(value) -> str:
 
 def cmd_train(args) -> int:
     rc = load_config(args.config)
-    seed = _resolve_seed(args, rc)
+    seed, seed_source = _resolve_seed(args, rc)
     cfg = replace(rc.train, seed=seed, **VARIANTS[args.variant])
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], "train")
+    _write_manifest(out, rc, [seed], seed_source, "train")
 
     report_file = open(out / "reports.csv", "w", newline="")
     writer = csv.writer(report_file)
@@ -149,11 +155,11 @@ def _load_actor(path, rc: RunConfig):
 
 def cmd_eval(args) -> int:
     rc = load_config(args.config)
-    seed = _resolve_seed(args, rc)
+    seed, seed_source = _resolve_seed(args, rc)
     actor = _load_actor(args.checkpoint, rc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], "eval")
+    _write_manifest(out, rc, [seed], seed_source, "eval")
 
     region = Region.HARD_REGION if args.region == "hard" else Region.WORKSPACE
     starts = sample_initial_states(rc.model, rc.train.eval_count,
@@ -182,11 +188,11 @@ def cmd_demo1d(args) -> int:
     rc = load_config(args.config)
     if rc.model.name != "toy1d":
         raise ModelMismatch(f"demo1d requires a toy1d config, got '{rc.model.name}'")
-    seed = _resolve_seed(args, rc)
+    seed, seed_source = _resolve_seed(args, rc)
     cfg = replace(rc.train, seed=seed)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], "demo1d")
+    _write_manifest(out, rc, [seed], seed_source, "demo1d")
 
     t0 = time.perf_counter()
     table = toy1d_diagnostic(cfg, grid=args.grid)
@@ -209,10 +215,10 @@ def cmd_demo1d(args) -> int:
 
 def cmd_bench(args) -> int:
     rc = load_config(args.config)
-    seed = _resolve_seed(args, rc)
+    seed, seed_source = _resolve_seed(args, rc)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], "bench")
+    _write_manifest(out, rc, [seed], seed_source, "bench")
     model, field = rc.model, rc.field
     reg = RegularizerConfig(rc.train.reg_eps)
     max_iter = rc.train.max_iter_first or 50

@@ -12,8 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .envs import CostField, Ellipse, ModelSpec, default_model
 from .trainer import TrainConfig
 

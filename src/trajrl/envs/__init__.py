@@ -15,8 +15,8 @@ from . import manipulator as _manipulator  # noqa: F401
 __all__ = [
     "Bounds", "CostField", "Ellipse", "ModelSpec", "Region", "System",
     "TimeState", "Cost", "toy1d_cost", "default_model", "system_for",
-    "cost_for", "step", "dynamics_jacobians", "running_cost", "terminal_cost",
-    "sample_initial_states", "register_system", "register_cost", "build_cost",
+    "cost_for", "sample_initial_states", "register_system", "register_cost",
+    "build_cost",
 ]
 
 _PI = float(np.pi)
@@ -65,48 +65,6 @@ def system_for(spec: ModelSpec) -> System:
 @lru_cache(maxsize=None)
 def cost_for(spec: ModelSpec, field: CostField) -> Cost:
     return build_cost(spec, field, system_for(spec))
-
-
-def _check_dims_only(model: ModelSpec, state: TimeState, u):
-    if state.x.shape != (model.n,):
-        raise ValueError(f"state dim {state.x.shape} != ({model.n},)")
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (model.m,):
-            raise ValueError(f"control dim {u.shape} != ({model.m},)")
-    return u
-
-
-def _check(model: ModelSpec, state: TimeState, u=None):
-    u = _check_dims_only(model, state, u)
-    if state.t >= model.t_max:
-        raise ValueError(f"time index {state.t} >= horizon {model.t_max}")
-    return u
-
-
-def step(model: ModelSpec, state: TimeState, u) -> TimeState:
-    """One explicit-Euler step of the discrete dynamics; advances t by one."""
-    u = _check(model, state, u)
-    x_next = system_for(model).step_x(state.x, u)
-    return TimeState(x=x_next, t=state.t + 1)
-
-
-def dynamics_jacobians(model: ModelSpec, state: TimeState, u):
-    """Exact Jacobians (f_x, f_u) of the discrete map at (x, u)."""
-    u = _check(model, state, u)
-    return system_for(model).jacobians(state.x, u)
-
-
-def running_cost(model: ModelSpec, field: CostField, state: TimeState, u):
-    """Stage cost and its exact derivatives: (l, l_x, l_u, l_xx, l_uu, l_ux)."""
-    u = _check_dims_only(model, state, u)
-    return cost_for(model, field).stage_derivs(state.x, u)
-
-
-def terminal_cost(model: ModelSpec, field: CostField, state: TimeState):
-    """Terminal cost (running cost with control terms removed): (l, l_x, l_xx)."""
-    _check_dims_only(model, state, None)
-    return cost_for(model, field).terminal_derivs(state.x)
 
 
 def sample_initial_states(model: ModelSpec, count: int, rng_seed,

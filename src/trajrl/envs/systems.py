@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, System, register_system
+from .base import System, register_system
 
 
 @register_system("toy1d")

@@ -7,15 +7,15 @@ cost-to-go values/gradients used as training targets.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .buffer import TOSample
+from .buffer import SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState, cost_for,
                    sample_initial_states, system_for)
 
@@ -77,9 +77,6 @@ class Trajectory:
     def cost(self) -> float:
         return float(self.step_costs.sum())
 
-    def state_at(self, k: int) -> TimeState:
-        return TimeState(self.X[k], self.t0 + k)
-
 
 @dataclass
 class SolveResult:
@@ -89,10 +86,7 @@ class SolveResult:
     V_bar_x: np.ndarray            # cost-to-go gradient per step, (T+1, n)
     iters_used: int
     converged: bool
-    V_xx: np.ndarray = dc_field(repr=False, default=None)
-    model: ModelSpec = None
-    field: CostField = None
-    reg: RegularizerConfig = RegularizerConfig()
+    model: ModelSpec
 
 
 class BackwardPassResult(NamedTuple):
@@ -200,13 +194,6 @@ def _backward(system, cost, traj: Trajectory, eps: float,
     return BackwardPassResult(k_ff, k_fb, v_x, v_xx, expected)
 
 
-def backward_pass(model: ModelSpec, field: CostField, traj: Trajectory,
-                  reg: RegularizerConfig) -> BackwardPassResult:
-    """Regularized Gauss-Newton backward recursion along a feasible trajectory."""
-    return _backward(system_for(model), cost_for(model, field), traj, reg.eps,
-                     model.u_bound)
-
-
 def _cost_trajectory(cost, X, U) -> np.ndarray:
     sc = np.empty(U.shape[0] + 1)
     sc[:-1] = cost.stage(X[:-1], U)
@@ -234,22 +221,17 @@ def _roll(system, cost, u_bound, x0, t0, u_nom, x_ref=None, gains=None,
     return Trajectory(X=X, U=U, step_costs=sc, t0=t0)
 
 
-def forward_rollout(model: ModelSpec, field: CostField, traj: Trajectory,
-                    gains: BackwardPassResult, alpha: float) -> Trajectory:
-    """Closed-loop rollout u = clamp(u_nom + alpha*k + K(x - x_nom))."""
-    return _roll(system_for(model), cost_for(model, field), model.u_bound,
-                 traj.X[0], traj.t0, traj.U, traj.X, gains, alpha)
-
-
 def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
           max_iter: int, reg: RegularizerConfig = RegularizerConfig(),
-          tol: float = 1e-6, trace_path=None) -> SolveResult:
+          tol: float = 1e-6) -> SolveResult:
     """Run up to max_iter iLQR iterations from the given warm start.
 
     Each iteration runs the regularized backward pass and a backtracking line
     search accepting the first step with an actual cost decrease; the accepted
     cost sequence is non-increasing.  Cost-to-go values are the realized sums
-    of step costs; their gradients come from a final dedicated backward pass.
+    of step costs.  Their gradients are the V_x of a backward pass along the
+    returned trajectory: the last iteration's own pass when its line search
+    accepted no step, else one more pass after the accepted step.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -268,44 +250,31 @@ def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
     if not np.isfinite(traj.cost):
         raise SolverError("non-finite cost under the initial warm start")
 
-    trace: list[tuple[int, float, float]] = []
     converged = False
-    iters_used = 0
-    for it in range(1, max_iter + 1):
-        iters_used = it
+    for iters_used in range(1, max_iter + 1):
         bp = _backward(system, cost, traj, reg.eps, model.u_bound)
         prev = traj.cost
-        accepted = None
         for alpha in LINE_SEARCH_ALPHAS:
             cand = _roll(system, cost, model.u_bound, traj.X[0], traj.t0,
                          traj.U, traj.X, bp, alpha)
             c = cand.cost
             if math.isfinite(c) and c < prev:
-                accepted = (cand, alpha)
                 break
-        if accepted is None:
+        else:
             # no descent step: converged if the quadratic model agrees there
             # is (almost) nothing left to gain, otherwise stalled
-            trace.append((it, prev, math.nan))
             converged = bp.expected_decrease < tol * max(1.0, abs(prev))
             break
-        traj, alpha = accepted
-        trace.append((it, traj.cost, alpha))
+        traj, bp = cand, None       # bp no longer matches the trajectory
         if prev - traj.cost < tol * max(1.0, abs(prev)):
             converged = True
             break
 
-    final_bp = _backward(system, cost, traj, reg.eps, model.u_bound)
+    if bp is None:
+        bp = _backward(system, cost, traj, reg.eps, model.u_bound)
     v_bar = np.cumsum(traj.step_costs[::-1])[::-1].copy()
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["iteration", "cost", "alpha"])
-            wr.writerows(trace)
-    return SolveResult(traj=traj, cost=traj.cost, V_bar=v_bar,
-                       V_bar_x=final_bp.V_x, iters_used=iters_used,
-                       converged=converged, V_xx=final_bp.V_xx,
-                       model=model, field=field, reg=reg)
+    return SolveResult(traj=traj, cost=traj.cost, V_bar=v_bar, V_bar_x=bp.V_x,
+                       iters_used=iters_used, converged=converged, model=model)
 
 
 def _solve_one(args):
@@ -355,56 +324,31 @@ def _solve_one_safe(args):
         return err
 
 
-def kstep_targets(result: SolveResult, K: int,
-                  critic_eval: Optional[Callable] = None) -> list[TOSample]:
-    """Training samples (x, u, V_bar, V_bar_x, x after K' steps) per step.
+def kstep_targets(result: SolveResult, K: int) -> SampleBatch:
+    """Replay rows of one solved trajectory, one per step k = 0..T.
 
-    V_bar is the raw K'-step partial cost sum (plus terminal cost when the
-    window reaches the horizon), K' = min(K, T-k).  Gradient targets come from
-    a K'-step backward recursion; without a critic hook this reproduces the
-    solver's own gradients exactly, so they are reused directly.  With a
-    critic hook the recursion is re-seeded at the window end with the critic's
-    state gradient.
+    Row k holds the augmented state [x_k, t_k], the control u_k (zero at the
+    horizon), the raw K'-step partial cost-to-go with K' = min(K, T-k), its
+    state gradient, and the augmented state K' steps later.  A window that
+    reaches the horizon takes the solver's own tail sum, terminal cost
+    included; a shorter one sums its K step costs.  The gradient targets are
+    the solver's cost-to-go gradients.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     traj = result.traj
     t_hor = traj.horizon
-    model = result.model
-
-    if critic_eval is not None:
-        system = system_for(model)
-        cost = cost_for(model, result.field)
-        st = _derivative_stacks(system, cost, traj)
-        eps_reg = result.reg.eps
-
-    samples = []
-    for k in range(t_hor + 1):
-        kp = min(K, t_hor - k)
-        j = k + kp
-        if j == t_hor:
-            # the window reaches the horizon: identical to the solver's own
-            # tail sum (includes the terminal cost)
-            v_bar = result.V_bar[k]
-        else:
-            v_bar = float(traj.step_costs[k:j].sum())
-        if critic_eval is None or j == t_hor:
-            v_bar_x = result.V_bar_x[k]
-        else:
-            _, vx = critic_eval(traj.state_at(j))
-            vx = np.asarray(vx, dtype=float)
-            vxx = result.V_xx[j]
-            for i in range(j - 1, k - 1, -1):
-                _, _, vx, vxx, _ = _backward_step(
-                    st.fx[i], st.fu[i], st.lx[i], st.lu[i], st.lxx[i],
-                    st.luu[i], st.lux[i], vx, vxx, eps_reg,
-                    traj.U[i], model.u_bound)
-            v_bar_x = vx
-        u_k = traj.U[k] if k < t_hor else np.zeros(model.m)
-        samples.append(TOSample(state=traj.state_at(k), u=u_k,
-                                v_bar=float(v_bar), v_bar_x=v_bar_x,
-                                state_plus_k=traj.state_at(j)))
-    return samples
+    steps = np.arange(t_hor + 1)
+    xa = np.column_stack([traj.X, traj.t0 + steps])
+    v_bar = result.V_bar.copy()
+    if K < t_hor:
+        # one sum per window, not cumsum differences, so that each target
+        # rounds exactly as step_costs[k:k+K].sum() does
+        windows = sliding_window_view(traj.step_costs[:t_hor], K)
+        v_bar[:t_hor - K] = windows[:t_hor - K].sum(axis=1)
+    u = np.vstack([traj.U, np.zeros((1, traj.U.shape[1]))])
+    return SampleBatch(xa, u, v_bar, result.V_bar_x,
+                       xa[np.minimum(steps + K, t_hor)], result.model.t_max)
 
 
 def nearest_rank(counts, percentile: float) -> int:

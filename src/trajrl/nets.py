@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -173,25 +173,6 @@ def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
     return y[0] if single else y
 
 
-def mlp_input_gradient(mlp: Mlp, xa) -> np.ndarray:
-    """Exact Jacobian of mlp_forward w.r.t. its raw input; (out, in) per sample."""
-    xa = np.asarray(xa, dtype=float)
-    single = xa.ndim == 1
-    xb = xa[None, :] if single else xa
-    if xb.shape[-1] != mlp.in_dim:
-        raise ValueError(f"input dim {xb.shape[-1]} != {mlp.in_dim}")
-    zs, _, o = _forward_caches(mlp, xb)
-    d1 = _ACTIVATIONS[mlp.activation][1]
-    bsz = xb.shape[0]
-    jac = np.broadcast_to(mlp.weights[-1], (bsz,) + mlp.weights[-1].shape).copy()
-    for i in range(len(mlp.weights) - 2, -1, -1):
-        jac = (jac * d1(zs[i])[:, None, :]) @ mlp.weights[i]
-    jac = jac * _head_chain(mlp, o)[:, :, None]
-    if mlp.in_center is not None:
-        jac = jac / mlp.in_half
-    return jac[0] if single else jac
-
-
 def value_and_state_grad(mlp: Mlp, xa):
     """Scalar-output fast path: (values (B,), d value/d input (B, in))."""
     assert mlp.head == "linear" and mlp.out_dim == 1
@@ -291,20 +272,15 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
 
 
 def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
-               states):
-    """One-step Q objective: mean of l(x, mu(x)) + V(f(x, mu(x)), t+1).
+               xa: np.ndarray):
+    """One-step Q objective: mean of l(x, mu(x)) + V(f(x, mu(x)), t+1) over
+    the augmented states xa, shape (B, n+1), rows [x, t].
 
     States already at the horizon are skipped (their count is returned third);
     gradients flow through the running cost and through the critic via the
     control Jacobian of the dynamics.
     """
-    if isinstance(states, SampleBatch):
-        xa = states.xa
-    else:
-        states = list(states)
-        if not states:
-            raise ValueError("empty batch")
-        xa = np.stack([s.augmented for s in states])
+    xa = np.asarray(xa, dtype=float)
     keep = xa[:, -1] < model.t_max
     skipped = int((~keep).sum())
     xa = xa[keep]

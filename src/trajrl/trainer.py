@@ -10,17 +10,17 @@ derived from the run seed, so fixed-seed runs repeat exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import nets
-from .buffer import ReplayBuffer, SampleBatch
+from .buffer import ReplayBuffer
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
 from .ilqr import (RegularizerConfig, calibrate_max_iter, kstep_targets,
-                   solve, solve_batch)
+                   solve_batch)
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ class TrainerState:
         self.adam_std = nets.AdamState.init(self.std.flat_params(),
                                             lr=config.lr_std)
         self.buffer = ReplayBuffer(model.n, model.m, model.t_max,
-                                   capacity=config.buffer_capacity,
-                                   model_name=model.name,
-                                   k_lookahead=config.k_lookahead)
+                                   capacity=config.buffer_capacity)
         self.rng_batches = np.random.default_rng(_seed_seq(config.seed, 5))
         self.eval_starts = sample_initial_states(
             model, config.eval_count, _seed_int(config.seed, 3),
@@ -219,7 +217,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         state.critic_target = nets.polyak(state.critic_target, state.critic,
                                           cfg.tau)
         aloss, agrads, _ = nets.actor_loss(state.actor, state.critic,
-                                           model, fld, batch)
+                                           model, fld, batch.xa)
         params, state.adam_actor = nets.adam_step(
             state.actor.flat_params(), state.adam_actor, agrads)
         state.actor = state.actor.with_params(params)

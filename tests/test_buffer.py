@@ -1,31 +1,33 @@
 import numpy as np
 import pytest
 
-from trajrl.buffer import ReplayBuffer, SampleBatch, TOSample
-from trajrl.envs import TimeState
+from trajrl.buffer import ReplayBuffer, SampleBatch
 
 
-def _sample(tag: float, n=3, m=2):
-    return TOSample(state=TimeState(np.full(n, tag), 0),
-                    u=np.full(m, tag), v_bar=tag,
-                    v_bar_x=np.full(n, tag),
-                    state_plus_k=TimeState(np.full(n, tag), 1))
+def _batch(tags, n=3, m=2):
+    """One row per tag, every field filled with the tag."""
+    tags = np.asarray(tags, dtype=float)
+    xa = np.repeat(tags[:, None], n + 1, axis=1)
+    xa[:, -1] = 0.0
+    xk = xa.copy()
+    xk[:, -1] = 1.0
+    return SampleBatch(xa, np.repeat(tags[:, None], m, axis=1), tags,
+                       np.repeat(tags[:, None], n, axis=1), xk, t_max=60)
 
 
 def _make(capacity=10):
-    return ReplayBuffer(n=3, m=2, t_max=60, capacity=capacity,
-                        model_name="pointmass", k_lookahead=5)
+    return ReplayBuffer(n=3, m=2, t_max=60, capacity=capacity)
 
 
 def test_push_partial_fill():
     buf = _make()
-    stored = buf.push_many([_sample(i) for i in range(5)])
+    stored = buf.push_many(_batch(range(5)))
     assert stored == 5 and len(buf) == 5
 
 
 def test_push_overflow_evicts_oldest_first():
     buf = _make()
-    buf.push_many([_sample(i) for i in range(15)])
+    buf.push_many(_batch(range(15)))
     assert len(buf) == 10
     batch = buf.sample_minibatch(1000, np.random.default_rng(0))
     tags = np.unique(batch.v_bar)
@@ -35,13 +37,13 @@ def test_push_overflow_evicts_oldest_first():
 
 def test_push_empty_is_noop():
     buf = _make()
-    assert buf.push_many([]) == 0
+    assert buf.push_many(_batch([])) == 0
     assert len(buf) == 0
 
 
 def test_push_beyond_capacity_in_one_call_keeps_newest():
     buf = _make(capacity=4)
-    stored = buf.push_many([_sample(i) for i in range(9)])
+    stored = buf.push_many(_batch(range(9)))
     assert stored == 4 and len(buf) == 4
     batch = buf.sample_minibatch(200, np.random.default_rng(1))
     assert set(np.unique(batch.v_bar)) == {5.0, 6.0, 7.0, 8.0}
@@ -49,7 +51,7 @@ def test_push_beyond_capacity_in_one_call_keeps_newest():
 
 def test_sample_single_element_repeats():
     buf = _make()
-    buf.push_many([_sample(7.0)])
+    buf.push_many(_batch([7.0]))
     batch = buf.sample_minibatch(4, np.random.default_rng(2))
     assert len(batch) == 4
     np.testing.assert_array_equal(batch.v_bar, np.full(4, 7.0))
@@ -57,7 +59,7 @@ def test_sample_single_element_repeats():
 
 def test_sample_deterministic_for_rng_state():
     buf = _make()
-    buf.push_many([_sample(i) for i in range(10)])
+    buf.push_many(_batch(range(10)))
     a = buf.sample_minibatch(32, np.random.default_rng(42))
     b = buf.sample_minibatch(32, np.random.default_rng(42))
     np.testing.assert_array_equal(a.v_bar, b.v_bar)
@@ -66,7 +68,7 @@ def test_sample_deterministic_for_rng_state():
 
 def test_sampling_is_uniform():
     buf = _make()
-    buf.push_many([_sample(i) for i in range(10)])
+    buf.push_many(_batch(range(10)))
     rng = np.random.default_rng(3)
     draws = buf.sample_minibatch(100_000, rng).v_bar.astype(int)
     counts = np.bincount(draws, minlength=10)
@@ -86,47 +88,19 @@ def test_sample_from_empty_buffer_raises():
 def test_capacity_never_exceeded_under_repeated_pushes():
     buf = _make(capacity=16)
     for wave in range(7):
-        buf.push_many([_sample(wave * 100 + i) for i in range(5)])
+        buf.push_many(_batch(wave * 100 + np.arange(5)))
         assert len(buf) <= 16
 
 
-def test_dump_restore_roundtrip(tmp_path):
+def test_push_rejects_non_finite_value_before_writing():
     buf = _make()
-    buf.push_many([_sample(i) for i in range(13)])   # wrapped ring
-    path = tmp_path / "buffer.bin"
-    buf.dump(path)
-    back = ReplayBuffer.restore(path, capacity=10, t_max=60)
-    assert back.model_name == "pointmass"
-    assert back.k_lookahead == 5
-    assert len(back) == len(buf) == 10
-    a = buf.sample_minibatch(64, np.random.default_rng(9))
-    b = back.sample_minibatch(64, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.xa, b.xa)
-    np.testing.assert_array_equal(a.v_bar, b.v_bar)
-    np.testing.assert_array_equal(a.v_bar_x, b.v_bar_x)
-
-
-def test_restore_rejects_garbage(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"not a buffer dump at all....")
+    buf.push_many(_batch(range(3)))
+    bad = _batch([3.0, np.nan, 5.0])
     with pytest.raises(ValueError):
-        ReplayBuffer.restore(path)
-
-
-def test_sample_batch_roundtrip():
-    samples = [_sample(float(i)) for i in range(6)]
-    batch = SampleBatch.from_samples(samples, t_max=60)
-    back = batch.to_samples()
-    for s, t in zip(samples, back):
-        np.testing.assert_array_equal(s.state.x, t.state.x)
-        assert s.state.t == t.state.t
-        np.testing.assert_array_equal(s.u, t.u)
-        assert s.v_bar == t.v_bar
-        assert s.state_plus_k.t == t.state_plus_k.t
-
-
-def test_tosample_rejects_non_finite_value():
+        buf.push_many(bad)
+    bad.v_bar[1] = np.inf
     with pytest.raises(ValueError):
-        TOSample(state=TimeState(np.zeros(2), 0), u=np.zeros(1),
-                 v_bar=np.nan, v_bar_x=np.zeros(2),
-                 state_plus_k=TimeState(np.zeros(2), 1))
+        buf.push_many(bad)
+    assert len(buf) == 3
+    batch = buf.sample_minibatch(200, np.random.default_rng(4))
+    assert set(np.unique(batch.v_bar)) == {0.0, 1.0, 2.0}

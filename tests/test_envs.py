@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajrl import envs
-from trajrl.envs import Region, TimeState, toy1d_cost
+from trajrl.envs import Region, toy1d_cost
 
 SYSTEMS = ["toy1d", "pointmass", "dubins", "manipulator3"]
 
@@ -21,31 +21,15 @@ def _random_state_control(rng, spec):
 # -- step ----------------------------------------------------------------------
 
 def test_pointmass_fixed_point_at_rest():
-    model = envs.default_model("pointmass")
-    out = envs.step(model, TimeState(np.zeros(4), 0), np.zeros(2))
-    assert out.t == 1
-    np.testing.assert_array_equal(out.x, np.zeros(4))
+    system = envs.system_for(envs.default_model("pointmass"))
+    out = system.step_x(np.zeros(4), np.zeros(2))
+    np.testing.assert_array_equal(out, np.zeros(4))
 
 
 def test_pointmass_euler_step():
-    model = envs.default_model("pointmass")
-    out = envs.step(model, TimeState(np.array([0.0, 0.0, 1.0, 0.0]), 0),
-                    np.zeros(2))
-    np.testing.assert_allclose(out.x, [0.05, 0.0, 1.0, 0.0], atol=1e-15)
-
-
-def test_step_dimension_mismatch_raises():
-    model = envs.default_model("pointmass")
-    with pytest.raises(ValueError):
-        envs.step(model, TimeState(np.zeros(3), 0), np.zeros(2))
-    with pytest.raises(ValueError):
-        envs.step(model, TimeState(np.zeros(4), 0), np.zeros(3))
-
-
-def test_step_at_horizon_raises():
-    model = envs.default_model("pointmass")
-    with pytest.raises(ValueError):
-        envs.step(model, TimeState(np.zeros(4), model.t_max), np.zeros(2))
+    system = envs.system_for(envs.default_model("pointmass"))
+    out = system.step_x(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2))
+    np.testing.assert_allclose(out, [0.05, 0.0, 1.0, 0.0], atol=1e-15)
 
 
 def _rk4_reference(system, x, u, dt, substeps=100):
@@ -102,7 +86,7 @@ def test_step_composition_stays_finite():
 
 def test_pointmass_jacobians_are_linear_system_matrices():
     model = envs.default_model("pointmass")
-    fx, fu = envs.dynamics_jacobians(model, TimeState(np.zeros(4), 0), np.zeros(2))
+    fx, fu = envs.system_for(model).jacobians(np.zeros(4), np.zeros(2))
     a = np.zeros((4, 4))
     a[0, 2] = a[1, 3] = 1.0
     b = np.zeros((4, 2))
@@ -113,7 +97,7 @@ def test_pointmass_jacobians_are_linear_system_matrices():
 
 def test_toy1d_jacobians():
     model = envs.default_model("toy1d")
-    fx, fu = envs.dynamics_jacobians(model, TimeState(np.zeros(1), 0), np.zeros(1))
+    fx, fu = envs.system_for(model).jacobians(np.zeros(1), np.zeros(1))
     np.testing.assert_array_equal(fx, [[1.0]])
     np.testing.assert_array_equal(fu, [[model.dt]])
 
@@ -140,7 +124,7 @@ def test_dynamics_jacobians_match_finite_differences(name):
 def test_pointmass_cost_at_target_is_reward_dominated(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
     x = np.array([field.target[0], field.target[1], 0.0, 0.0])
-    l, *_ = envs.running_cost(model, field, TimeState(x, 0), np.zeros(2))
+    l, *_ = envs.cost_for(model, field).stage_derivs(x, np.zeros(2))
     # distance term vanishes, obstacles are far: only the bonus plus residue
     assert l < -field.target_reward_weight + 1e-3
     assert l > -field.target_reward_weight - 1e-12
@@ -148,9 +132,8 @@ def test_pointmass_cost_at_target_is_reward_dominated(pointmass_rc):
 
 def test_control_gradient_is_quadratic_effort(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
-    state = TimeState(np.array([3.0, -2.0, 0.5, 0.0]), 4)
-    _, _, lu, _, luu, lux = envs.running_cost(model, field, state,
-                                              np.array([1.0, 0.0]))
+    _, _, lu, _, luu, lux = envs.cost_for(model, field).stage_derivs(
+        np.array([3.0, -2.0, 0.5, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(lu, [2.0 * field.control_weight, 0.0], atol=1e-15)
     np.testing.assert_allclose(luu, 2.0 * field.control_weight * np.eye(2),
                                atol=1e-15)
@@ -178,11 +161,20 @@ def test_cost_derivatives_match_finite_differences(name, pointmass_rc, toy_rc,
         lxx_fd = np.stack([(cost.stage_derivs(x + h * e, u)[1]
                             - cost.stage_derivs(x - h * e, u)[1]) / (2 * h)
                            for e in eye_n], axis=1)
+        _, lt_x, lt_xx = cost.terminal_derivs(x)
+        lt_x_fd = np.array([(cost.terminal(x + h * e) - cost.terminal(x - h * e))
+                            / (2 * h) for e in eye_n])
+        lt_xx_fd = np.stack([(cost.terminal_derivs(x + h * e)[1]
+                              - cost.terminal_derivs(x - h * e)[1]) / (2 * h)
+                             for e in eye_n], axis=1)
         scale = max(1.0, np.abs(lx_fd).max(), np.abs(lu_fd).max())
         worst = max(worst,
                     np.abs(lx - lx_fd).max() / scale,
                     np.abs(lu - lu_fd).max() / scale,
-                    np.abs(lxx - lxx_fd).max() / max(1.0, np.abs(lxx_fd).max()))
+                    np.abs(lxx - lxx_fd).max() / max(1.0, np.abs(lxx_fd).max()),
+                    np.abs(lt_x - lt_x_fd).max() / max(1.0, np.abs(lt_x_fd).max()),
+                    np.abs(lt_xx - lt_xx_fd).max()
+                    / max(1.0, np.abs(lt_xx_fd).max()))
     assert worst < 1e-5
 
 

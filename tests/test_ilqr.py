@@ -1,14 +1,11 @@
-import csv
-
 import numpy as np
 import pytest
 
 from trajrl import envs, ilqr
 from trajrl.envs import Region, TimeState, toy1d_cost
 from trajrl.ilqr import (BatchSolveError, RegularizerConfig, SolverError,
-                         backward_pass, calibrate_max_iter, forward_rollout,
-                         kstep_targets, nearest_rank, regularize_psd, solve,
-                         solve_batch)
+                         calibrate_max_iter, kstep_targets, nearest_rank,
+                         regularize_psd, solve, solve_batch)
 
 from lqr_utils import random_lqr, riccati_gains, riccati_value_matrices
 
@@ -53,20 +50,32 @@ def _open_loop(spec, field, x0, U):
     return solve(spec, field, TimeState(x0, 0), U, max_iter=1, reg=REG).traj
 
 
-def test_backward_pass_matches_riccati_gains():
+def _backward(spec, field, traj):
+    return ilqr._backward(envs.system_for(spec), envs.cost_for(spec, field),
+                          traj, REG.eps, spec.u_bound)
+
+
+def _closed_loop(spec, field, traj, gains, alpha):
+    """u = clamp(u_nom + alpha*k + K(x - x_nom)) around traj."""
+    return ilqr._roll(envs.system_for(spec), envs.cost_for(spec, field),
+                      spec.u_bound, traj.X[0], traj.t0, traj.U, traj.X,
+                      gains, alpha)
+
+
+def test_backward_matches_riccati_gains():
     rng = np.random.default_rng(1)
     spec, field, (A, B, Q, R, QF) = random_lqr(rng, n=4, m=2, horizon=30)
     x0 = rng.normal(0.0, 1.0, 4)
     res = solve(spec, field, TimeState(x0, 0), np.zeros((30, 2)),
                 max_iter=10, reg=REG)
-    bp = backward_pass(spec, field, res.traj, REG)
+    bp = _backward(spec, field, res.traj)
     P = riccati_value_matrices(A, B, Q, R, QF, 30)
     K_oracle = riccati_gains(A, B, R, P)
     # at the optimum the feedback gains equal the Riccati gains (u = -K x)
     assert np.abs(bp.K_fb - (-K_oracle)).max() < 1e-8
 
 
-def test_backward_pass_zero_cost_gives_inert_gains():
+def test_backward_zero_cost_gives_inert_gains():
     # with zero cost nothing can improve: no feedforward, no expected
     # decrease, and the closed-loop rollout is a fixed point (the eigenvalue
     # floor keeps V_xx at eps, so the feedback matrix itself need not vanish)
@@ -75,10 +84,10 @@ def test_backward_pass_zero_cost_gives_inert_gains():
     zero = tuple((k, 0.0) if k[0] in "qrf" else (k, v) for k, v in spec.extra)
     spec0 = envs.ModelSpec(**{**spec.__dict__, "extra": zero})
     traj = _open_loop(spec0, field, rng.normal(0, 1, 3), rng.normal(0, 1, (10, 2)))
-    bp = backward_pass(spec0, field, traj, REG)
+    bp = _backward(spec0, field, traj)
     assert np.abs(bp.k_ff).max() == 0.0
     assert bp.expected_decrease == 0.0
-    out = forward_rollout(spec0, field, traj, bp, alpha=1.0)
+    out = _closed_loop(spec0, field, traj, bp, alpha=1.0)
     np.testing.assert_array_equal(out.U, traj.U)
 
 
@@ -108,9 +117,9 @@ def test_rollout_alpha_zero_with_zero_feedforward_is_identity():
     rng = np.random.default_rng(3)
     spec, field, _ = random_lqr(rng, n=3, m=1, horizon=12)
     traj = _open_loop(spec, field, rng.normal(0, 1, 3), rng.normal(0, 1, (12, 1)))
-    bp = backward_pass(spec, field, traj, REG)
+    bp = _backward(spec, field, traj)
     zeroed = bp._replace(k_ff=np.zeros_like(bp.k_ff))
-    out = forward_rollout(spec, field, traj, zeroed, alpha=0.0)
+    out = _closed_loop(spec, field, traj, zeroed, alpha=0.0)
     np.testing.assert_array_equal(out.X, traj.X)
     np.testing.assert_array_equal(out.U, traj.U)
 
@@ -121,9 +130,9 @@ def test_rollout_respects_control_bounds(pointmass_rc):
     x0 = rng.uniform(-5, 5, 4)
     traj = solve(model, field, TimeState(x0, 0), np.zeros((model.t_max, 2)),
                  max_iter=1, reg=REG).traj
-    bp = backward_pass(model, field, traj, REG)
+    bp = _backward(model, field, traj)
     huge = bp._replace(k_ff=bp.k_ff + 1e4)
-    out = forward_rollout(model, field, traj, huge, alpha=1.0)
+    out = _closed_loop(model, field, traj, huge, alpha=1.0)
     assert np.all(np.abs(out.U) <= model.u_bound + 1e-12)
 
 
@@ -132,8 +141,8 @@ def test_rollout_alpha_one_reaches_riccati_cost():
     spec, field, (A, B, Q, R, QF) = random_lqr(rng, n=4, m=2, horizon=25)
     x0 = rng.normal(0.0, 1.0, 4)
     traj = _open_loop(spec, field, x0, np.zeros((25, 2)))
-    bp = backward_pass(spec, field, traj, REG)
-    out = forward_rollout(spec, field, traj, bp, alpha=1.0)
+    bp = _backward(spec, field, traj)
+    out = _closed_loop(spec, field, traj, bp, alpha=1.0)
     P = riccati_value_matrices(A, B, Q, R, QF, 25)
     assert abs(out.cost - x0 @ P[0] @ x0) < 1e-8 * max(1.0, abs(x0 @ P[0] @ x0))
 
@@ -166,6 +175,25 @@ def test_solve_from_optimal_warm_start_converges_immediately():
     np.testing.assert_allclose(again.traj.U, first.traj.U, atol=1e-8)
 
 
+def test_value_gradients_match_backward_of_returned_trajectory(pointmass_rc):
+    # covers each way a solve ends: no descent step (the last pass is
+    # reused), converged after a step, and the cap hit after a step
+    rng = np.random.default_rng(13)
+    spec, field, _ = random_lqr(rng, n=3, m=2, horizon=15)
+    x0 = TimeState(rng.normal(0.0, 1.0, 3), 0)
+    first = solve(spec, field, x0, np.zeros((15, 2)), max_iter=20, reg=REG)
+    again = solve(spec, field, x0, first.traj.U, max_iter=20, reg=REG)
+    model = pointmass_rc.model
+    capped = solve(model, pointmass_rc.field,
+                   TimeState(np.array([8.0, 2.0, 0.0, 0.0]), 0),
+                   np.zeros((model.t_max, 2)), max_iter=3, reg=REG)
+    assert not capped.converged and capped.iters_used == 3
+    for res, sp, fl in ((first, spec, field), (again, spec, field),
+                        (capped, model, pointmass_rc.field)):
+        np.testing.assert_array_equal(res.V_bar_x,
+                                      _backward(sp, fl, res.traj).V_x)
+
+
 def test_solve_rejects_bad_inputs(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
     with pytest.raises(ValueError):
@@ -176,16 +204,19 @@ def test_solve_rejects_bad_inputs(pointmass_rc):
               np.zeros((model.t_max, 2)), max_iter=3)
 
 
-def test_solve_cost_non_increasing_via_trace(tmp_path, pointmass_rc):
+def test_solve_cost_non_increasing_with_iteration_cap(pointmass_rc):
+    # a cap of k returns the trajectory accepted after k iterations, so the
+    # costs over growing caps are the accepted cost sequence
     model, field = pointmass_rc.model, pointmass_rc.field
     reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
-    trace = tmp_path / "trace.csv"
-    solve(model, field, TimeState(np.array([8.0, 2.0, 0.0, 0.0]), 0),
-          np.zeros((model.t_max, 2)), max_iter=200, reg=reg, trace_path=trace)
-    with open(trace) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and set(rows[0]) == {"iteration", "cost", "alpha"}
-    costs = [float(r["cost"]) for r in rows if r["alpha"] != "nan"]
+
+    def capped(k):
+        return solve(model, field, TimeState(np.array([8.0, 2.0, 0.0, 0.0]), 0),
+                     np.zeros((model.t_max, 2)), max_iter=k, reg=reg)
+
+    full = capped(200)
+    costs = [capped(k).cost for k in range(1, full.iters_used + 1)]
+    assert full.iters_used > 1 and costs[-1] == full.cost
     assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
@@ -298,35 +329,34 @@ def _lqr_solved(rng, **kw):
 def test_kstep_full_horizon_reproduces_solver_values():
     rng = np.random.default_rng(8)
     spec, field, _, res = _lqr_solved(rng, n=3, m=1, horizon=20)
-    samples = kstep_targets(res, K=spec.t_max)
-    assert samples[0].v_bar == res.V_bar[0] == res.cost
-    np.testing.assert_array_equal(samples[0].v_bar_x, res.V_bar_x[0])
-    assert len(samples) == spec.t_max + 1
+    batch = kstep_targets(res, K=spec.t_max)
+    assert batch.v_bar[0] == res.V_bar[0] == res.cost
+    np.testing.assert_array_equal(batch.v_bar_x[0], res.V_bar_x[0])
+    assert len(batch) == spec.t_max + 1
 
 
 def test_kstep_one_step_values_are_step_costs():
     rng = np.random.default_rng(9)
     spec, field, _, res = _lqr_solved(rng, n=3, m=2, horizon=15)
-    samples = kstep_targets(res, K=1)
+    batch = kstep_targets(res, K=1)
     t_hor = spec.t_max
     for k in range(t_hor - 1):
-        assert samples[k].v_bar == res.traj.step_costs[k]
-        assert samples[k].state_plus_k.t == k + 1
+        assert batch.v_bar[k] == res.traj.step_costs[k]
+        assert batch.xa_plus_k[k, -1] == k + 1
     # the last one-step window reaches the horizon and picks up the terminal cost
-    assert samples[t_hor - 1].v_bar == res.V_bar[t_hor - 1]
-    assert samples[t_hor].v_bar == res.traj.step_costs[t_hor]
+    assert batch.v_bar[t_hor - 1] == res.V_bar[t_hor - 1]
+    assert batch.v_bar[t_hor] == res.traj.step_costs[t_hor]
 
 
 def test_kstep_five_step_plus_riccati_value_telescopes():
     rng = np.random.default_rng(10)
     spec, field, (A, B, Q, R, QF), res = _lqr_solved(rng, n=4, m=2, horizon=30)
     P = riccati_value_matrices(A, B, Q, R, QF, 30)
-    samples = kstep_targets(res, K=5)
+    batch = kstep_targets(res, K=5)
     for k in range(30 - 5):
-        x_plus = samples[k].state_plus_k.x
+        x_plus = batch.xa_plus_k[k, :-1]
         v_tail = x_plus @ P[k + 5] @ x_plus
-        assert samples[k].v_bar + v_tail == pytest.approx(res.V_bar[k],
-                                                          abs=1e-6)
+        assert batch.v_bar[k] + v_tail == pytest.approx(res.V_bar[k], abs=1e-6)
 
 
 def test_kstep_rejects_bad_lookahead():
@@ -336,20 +366,37 @@ def test_kstep_rejects_bad_lookahead():
         kstep_targets(res, K=0)
 
 
-def test_kstep_critic_hook_with_solver_gradients_matches_default():
-    # seeding the truncated recursion with the solver's own gradient must
-    # reproduce the solver's gradient at every step, bit for bit
+def _kstep_reference(res, K):
+    """Targets built one window at a time, K' = min(K, T-k) steps each."""
+    traj = res.traj
+    t_hor = traj.horizon
+    rows = []
+    for k in range(t_hor + 1):
+        j = k + min(K, t_hor - k)
+        v_bar = res.V_bar[k] if j == t_hor else float(traj.step_costs[k:j].sum())
+        u = traj.U[k] if k < t_hor else np.zeros(traj.U.shape[1])
+        rows.append((np.append(traj.X[k], float(traj.t0 + k)), u, v_bar,
+                     res.V_bar_x[k], np.append(traj.X[j], float(traj.t0 + j))))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def test_kstep_matches_per_window_reference_bitwise(pointmass_rc):
     rng = np.random.default_rng(12)
-    spec, field, _, res = _lqr_solved(rng, n=3, m=2, horizon=12)
-
-    def critic_eval(ts):
-        return 0.0, res.V_bar_x[ts.t]
-
-    hooked = kstep_targets(res, K=4, critic_eval=critic_eval)
-    plain = kstep_targets(res, K=4)
-    for a, b in zip(hooked, plain):
-        np.testing.assert_array_equal(a.v_bar_x, b.v_bar_x)
-        assert a.v_bar == b.v_bar
+    _, _, _, lqr = _lqr_solved(rng, n=3, m=2, horizon=40)
+    model, field = pointmass_rc.model, pointmass_rc.field
+    t0 = 5
+    pm = solve(model, field, TimeState(np.array([8.0, 2.0, 0.0, 0.0]), t0),
+               np.zeros((model.t_max - t0, 2)), max_iter=30,
+               reg=RegularizerConfig(eps=pointmass_rc.train.reg_eps))
+    for res in (lqr, pm):
+        t_hor = res.traj.horizon
+        for K in (1, 3, 10, t_hor - 1, t_hor, t_hor + 5):
+            batch = kstep_targets(res, K)
+            fields = (batch.xa, batch.u, batch.v_bar, batch.v_bar_x,
+                      batch.xa_plus_k)
+            for got, want in zip(fields, _kstep_reference(res, K)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), K
 
 
 def test_telescoping_value_identity(pointmass_rc):

@@ -6,8 +6,8 @@ from trajrl.buffer import SampleBatch
 from trajrl.envs import TimeState
 from trajrl.nets import (AdamState, Mlp, actor_loss, actor_rollout, adam_step,
                          critic_loss, init_mlp, load_checkpoint, mlp_forward,
-                         mlp_input_gradient, polyak, save_checkpoint,
-                         std_critic_loss)
+                         polyak, save_checkpoint, std_critic_loss,
+                         value_and_state_grad)
 
 from lqr_utils import random_lqr
 
@@ -62,7 +62,10 @@ def test_forward_single_linear_layer():
     net = Mlp(weights=(w,), biases=(np.zeros(3),))
     x = rng.normal(0, 1, 4)
     np.testing.assert_allclose(mlp_forward(net, x), w @ x, atol=1e-14)
-    np.testing.assert_allclose(mlp_input_gradient(net, x), w, atol=1e-14)
+    for row in w:
+        single = Mlp(weights=(row[None, :],), biases=(np.zeros(1),))
+        np.testing.assert_allclose(value_and_state_grad(single, x[None, :])[1],
+                                   row[None, :], atol=1e-14)
 
 
 def test_forward_finite_on_random_inputs():
@@ -80,17 +83,16 @@ def test_forward_rejects_dim_mismatch():
 
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    for head, scale in (("linear", None), ("tanh", np.array([2.0, 1.5])),
-                        ("std", None)):
-        out_dim = 2 if head == "tanh" else 1
-        net = init_mlp([4, 12, 8, out_dim], rng, head=head, out_scale=scale,
-                       in_center=np.zeros(4), in_half=np.array([1.0, 2.0, 0.5, 3.0]))
-        x = rng.normal(0.0, 1.0, 4)
-        jac = mlp_input_gradient(net, x)
-        h = 1e-6
-        fd = np.stack([(mlp_forward(net, x + h * e) - mlp_forward(net, x - h * e))
-                       / (2 * h) for e in np.eye(4)], axis=1)
-        assert np.abs(jac - fd).max() / max(1e-8, np.abs(fd).max()) < 1e-5
+    net = init_mlp([4, 12, 8, 1], rng, in_center=np.zeros(4),
+                   in_half=np.array([1.0, 2.0, 0.5, 3.0]))
+    xs = rng.normal(0.0, 1.0, (3, 4))
+    values, grads = value_and_state_grad(net, xs)
+    np.testing.assert_array_equal(values, mlp_forward(net, xs)[:, 0])
+    h = 1e-6
+    for x, grad in zip(xs, grads):
+        fd = np.array([(mlp_forward(net, x + h * e) - mlp_forward(net, x - h * e))[0]
+                       / (2 * h) for e in np.eye(4)])
+        assert np.abs(grad - fd).max() / max(1e-8, np.abs(fd).max()) < 1e-5
 
 
 def test_input_gradient_zero_for_constant_net():
@@ -99,7 +101,7 @@ def test_input_gradient_zero_for_constant_net():
     zeroed = list(net.flat_params())
     zeroed[-2] = np.zeros_like(zeroed[-2])     # output weights
     net = net.with_params(zeroed)
-    np.testing.assert_array_equal(mlp_input_gradient(net, np.ones(4)),
+    np.testing.assert_array_equal(value_and_state_grad(net, np.ones((1, 4)))[1],
                                   np.zeros((1, 4)))
 
 
@@ -191,9 +193,9 @@ def test_actor_loss_zero_grads_when_nothing_depends_on_u():
     const_params = list(critic.flat_params())
     const_params[-2] = np.zeros_like(const_params[-2])
     const_critic = critic.with_params(const_params)
-    states = [TimeState(rng.uniform(-5, 5, 4), 3)]
+    xa = np.append(rng.uniform(-5, 5, 4), 3.0)[None, :]
     loss, grads, skipped = actor_loss(actor, const_critic, model, free_field,
-                                      states)
+                                      xa)
     assert skipped == 0
     assert max(np.abs(g).max() for g in grads) < 1e-14
 
@@ -201,10 +203,9 @@ def test_actor_loss_zero_grads_when_nothing_depends_on_u():
 def test_actor_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     model, field, actor, critic = _pm_setup(rng)
-    states = [TimeState(rng.uniform(-5.0, 5.0, 4), int(t))
-              for t in (0, 7, 22, 59)]
-    loss, grads, _ = actor_loss(actor, critic, model, field, states)
-    fd = _fd_grads(lambda m: actor_loss(m, critic, model, field, states)[0],
+    xa = np.column_stack([rng.uniform(-5.0, 5.0, (4, 4)), [0, 7, 22, 59]])
+    loss, grads, _ = actor_loss(actor, critic, model, field, xa)
+    fd = _fd_grads(lambda m: actor_loss(m, critic, model, field, xa)[0],
                    actor, rng=rng)
     _assert_grads_close(grads, fd)
 
@@ -212,12 +213,11 @@ def test_actor_loss_gradients_match_finite_differences():
 def test_actor_loss_skips_horizon_states_with_count():
     rng = np.random.default_rng(11)
     model, field, actor, critic = _pm_setup(rng)
-    states = [TimeState(rng.uniform(-5, 5, 4), t) for t in (0, 60, 60)]
-    _, _, skipped = actor_loss(actor, critic, model, field, states)
+    xa = np.column_stack([rng.uniform(-5, 5, (3, 4)), [0, 60, 60]])
+    _, _, skipped = actor_loss(actor, critic, model, field, xa)
     assert skipped == 2
     with pytest.raises(ValueError):
-        actor_loss(actor, critic, model, field,
-                   [TimeState(np.zeros(4), 60)])
+        actor_loss(actor, critic, model, field, np.append(np.zeros(4), 60.0)[None, :])
 
 
 def test_actor_training_recovers_analytic_one_step_action():
@@ -232,13 +232,13 @@ def test_actor_training_recovers_analytic_one_step_action():
     assert np.all(np.abs(u_star) < 4.0)
 
     actor = init_mlp([4, 16, 2], rng, head="tanh", out_scale=spec.u_bound)
-    state = [TimeState(rng.normal(0.0, 1.0, 3), 4)]
+    xa = np.append(rng.normal(0.0, 1.0, 3), 4.0)[None, :]
     opt = AdamState.init(actor.flat_params(), lr=5e-3)
     for _ in range(4000):
-        _, grads, _ = actor_loss(actor, critic, spec, field, state)
+        _, grads, _ = actor_loss(actor, critic, spec, field, xa)
         params, opt = adam_step(actor.flat_params(), opt, grads)
         actor = actor.with_params(params)
-    mu = mlp_forward(actor, state[0].augmented)
+    mu = mlp_forward(actor, xa[0])
     assert np.abs(mu - u_star).max() < 1e-4
 
 
@@ -373,9 +373,12 @@ def test_actor_rollout_is_dynamically_feasible():
     actor = init_mlp([6, 12, 2], rng, head="tanh", out_scale=model.u_bound)
     start = TimeState(rng.uniform(-3, 3, 5), 10)
     traj = actor_rollout(actor, model, start, model.t_max - 10)
+    system = envs.system_for(model)
+    assert traj.t0 == 10
     for k in range(traj.horizon):
-        nxt = envs.step(model, traj.state_at(k), traj.U[k])
-        np.testing.assert_allclose(traj.X[k + 1], nxt.x, atol=1e-12)
+        np.testing.assert_allclose(traj.X[k + 1],
+                                   system.step_x(traj.X[k], traj.U[k]),
+                                   atol=1e-12)
     assert np.all(np.abs(traj.U) <= model.u_bound)
 
 
