@@ -84,7 +84,11 @@ def _resolve_seed(args, rc: RunConfig) -> tuple[int, str]:
         return args.seed, "cli"
     env = os.environ.get("CACTO_SEED")
     if env is not None:
-        return int(env), "env"
+        try:
+            return int(env), "env"
+        except ValueError:
+            raise ConfigError(f"CACTO_SEED must be an integer, got {env!r}") \
+                from None
     return rc.train.seed, "config"
 
 
@@ -98,8 +102,6 @@ def cmd_train(args) -> int:
     rc = load_config(args.config)
     seed, seed_source = _resolve_seed(args, rc)
     cfg = replace(rc.train, seed=seed, **VARIANTS[args.variant])
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, rc, [seed], seed_source, "train")
@@ -168,8 +170,7 @@ def cmd_eval(args) -> int:
     costs = evaluate_policy_costs(
         actor, rc.model, rc.field, starts, use_to=args.with_to,
         max_iter=rc.train.eval_max_iter,
-        reg=RegularizerConfig(rc.train.reg_eps), tol=rc.train.tol,
-        workers=args.workers or rc.train.workers)
+        reg=RegularizerConfig(rc.train.reg_eps), tol=rc.train.tol)
     _write_timings(out, {"total_s": time.perf_counter() - t0})
 
     with open(out / "eval_costs.csv", "w", newline="") as fh:
@@ -223,26 +224,23 @@ def cmd_bench(args) -> int:
     reg = RegularizerConfig(rc.train.reg_eps)
     max_iter = rc.train.max_iter_first or 50
     sizes = [int(s) for s in args.batch_sizes.split(",")]
-    workers = args.workers or (os.cpu_count() or 1)
 
     rows = []
     for size in sizes:
         starts = sample_initial_states(model, size, seed, Region.WORKSPACE)
         warms = [np.zeros((model.t_max, model.m)) for _ in starts]
-        for w in sorted({1, workers}):
-            t0 = time.perf_counter()
-            solve_batch(model, field, starts, warms, max_iter, reg,
-                        rc.train.tol, workers=w)
-            wall = time.perf_counter() - t0
-            rows.append((size, w, wall, wall / size))
-            print(f"batch {size:5d}  workers {w}: {wall:8.2f} s "
-                  f"({wall / size * 1000:7.1f} ms/problem)")
+        t0 = time.perf_counter()
+        solve_batch(model, field, starts, warms, max_iter, reg, rc.train.tol)
+        wall = time.perf_counter() - t0
+        rows.append((size, wall, wall / size))
+        print(f"batch {size:5d}: {wall:8.2f} s "
+              f"({wall / size * 1000:7.1f} ms/problem)")
     with open(out / "bench.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["batch_size", "workers", "wall_s", "s_per_problem"])
+        wr.writerow(["batch_size", "wall_s", "s_per_problem"])
         for row in rows:
             wr.writerow([_fmt(v) for v in row])
-    _write_timings(out, {"total_s": sum(r[2] for r in rows)})
+    _write_timings(out, {"total_s": sum(r[1] for r in rows)})
     return EXIT_OK
 
 
@@ -257,7 +255,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--variant", choices=sorted(VARIANTS), default="bic")
-    p_train.add_argument("--workers", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained actor checkpoint")
@@ -269,7 +266,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="refine rollouts with a full-convergence solve")
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default="eval_out")
-    p_eval.add_argument("--workers", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_demo = sub.add_parser("demo1d", help="1D value-discontinuity diagnostic")
@@ -284,7 +280,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--batch-sizes", default="10,50,100,250")
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--workers", type=int, default=None)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,7 +2,9 @@
 cli) of key = value pairs, parsed into the spec/field/train dataclasses.
 
 Keys are optional; anything missing falls back to the per-system defaults.
-Errors carry the config line they came from where possible.
+A key the parser does not read is an error, so a misspelt or retired key
+does not pass silently.  Errors carry the config line they came from where
+possible.
 """
 
 from __future__ import annotations
@@ -85,11 +87,17 @@ def load_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(str(err), path=path) from None
 
+    used: set[tuple[str, str]] = set()
+
     def section(name):
         return dict(parser[name]) if parser.has_section(name) else {}
 
+    def get(sec, key):
+        used.add((sec, key))
+        return section(sec).get(key)
+
     def take(sec, key, conv, default):
-        raw = section(sec).get(key)
+        raw = get(sec, key)
         if raw is None or raw.strip() == "":
             return default
         try:
@@ -98,7 +106,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"bad value for [{sec}] {key}: {err}",
                               path=path, line=_find_line(text, sec, key)) from None
 
-    name = section("model").get("name")
+    name = get("model", "name")
     if name is None:
         raise ConfigError("missing required key [model] name", path=path)
     try:
@@ -110,6 +118,7 @@ def load_config(path) -> RunConfig:
     extra = dict(base.extra)
     for key, raw in section("model").items():
         if key.startswith("param_"):
+            used.add(("model", key))
             try:
                 extra[key[len("param_"):]] = float(raw)
             except ValueError as err:
@@ -131,7 +140,7 @@ def load_config(path) -> RunConfig:
 
     obstacles = []
     for i in (1, 2, 3):
-        raw = section("cost").get(f"obstacle{i}")
+        raw = get("cost", f"obstacle{i}")
         if raw is None:
             continue
         vals = _floats(raw)
@@ -159,9 +168,15 @@ def load_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid trainer settings: {err}", path=path) from None
 
+    out_dir = get("cli", "out_dir")
+    for sec in parser.sections():
+        for key in parser[sec]:
+            if (sec, key) not in used:
+                raise ConfigError(f"unknown key [{sec}] {key}", path=path,
+                                  line=_find_line(text, sec.lower(), key))
     raw_snapshot = {sec: dict(parser[sec]) for sec in parser.sections()}
     return RunConfig(model=model, field=field, train=train,
-                     out_dir=section("cli").get("out_dir", "runs"),
+                     out_dir="runs" if out_dir is None else out_dir,
                      config_hash=config_hash(text), raw=raw_snapshot)
 
 
@@ -204,5 +219,4 @@ def _build_train(model, field, take) -> TrainConfig:
         buffer_capacity=take("trainer", "buffer_capacity", int, 2**20),
         randomize_initial_time=take("trainer", "randomize_initial_time",
                                     _bool, False),
-        workers=take("solver", "workers", int, 1),
     )

@@ -1,14 +1,23 @@
-"""Fixed-iteration iLQR with eigenvalue-clip regularization.
+"""Lockstep-batched iLQR with eigenvalue-clip regularization.
 
 Gauss-Newton backward recursion (no second-order dynamics terms), backtracking
-line search with control clamping, batched execution, and extraction of the
-cost-to-go values/gradients used as training targets.
+line search with control clamping, and extraction of the cost-to-go
+values/gradients used as training targets.
+
+A batch of problems is solved in lockstep: trajectories, gains and value
+gradients carry a problem axis next to the time axis (time-major, `(T, B, ...)`),
+and Python loops only over time steps and line-search rounds.  Every
+operation acts on each problem's own rows -- elementwise arithmetic, stacked
+`matmul`/`eigh`/`solve`, and the batched methods of the systems and costs --
+so a problem's result does not depend on which problems share its batch.
+Matrix-vector products and dots are written as stacked matmuls
+(`_mv`, `_dot`) because those round exactly like the per-matrix products,
+where `einsum` and `(a * b).sum(-1)` do not.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -20,6 +29,14 @@ from .envs import (CostField, ModelSpec, Region, TimeState, cost_for,
                    sample_initial_states, system_for)
 
 LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
+
+# (problem, time step) rows of one lockstep block, and of one derivative
+# evaluation in the backward pass.  Both bound the working set: a block's
+# trajectories, gains and line-search candidates grow with its rows (32
+# manipulator problems of 100 steps), and the Jacobian temporaries with the
+# rows of one evaluation (about 2.7 KB a row on the manipulator).
+BLOCK_ROWS = 3200
+DERIV_ROWS = 256
 
 
 class SolverError(RuntimeError):
@@ -46,14 +63,28 @@ class RegularizerConfig:
 
 
 def regularize_psd(q: np.ndarray, eps: float) -> np.ndarray:
-    """Clip eigenvalues from below at eps and reconstruct symmetrically."""
+    """Clip eigenvalues from below at eps and reconstruct symmetrically.
+
+    Accepts one matrix or a stack (..., k, k); stacked input gives the same
+    bits as one call per matrix.
+    """
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
         raise SolverError("non-finite matrix passed to regularize_psd")
-    sym = 0.5 * (q + q.T)
+    sym = 0.5 * (q + np.swapaxes(q, -1, -2))
     s, w = np.linalg.eigh(sym)
-    q_plus = (w * np.maximum(s, eps)) @ w.T
-    return 0.5 * (q_plus + q_plus.T)
+    q_plus = (w * np.maximum(s, eps)[..., None, :]) @ np.swapaxes(w, -1, -2)
+    return 0.5 * (q_plus + np.swapaxes(q_plus, -1, -2))
+
+
+def _mv(a, v):
+    """Stacked matrix-vector product, rounding like 2-D a @ 1-D v."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """Row-wise dot product, rounding like 1-D a @ 1-D b."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 @dataclass
@@ -90,153 +121,291 @@ class SolveResult:
 
 
 class BackwardPassResult(NamedTuple):
-    k_ff: np.ndarray               # (T, m)
-    K_fb: np.ndarray               # (T, m, n)
-    V_x: np.ndarray                # (T+1, n)
-    V_xx: np.ndarray               # (T+1, n, n)
-    expected_decrease: float
+    """Gains of a batch of B problems, time-major."""
+
+    k_ff: np.ndarray                # (T, B, m)
+    K_fb: np.ndarray                # (T, B, m, n)
+    V_x: np.ndarray                 # (T+1, B, n)
+    expected_decrease: np.ndarray   # (B,)
+
+    def take(self, rows) -> "BackwardPassResult":
+        return BackwardPassResult(self.k_ff[:, rows], self.K_fb[:, rows],
+                                  self.V_x[:, rows],
+                                  self.expected_decrease[rows])
 
 
-class _Stacks(NamedTuple):
-    fx: np.ndarray
-    fu: np.ndarray
-    lx: np.ndarray
-    lu: np.ndarray
-    lxx: np.ndarray
-    luu: np.ndarray
-    lux: np.ndarray
-    lt_x: np.ndarray
-    lt_xx: np.ndarray
+class _RowsFailed(Exception):
+    """Rows of a backward pass that failed at one step: {row: error}."""
+
+    def __init__(self, errors: dict[int, Exception]):
+        super().__init__(errors)
+        self.errors = errors
 
 
-def _derivative_stacks(system, cost, traj: Trajectory) -> _Stacks:
-    xs, us = traj.X[:-1], traj.U
-    fx, fu = system.jacobians(xs, us)
-    _, lx, lu, lxx, luu, lux = cost.stage_derivs(xs, us)
-    _, lt_x, lt_xx = cost.terminal_derivs(traj.X[-1])
-    stacks = _Stacks(fx, fu, lx, lu, lxx, luu, lux, lt_x, lt_xx)
-    for name, arr in stacks._asdict().items():
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.argwhere(~np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1))[0][0]) \
-                if arr.ndim > 1 else 0
-            raise SolverError(f"non-finite {name} at step {bad}")
-    return stacks
+def _check_finite(step0: int, **arrays):
+    """Fail the rows (axis 1) of time-major derivative blocks that hold a
+    non-finite value, naming the first such array and step."""
+    for name, arr in arrays.items():
+        if np.isfinite(arr).all():
+            continue
+        fin = np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=2)
+        raise _RowsFailed({
+            int(r): SolverError(f"non-finite {name} at step "
+                                f"{step0 + int(np.argmin(fin[:, r]))}")
+            for r in np.flatnonzero(~fin.all(axis=0))})
 
 
-def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound):
-    """One Riccati-like step; returns gains, new (V_x, V_xx), model decrease.
+def _regularize_rows(q, eps, k, rows=None):
+    """regularize_psd on a stack; a non-finite stack, which regularize_psd
+    rejects before the eigensolver, fails the rows holding the non-finite
+    matrices (q's rows, or rows[i] for q[i])."""
+    try:
+        return regularize_psd(q, eps)
+    except SolverError as err:
+        bad = np.flatnonzero(~np.isfinite(q).all(axis=(-2, -1)))
+        raise _RowsFailed({
+            int(r if rows is None else rows[r]):
+                SolverError(f"backward pass failed at step {k}: {err}")
+            for r in bad}) from None
+
+
+def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
+    """One Riccati-like step for a stack of rows; returns gains, new
+    (V_x, V_xx), model decrease.
 
     Control components saturated at their bound (with the model gradient
     pushing further out) are frozen: their gain rows are zero and they do not
     contribute to the value recursion, matching the sensitivity of the
-    clamped rollout.
+    clamped rollout (the free-subspace rule of box-DDP).  Rows are grouped by
+    their number of free components, and each group's free sub-blocks of Quu
+    are regularized and solved as one stack.
     """
-    qx = lx + fx.T @ vx
-    qu = lu + fu.T @ vx
-    fx_t_vxx = fx.T @ vxx
-    fu_t_vxx = fu.T @ vxx
+    fx_t, fu_t = np.swapaxes(fx, -1, -2), np.swapaxes(fu, -1, -2)
+    qx = lx + _mv(fx_t, vx)
+    qu = lu + _mv(fu_t, vx)
+    fx_t_vxx = fx_t @ vxx
+    fu_t_vxx = fu_t @ vxx
     qxx = lxx + fx_t_vxx @ fx
     quu = luu + fu_t_vxx @ fu
     qux = lux + fu_t_vxx @ fx
 
-    clamped = ((u >= u_bound - 1e-9) & (qu < 0.0)) | \
-              ((u <= -u_bound + 1e-9) & (qu > 0.0))
-    m = qu.shape[0]
-    k_ff = np.zeros(m)
-    k_fb = np.zeros((m, qx.shape[0]))
-    if clamped.all():
-        vx_new = qx
-        vxx_new = regularize_psd(qxx, eps)
-        return k_ff, k_fb, vx_new, vxx_new, 0.0
-    if clamped.any():
-        free = ~clamped
-        quu_r_f = regularize_psd(quu[np.ix_(free, free)], eps)
-        k_ff[free] = -np.linalg.solve(quu_r_f, qu[free])
-        k_fb[free] = -np.linalg.solve(quu_r_f, qux[free])
-        quu_r = np.zeros((m, m))
-        quu_r[np.ix_(free, free)] = quu_r_f
-        qu = np.where(free, qu, 0.0)
-        qux = np.where(free[:, None], qux, 0.0)
-    else:
-        quu_r = regularize_psd(quu, eps)
-        k_ff = -np.linalg.solve(quu_r, qu)
+    free = ~(((u >= u_bound - 1e-9) & (qu < 0.0)) |
+             ((u <= -u_bound + 1e-9) & (qu > 0.0)))
+    if free.all():
+        quu_r = _regularize_rows(quu, eps, k)
+        k_ff = -np.linalg.solve(quu_r, qu[..., None])[..., 0]
         k_fb = -np.linalg.solve(quu_r, qux)
-    vx_new = qx + k_fb.T @ (quu_r @ k_ff) + k_fb.T @ qu + qux.T @ k_ff
-    vxx_new = qxx + k_fb.T @ quu_r @ k_fb + k_fb.T @ qux + qux.T @ k_fb
-    vxx_new = regularize_psd(vxx_new, eps)
-    dec = -(k_ff @ qu + 0.5 * k_ff @ (quu_r @ k_ff))
+    else:
+        k_ff = np.zeros(qu.shape)
+        k_fb = np.zeros(qux.shape)
+        quu_r = np.zeros(quu.shape)
+        n_free = free.sum(axis=1)
+        for nf in np.unique(n_free[n_free > 0]):
+            rows = np.flatnonzero(n_free == nf)
+            # each row's free components, ascending: its np.ix_(free, free)
+            f = np.nonzero(free[rows])[1].reshape(len(rows), nf)
+            sub = (rows[:, None], f)
+            block = (rows[:, None, None], f[:, :, None], f[:, None, :])
+            q_r = _regularize_rows(quu[block], eps, k, rows)
+            k_ff[sub] = -np.linalg.solve(q_r, qu[sub][..., None])[..., 0]
+            k_fb[sub] = -np.linalg.solve(q_r, qux[sub])
+            quu_r[block] = q_r
+        qu = np.where(free, qu, 0.0)
+        qux = np.where(free[..., None], qux, 0.0)
+    k_fb_t, qux_t = np.swapaxes(k_fb, -1, -2), np.swapaxes(qux, -1, -2)
+    vx_new = (qx + _mv(k_fb_t, _mv(quu_r, k_ff)) + _mv(k_fb_t, qu)
+              + _mv(qux_t, k_ff))
+    vxx_new = qxx + k_fb_t @ quu_r @ k_fb + k_fb_t @ qux + qux_t @ k_fb
+    dec = -(_dot(k_ff, qu) + 0.5 * _dot(k_ff, _mv(quu_r, k_ff)))
+    all_clamped = ~free.any(axis=1)
+    if all_clamped.any():
+        vx_new[all_clamped] = qx[all_clamped]
+        vxx_new[all_clamped] = qxx[all_clamped]
+        dec[all_clamped] = 0.0
+    vxx_new = _regularize_rows(vxx_new, eps, k)
     return k_ff, k_fb, vx_new, vxx_new, dec
 
 
-def _backward(system, cost, traj: Trajectory, eps: float,
-              u_bound=None) -> BackwardPassResult:
-    t_hor = traj.horizon
-    n, m = system.n, system.m
-    if u_bound is None:
-        u_bound = np.full(m, np.inf)
-    st = _derivative_stacks(system, cost, traj)
-    v_x = np.empty((t_hor + 1, n))
-    v_xx = np.empty((t_hor + 1, n, n))
-    k_ff = np.empty((t_hor, m))
-    k_fb = np.empty((t_hor, m, n))
-    v_x[t_hor] = st.lt_x
-    v_xx[t_hor] = regularize_psd(st.lt_xx, eps)
-    expected = 0.0
-    for k in range(t_hor - 1, -1, -1):
-        try:
-            k_ff[k], k_fb[k], v_x[k], v_xx[k], dec = _backward_step(
-                st.fx[k], st.fu[k], st.lx[k], st.lu[k], st.lxx[k],
-                st.luu[k], st.lux[k], v_x[k + 1], v_xx[k + 1], eps,
-                traj.U[k], u_bound)
-        except SolverError as err:
-            raise SolverError(f"backward pass failed at step {k}: {err}") from None
-        expected += dec
-    return BackwardPassResult(k_ff, k_fb, v_x, v_xx, expected)
+def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
+    """Backward pass along trajectories X (T+1, B, n), U (T, B, m).
+
+    Derivatives are evaluated about DERIV_ROWS rows at a time while walking
+    backward, and only the current V_xx is kept.  Raises _RowsFailed at the
+    first step where any row meets a non-finite derivative or matrix, before
+    that row's values reach a stacked LAPACK call.
+    """
+    t_hor, b, m = U.shape
+    k_ff = np.empty((t_hor, b, m))
+    K_fb = np.empty((t_hor, b, m, X.shape[2]))
+    V_x = np.empty((t_hor + 1, b, X.shape[2]))
+    _, lt_x, lt_xx = cost.terminal_derivs(X[t_hor])
+    _check_finite(t_hor, lt_x=lt_x[None], lt_xx=lt_xx[None])
+    V_x[t_hor] = lt_x
+    vxx = regularize_psd(lt_xx, eps)
+    expected = np.zeros(b)
+    steps = max(1, DERIV_ROWS // b)
+    for k1 in range(t_hor, 0, -steps):
+        k0 = max(0, k1 - steps)
+        xs, us = X[k0:k1], U[k0:k1]
+        fx, fu = system.jacobians(xs, us)
+        _, lx, lu, lxx, luu, lux = cost.stage_derivs(xs, us)
+        _check_finite(k0, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu,
+                      lux=lux)
+        for j in range(k1 - k0 - 1, -1, -1):
+            k = k0 + j
+            k_ff[k], K_fb[k], V_x[k], vxx, dec = _backward_step(
+                fx[j], fu[j], lx[j], lu[j], lxx[j], luu[j], lux[j],
+                V_x[k + 1], vxx, eps, us[j], u_bound, k)
+            expected += dec
+    return BackwardPassResult(k_ff, K_fb, V_x, expected)
 
 
 def _cost_trajectory(cost, X, U) -> np.ndarray:
-    sc = np.empty(U.shape[0] + 1)
+    """Step costs (T+1, ...) of X (T+1, ..., n) under U (T, ..., m)."""
+    sc = np.empty(X.shape[:-1])
     sc[:-1] = cost.stage(X[:-1], U)
     sc[-1] = cost.terminal(X[-1])
     return sc
 
 
-def _roll(system, cost, u_bound, x0, t0, u_nom, x_ref=None, gains=None,
-          alpha: float = 1.0) -> Trajectory:
-    t_hor = u_nom.shape[0]
-    X = np.empty((t_hor + 1, system.n))
-    U = np.empty((t_hor, system.m))
+def _roll(system, cost, u_bound, x0, u_nom, x_ref=None, gains=None,
+          alpha: float = 1.0, rows=slice(None)):
+    """Roll the problems `rows` of a lockstep block forward from x0.
+
+    The controls are u_nom (T, B, m), or with gains the closed-loop update
+    u_nom + alpha*k_ff + K_fb (x - x_ref), clamped to the bounds; each step
+    reads only the rows rolled.  Returns X (T+1, b, n), U (T, b, m) and the
+    step costs (b, T+1) of the b rows, all inf on a row whose states or
+    controls left the finite numbers; such a row is not stepped again, so the
+    dynamics only see finite input.
+    """
+    t_hor, m = u_nom.shape[0], u_nom.shape[2]
+    b = len(x0)
+    X = np.empty((t_hor + 1, b, x0.shape[-1]))
+    U = np.empty((t_hor, b, m))
     X[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(t_hor):
-            u = u_nom[k]
+            u = u_nom[k, rows]
             if gains is not None:
-                u = u + alpha * gains.k_ff[k] + gains.K_fb[k] @ (X[k] - x_ref[k])
+                u = (u + alpha * gains.k_ff[k, rows]
+                     + _mv(gains.K_fb[k, rows], X[k] - x_ref[k, rows]))
             U[k] = np.clip(u, -u_bound, u_bound)
-            X[k + 1] = system.step_x(X[k], U[k])
-        if not np.all(np.isfinite(X)):
-            sc = np.full(t_hor + 1, np.inf)
-        else:
-            sc = _cost_trajectory(cost, X, U)
-    return Trajectory(X=X, U=U, step_costs=sc, t0=t0)
+            if np.isfinite(X[k]).all() and np.isfinite(U[k]).all():
+                X[k + 1] = system.step_x(X[k], U[k])
+            else:
+                ok = np.isfinite(X[k]).all(axis=1) & np.isfinite(U[k]).all(axis=1)
+                X[k + 1] = np.nan
+                X[k + 1, ok] = system.step_x(X[k, ok], U[k, ok])
+        sc = np.full((b, t_hor + 1), np.inf)
+        fin = np.isfinite(X).all(axis=(0, 2))
+        if fin.all():
+            sc[:] = _cost_trajectory(cost, X, U).T
+        elif fin.any():
+            sc[fin] = _cost_trajectory(cost, X[:, fin], U[:, fin]).T
+    return X, U, sc
 
 
-def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
-          max_iter: int, reg: RegularizerConfig = RegularizerConfig(),
-          tol: float = 1e-6) -> SolveResult:
-    """Run up to max_iter iLQR iterations from the given warm start.
+class _Lockstep:
+    """Per-problem state of a block solved in lockstep; X and U time-major."""
 
-    Each iteration runs the regularized backward pass and a backtracking line
-    search accepting the first step with an actual cost decrease; the accepted
-    cost sequence is non-increasing.  Cost-to-go values are the realized sums
-    of step costs.  Their gradients are the V_x of a backward pass along the
-    returned trajectory: the last iteration's own pass when its line search
-    accepted no step, else one more pass after the accepted step.
+    def __init__(self, ids, t0, X, U, sc):
+        self.ids, self.t0, self.X, self.U, self.sc = ids, t0, X, U, sc
+        self.cost = sc.sum(axis=1)
+        self.iters = np.zeros(len(ids), dtype=int)
+        self.converged = np.zeros(len(ids), dtype=bool)
+        self.done = np.zeros(len(ids), dtype=bool)   # awaits its final V_x
+
+    def take(self, rows):
+        self.X, self.U = self.X[:, rows], self.U[:, rows]
+        for name in ("ids", "t0", "sc", "cost", "iters", "converged", "done"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def result(self, r, V_x, model) -> SolveResult:
+        sc = self.sc[r].copy()
+        traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
+                          step_costs=sc, t0=int(self.t0[r]))
+        return SolveResult(traj=traj, cost=float(self.cost[r]),
+                           V_bar=np.cumsum(sc[::-1])[::-1].copy(),
+                           V_bar_x=V_x[:, r].copy(),
+                           iters_used=int(self.iters[r]),
+                           converged=bool(self.converged[r]), model=model)
+
+
+def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
+                    tol, results, errors):
+    """Solve problems of one horizon in lockstep; fill results and errors.
+
+    ids index results/errors; starts are their TimeStates; u_nom (T, B, m)
+    are the clamped warm starts.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    system = system_for(model)
-    cost = cost_for(model, field)
+    u_bound = model.u_bound
+    X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
+                     u_nom)
+    st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc)
+    del X, U, sc
+    for i in st.ids[~np.isfinite(st.cost)]:
+        errors[int(i)] = SolverError("non-finite cost under the initial warm start")
+    st.take(np.isfinite(st.cost))
+
+    it = 0
+    while st.ids.size:
+        try:
+            gains = _backward(system, cost, st.X, st.U, eps, u_bound)
+        except _RowsFailed as failed:
+            # drop the failed problems and repeat the pass without them
+            for r, err in failed.errors.items():
+                errors[int(st.ids[r])] = err
+            keep = np.ones(st.ids.size, dtype=bool)
+            keep[list(failed.errors)] = False
+            st.take(keep)
+            continue
+        if st.done.any():
+            for r in np.flatnonzero(st.done):
+                results[st.ids[r]] = st.result(r, gains.V_x, model)
+            keep = ~st.done
+            st.take(keep)
+            gains = gains.take(keep)
+            if not st.ids.size:
+                break
+
+        it += 1
+        prev = st.cost.copy()
+        searching = np.ones(prev.shape, dtype=bool)
+        for alpha in LINE_SEARCH_ALPHAS:
+            rows = np.flatnonzero(searching)
+            if rows.size == searching.size:
+                rows = slice(None)
+            cX, cU, csc = _roll(system, cost, u_bound, st.X[0, rows], st.U,
+                                st.X, gains, alpha, rows)
+            c = csc.sum(axis=1)
+            better = np.isfinite(c) & (c < prev[rows])
+            if better.any():
+                acc = np.flatnonzero(searching)[better]
+                st.X[:, acc], st.U[:, acc] = cX[:, better], cU[:, better]
+                st.sc[acc], st.cost[acc] = csc[better], c[better]
+                searching[acc] = False
+            del cX, cU, csc
+            if not searching.any():
+                break
+        st.iters[:] = it
+        # no descent step: converged if the quadratic model agrees there is
+        # (almost) nothing left to gain, otherwise stalled
+        scale = tol * np.maximum(1.0, np.abs(prev))
+        st.converged = np.where(searching, gains.expected_decrease < scale,
+                                prev - st.cost < scale)
+        # an accepted step needs one more backward pass for its V_x, which
+        # runs with the next iteration's
+        st.done = st.converged | (it == max_iter)
+        no_step = np.flatnonzero(searching)
+        for r in no_step:
+            results[st.ids[r]] = st.result(r, gains.V_x, model)
+        del gains
+        if no_step.size:
+            st.take(~searching)
+
+
+def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
     U_init = np.asarray(U_init, dtype=float).reshape(-1, model.m)
     t_hor = U_init.shape[0]
     if t_hor < 1 or x0.t + t_hor > model.t_max:
@@ -244,84 +413,84 @@ def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
                          f"t_max={model.t_max}")
     if x0.x.shape != (model.n,):
         raise ValueError(f"state dim {x0.x.shape} != ({model.n},)")
-
-    u_nom = np.clip(U_init, -model.u_bound, model.u_bound)
-    traj = _roll(system, cost, model.u_bound, x0.x, x0.t, u_nom)
-    if not np.isfinite(traj.cost):
-        raise SolverError("non-finite cost under the initial warm start")
-
-    converged = False
-    for iters_used in range(1, max_iter + 1):
-        bp = _backward(system, cost, traj, reg.eps, model.u_bound)
-        prev = traj.cost
-        for alpha in LINE_SEARCH_ALPHAS:
-            cand = _roll(system, cost, model.u_bound, traj.X[0], traj.t0,
-                         traj.U, traj.X, bp, alpha)
-            c = cand.cost
-            if math.isfinite(c) and c < prev:
-                break
-        else:
-            # no descent step: converged if the quadratic model agrees there
-            # is (almost) nothing left to gain, otherwise stalled
-            converged = bp.expected_decrease < tol * max(1.0, abs(prev))
-            break
-        traj, bp = cand, None       # bp no longer matches the trajectory
-        if prev - traj.cost < tol * max(1.0, abs(prev)):
-            converged = True
-            break
-
-    if bp is None:
-        bp = _backward(system, cost, traj, reg.eps, model.u_bound)
-    v_bar = np.cumsum(traj.step_costs[::-1])[::-1].copy()
-    return SolveResult(traj=traj, cost=traj.cost, V_bar=v_bar, V_bar_x=bp.V_x,
-                       iters_used=iters_used, converged=converged, model=model)
-
-
-def _solve_one(args):
-    model, field, x, t, u_init, max_iter, reg, tol = args
-    return solve(model, field, TimeState(x, t), u_init, max_iter, reg, tol)
+    return np.clip(U_init, -model.u_bound, model.u_bound)
 
 
 def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
-                reg: RegularizerConfig = RegularizerConfig(), tol: float = 1e-6,
-                workers: int = 1) -> list[SolveResult]:
+                reg: RegularizerConfig = RegularizerConfig(),
+                tol: float = 1e-6) -> list[SolveResult]:
     """Solve independent problems under one shared iteration cap.
 
-    Results are bit-identical to sequential `solve` calls and returned in
-    input order; per-problem failures are collected and raised together with
-    their indices after the rest of the batch has finished.
+    Each problem runs up to max_iter iLQR iterations from its warm start.  An
+    iteration runs the regularized backward pass and a backtracking line
+    search over LINE_SEARCH_ALPHAS that accepts the first step with an actual
+    cost decrease, so each problem's accepted cost sequence is non-increasing.
+    A problem finishes when its improvement falls below tol (converged), when
+    no step decreases its cost (converged if the quadratic model predicts
+    almost no decrease, else stalled), or at the cap.  Cost-to-go values are
+    the realized sums of step costs; their gradients are the V_x of a
+    backward pass along the returned trajectory.
+
+    Lockstep: problems of equal horizon T are solved together in blocks of
+    BLOCK_ROWS // T, in one process.  Each iteration runs one backward pass
+    over all unfinished problems of a block; each line-search round then
+    rolls out only the problems still searching, every one at its own step
+    size, and a problem that converges, stalls or hits the cap leaves the
+    block.  Every operation acts on each problem's own rows, so results are
+    bit-identical to solving each problem alone (a batch of one) and do not
+    depend on the batch's order or size.
+
+    Failures are isolated: a problem whose start or warm start is invalid,
+    whose initial rollout is not finite, or whose backward pass meets a
+    non-finite derivative or matrix fails alone and leaves its block, before
+    its values reach a stacked LAPACK call.  Failures are raised together
+    with their indices in a BatchSolveError once the rest of the batch has
+    finished; results are returned in input order.
+
+    Memory: one block holds its trajectories, one set of gains (about
+    BLOCK_ROWS x m x n values for K_fb) and the line-search candidates;
+    derivatives are evaluated about DERIV_ROWS (problem, step) rows at a
+    time.  The block sizes trade Python overhead per step against peak
+    memory; a failed or finished problem's rows are dropped at once.
     """
     if len(starts) != len(warmstarts):
         raise ValueError("starts and warmstarts must have equal length")
-    tasks = [(model, field, s.x, s.t, np.asarray(w, dtype=float), max_iter, reg, tol)
-             for s, w in zip(starts, warmstarts)]
-    results: list = [None] * len(tasks)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    system = system_for(model)
+    cost = cost_for(model, field)
+    results: list = [None] * len(starts)
     errors: dict[int, Exception] = {}
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            for i, res in enumerate(pool.map(_solve_one_safe, tasks, chunksize=chunk)):
-                if isinstance(res, Exception):
-                    errors[i] = res
-                else:
-                    results[i] = res
-    else:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = _solve_one(task)
-            except Exception as err:  # noqa: BLE001 - collected per problem
-                errors[i] = err
+    by_horizon: dict[int, list] = {}
+    for i, (x0, warm) in enumerate(zip(starts, warmstarts)):
+        try:
+            u_nom = _initial_controls(model, x0, warm)
+        except ValueError as err:
+            errors[i] = err
+        else:
+            by_horizon.setdefault(len(u_nom), []).append((i, u_nom))
+    for t_hor, members in by_horizon.items():
+        size = max(1, BLOCK_ROWS // t_hor)
+        for lo in range(0, len(members), size):
+            ids, u_nom = zip(*members[lo:lo + size])
+            _solve_lockstep(system, cost, model, ids, [starts[i] for i in ids],
+                            np.stack(u_nom, axis=1), max_iter, reg.eps, tol,
+                            results, errors)
     if errors:
-        raise BatchSolveError(errors, results)
+        raise BatchSolveError(dict(sorted(errors.items())), results)
     return results
 
 
-def _solve_one_safe(args):
+def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
+          max_iter: int, reg: RegularizerConfig = RegularizerConfig(),
+          tol: float = 1e-6) -> SolveResult:
+    """Run up to max_iter iLQR iterations from the given warm start: a batch
+    of one (see solve_batch).  A failure raises its own error."""
     try:
-        return _solve_one(args)
-    except Exception as err:  # noqa: BLE001
-        return err
+        return solve_batch(model, field, [x0], [U_init], max_iter, reg, tol)[0]
+    except BatchSolveError as err:
+        raise err.errors[0] from None
 
 
 def kstep_targets(result: SolveResult, K: int) -> SampleBatch:
@@ -366,8 +535,7 @@ def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
                        cap: int, percentile: float,
                        warmstart_source: Optional[Callable] = None,
                        rng_seed=0, reg: RegularizerConfig = RegularizerConfig(),
-                       tol: float = 1e-6, workers: int = 1,
-                       return_counts: bool = False):
+                       tol: float = 1e-6, return_counts: bool = False):
     """Pick the shared iteration cap as a percentile of probe convergence counts.
 
     Probes start uniformly in the workspace; warmstart_source maps a start to
@@ -382,7 +550,7 @@ def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
         warms = [np.zeros((t_hor, model.m)) for _ in starts]
     else:
         warms = [warmstart_source(s) for s in starts]
-    results = solve_batch(model, field, starts, warms, cap, reg, tol, workers)
+    results = solve_batch(model, field, starts, warms, cap, reg, tol)
     counts = [r.iters_used if r.converged else cap for r in results]
     value = nearest_rank(counts, percentile)
     return (value, counts) if return_counts else value

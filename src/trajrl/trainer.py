@@ -58,7 +58,6 @@ class TrainConfig:
     eval_max_iter: int = 300
     buffer_capacity: int = 2**20
     randomize_initial_time: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_episodes < 1 or self.candidate_multiplier < 1:
@@ -194,7 +193,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         raise RuntimeError("iteration cap not resolved; run via train()")
 
     results = solve_batch(model, fld, starts, warms, max_iter,
-                          state.reg, cfg.tol, cfg.workers)
+                          state.reg, cfg.tol)
     for res in results:
         state.buffer.push_many(kstep_targets(res, cfg.k_lookahead))
     state.episodes_cum += len(results)
@@ -234,8 +233,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     t2 = time.perf_counter()
     eval_mean = evaluate_policy(state.actor, model, fld, state.eval_starts,
                                 cfg.eval_use_to, max_iter=cfg.eval_max_iter,
-                                reg=state.reg, tol=cfg.tol,
-                                workers=cfg.workers)
+                                reg=state.reg, tol=cfg.tol)
     t_to += time.perf_counter() - t2
 
     report = IterationReport(
@@ -257,7 +255,7 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
                           eval_starts: list[TimeState], use_to: bool,
                           max_iter: int = 300,
                           reg: RegularizerConfig = RegularizerConfig(),
-                          tol: float = 1e-6, workers: int = 1) -> np.ndarray:
+                          tol: float = 1e-6) -> np.ndarray:
     """Per-start cost of actor rollouts, optionally refined by a
     full-convergence solve warm-started from the rollout."""
     if not eval_starts:
@@ -267,7 +265,7 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
     if not use_to:
         return np.array([r.cost for r in rollouts])
     results = solve_batch(model, fld, eval_starts, [r.U for r in rollouts],
-                          max_iter, reg, tol, workers)
+                          max_iter, reg, tol)
     return np.array([r.cost for r in results])
 
 
@@ -295,7 +293,7 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
             model, fld, config.calibration_probes, config.calibration_cap,
             config.p_first, warmstart_source=None,
             rng_seed=_seed_int(config.seed, 2), reg=state.reg,
-            tol=config.tol, workers=config.workers)
+            tol=config.tol)
 
     try:
         for j in range(1, config.iterations + 1):
@@ -313,7 +311,7 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
                     warmstart_source=lambda s: nets.actor_rollout(
                         actor, model, s, model.t_max - s.t).U,
                     rng_seed=_seed_int(config.seed, 4), reg=state.reg,
-                    tol=config.tol, workers=config.workers)
+                    tol=config.tol)
     except Exception:
         if checkpoint_cb is not None:
             checkpoint_cb(state)
@@ -338,8 +336,7 @@ def toy1d_diagnostic(config: TrainConfig, grid: int = 400,
     starts = [TimeState(np.array([x]), 0) for x in xs]
     warms = [_naive_warmstart(model, s) for s in starts]
     results = solve_batch(model, config.field, starts, warms, naive_max_iter,
-                          RegularizerConfig(config.reg_eps), config.tol,
-                          config.workers)
+                          RegularizerConfig(config.reg_eps), config.tol)
     v_bar = np.array([r.cost for r in results])
     x_final = np.array([r.traj.X[-1, 0] for r in results])
 

@@ -91,6 +91,34 @@ def test_bad_value_exits_config_error_with_line(tmp_path, capsys):
     assert f"{path}:{line}:" in err and "n_episodes" in err
 
 
+def test_non_integer_cacto_seed_exits_config_error(toy_config, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.setenv("CACTO_SEED", "abc")
+    assert _train(toy_config, tmp_path / "run") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "CACTO_SEED" in err and "'abc'" in err
+
+
+def test_removed_workers_key_exits_config_error_with_line(tmp_path, capsys):
+    path = tmp_path / "workers.ini"
+    path.write_text(TINY_TOY1D.replace("reg_eps = 0.1",
+                                       "reg_eps = 0.1\nworkers = 2"))
+    line = TINY_TOY1D.splitlines().index("reg_eps = 0.1") + 2
+    assert _train(path, tmp_path / "run") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err and "unknown key [solver] workers" in err
+
+
+def test_bench_writes_one_row_per_batch_size(toy_config, tmp_path):
+    out = tmp_path / "bench"
+    code = main(["bench", str(toy_config), "--batch-sizes", "1,3",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = (out / "bench.csv").read_text().splitlines()
+    assert rows[0] == "batch_size,wall_s,s_per_problem"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "3"]
+
+
 def test_eval_garbage_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
                                                         capsys):
     ckpt = tmp_path / "actor.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajrl import envs, ilqr
 from trajrl.envs import Region, TimeState, toy1d_cost
@@ -51,16 +52,74 @@ def _open_loop(spec, field, x0, U):
 
 
 def _backward(spec, field, traj):
-    return ilqr._backward(envs.system_for(spec), envs.cost_for(spec, field),
-                          traj, REG.eps, spec.u_bound)
+    """Backward pass along one trajectory: a batch of one, its axis dropped."""
+    bp = ilqr._backward(envs.system_for(spec), envs.cost_for(spec, field),
+                        traj.X[:, None], traj.U[:, None], REG.eps, spec.u_bound)
+    return bp.take(0)
 
 
 def _closed_loop(spec, field, traj, gains, alpha):
     """u = clamp(u_nom + alpha*k + K(x - x_nom)) around traj."""
-    return ilqr._roll(envs.system_for(spec), envs.cost_for(spec, field),
-                      spec.u_bound, traj.X[0], traj.t0, traj.U, traj.X,
-                      gains, alpha)
+    X, U, sc = ilqr._roll(envs.system_for(spec), envs.cost_for(spec, field),
+                          spec.u_bound, traj.X[:1], traj.U[:, None],
+                          traj.X[:, None], gains.take(np.newaxis), alpha)
+    return ilqr.Trajectory(X=X[:, 0], U=U[:, 0], step_costs=sc[0], t0=traj.t0)
 
+
+
+def _backward_step_reference(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u,
+                             u_bound):
+    """One problem's backward step with np.ix_ on its free controls: the
+    per-problem arithmetic the batched step must reproduce bit for bit."""
+    qx = lx + fx.T @ vx
+    qu = lu + fu.T @ vx
+    fx_t_vxx = fx.T @ vxx
+    fu_t_vxx = fu.T @ vxx
+    qxx = lxx + fx_t_vxx @ fx
+    quu = luu + fu_t_vxx @ fu
+    qux = lux + fu_t_vxx @ fx
+    clamped = ((u >= u_bound - 1e-9) & (qu < 0.0)) | \
+              ((u <= -u_bound + 1e-9) & (qu > 0.0))
+    m = qu.shape[0]
+    k_ff = np.zeros(m)
+    k_fb = np.zeros((m, qx.shape[0]))
+    if clamped.all():
+        return k_ff, k_fb, qx, regularize_psd(qxx, eps), 0.0
+    free = ~clamped
+    quu_r = np.zeros((m, m))
+    quu_r[np.ix_(free, free)] = regularize_psd(quu[np.ix_(free, free)], eps)
+    k_ff[free] = -np.linalg.solve(quu_r[np.ix_(free, free)], qu[free])
+    k_fb[free] = -np.linalg.solve(quu_r[np.ix_(free, free)], qux[free])
+    qu = np.where(free, qu, 0.0)
+    qux = np.where(free[:, None], qux, 0.0)
+    vx_new = qx + k_fb.T @ (quu_r @ k_ff) + k_fb.T @ qu + qux.T @ k_ff
+    vxx_new = qxx + k_fb.T @ quu_r @ k_fb + k_fb.T @ qux + qux.T @ k_fb
+    dec = -(k_ff @ qu + 0.5 * k_ff @ (quu_r @ k_ff))
+    return k_ff, k_fb, vx_new, regularize_psd(vxx_new, eps), dec
+
+
+def test_backward_step_matches_per_problem_reference_bitwise():
+    rng = np.random.default_rng(21)
+    b, n, m = 300, 6, 3
+    u_bound = np.array([1.0, 2.0, 3.0])
+
+    def sym(k):
+        a = rng.normal(size=(b, k, k))
+        return a @ np.swapaxes(a, -1, -2) - 0.5 * np.eye(k)
+
+    args = (rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
+            rng.normal(size=(b, n)), rng.normal(size=(b, m)), sym(n), sym(m),
+            rng.normal(size=(b, m, n)), rng.normal(size=(b, n)), sym(n), 0.1,
+            rng.choice([-1.0, 0.3, 1.0], size=(b, m)) * u_bound, u_bound)
+    got = ilqr._backward_step(*args, 0)
+    n_free = set()
+    for i in range(b):
+        want = _backward_step_reference(*(a[i] for a in args[:9]), args[9],
+                                        args[10][i], u_bound)
+        for g, w in zip(got, want):
+            assert np.asarray(g[i]).tobytes() == np.asarray(w).tobytes()
+        n_free.add(int(np.count_nonzero(want[0])))
+    assert n_free == {0, 1, 2, 3}     # every clamp case occurred
 
 def test_backward_matches_riccati_gains():
     rng = np.random.default_rng(1)
@@ -222,9 +281,10 @@ def test_solve_cost_non_increasing_with_iteration_cap(pointmass_rc):
 
 # -- toy basin oracle ---------------------------------------------------------------
 
-def _toy_dp_optimum(model, field, basin_lo, basin_hi, x0, npts=3001, nu=161):
+def _toy_dp_values(model, field, basin_lo, basin_hi, npts=3001, nu=161):
     """Brute-force minimum over a dense discretized control grid (dynamic
-    programming with linear interpolation), restricted to one basin."""
+    programming with linear interpolation), restricted to one basin; returns
+    the state grid and the optimal cost-to-go at t = 0 on it."""
     dt = model.dt
     w_u = field.control_weight
     xs = np.linspace(basin_lo, basin_hi, npts)
@@ -238,7 +298,7 @@ def _toy_dp_optimum(model, field, basin_lo, basin_hi, x0, npts=3001, nu=161):
         total = stage + cont
         total[invalid] = np.inf
         value = total.min(axis=1)
-    return float(np.interp(x0, xs, value))
+    return xs, value
 
 
 def test_toy_solver_matches_per_basin_brute_force(toy_rc):
@@ -246,16 +306,16 @@ def test_toy_solver_matches_per_basin_brute_force(toy_rc):
     reg = RegularizerConfig(eps=toy_rc.train.reg_eps)
     barrier = 0.0754291585697482
     starts = np.linspace(-2.0, 2.0, 200)
-    results = [solve(model, field, TimeState(np.array([x]), 0),
-                     np.zeros((model.t_max, 1)), max_iter=400, reg=reg)
-               for x in starts]
+    results = solve_batch(model, field,
+                          [TimeState(np.array([x]), 0) for x in starts],
+                          [np.zeros((model.t_max, 1))] * len(starts),
+                          max_iter=400, reg=reg)
+    basins = {True: _toy_dp_values(model, field, barrier, 2.3),
+              False: _toy_dp_values(model, field, -2.3, barrier)}
     worst = 0.0
     for x, res in zip(starts, results):
-        in_right_basin = res.traj.X[-1, 0] > barrier
-        if in_right_basin:
-            oracle = _toy_dp_optimum(model, field, barrier, 2.3, x)
-        else:
-            oracle = _toy_dp_optimum(model, field, -2.3, barrier, x)
+        in_right_basin = bool(res.traj.X[-1, 0] > barrier)
+        oracle = float(np.interp(x, *basins[in_right_basin]))
         worst = max(worst, abs(res.cost - oracle))
     assert worst < 1e-3
 
@@ -281,8 +341,7 @@ def test_batch_equals_sequential_bitwise(pointmass_rc):
     warms = [np.zeros((model.t_max, 2))] * len(starts)
     seq = [solve(model, field, s, w, max_iter=25, reg=reg)
            for s, w in zip(starts, warms)]
-    par = solve_batch(model, field, starts, warms, max_iter=25, reg=reg,
-                      workers=2)
+    par = solve_batch(model, field, starts, warms, max_iter=25, reg=reg)
     for a, b in zip(seq, par):
         assert a.cost == b.cost
         np.testing.assert_array_equal(a.traj.X, b.traj.X)
@@ -314,6 +373,101 @@ def test_batch_collects_per_problem_errors_with_index(pointmass_rc):
     assert set(err.errors) == {1}
     assert err.results[0] is not None and err.results[2] is not None
     assert err.results[0].cost == err.results[2].cost
+
+
+def _assert_same_result(a, b):
+    for got, want in ((a.traj.X, b.traj.X), (a.traj.U, b.traj.U),
+                      (a.traj.step_costs, b.traj.step_costs),
+                      (a.V_bar, b.V_bar), (a.V_bar_x, b.V_bar_x)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (a.cost, a.iters_used, a.converged, a.traj.t0) == \
+        (b.cost, b.iters_used, b.converged, b.traj.t0)
+
+
+def test_mixed_start_times_equal_batch_of_one_bitwise(pointmass_rc):
+    # ragged horizons, as randomize_initial_time produces
+    model, field = pointmass_rc.model, pointmass_rc.field
+    reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
+    base = envs.sample_initial_states(model, 6, 31, Region.WORKSPACE)
+    starts = [TimeState(s.x, t) for s, t in zip(base, (0, 40, 5, 40, 59, 0))]
+    warms = [np.zeros((model.t_max - s.t, 2)) for s in starts]
+    batch = solve_batch(model, field, starts, warms, max_iter=20, reg=reg)
+    for res, s, w in zip(batch, starts, warms):
+        _assert_same_result(res, solve(model, field, s, w, max_iter=20,
+                                       reg=reg))
+
+
+def test_manipulator_failure_leaves_other_problems_bitwise(manipulator_rc):
+    # problem 4 fails in its first backward pass (a non-finite V_xx at step
+    # 99); the others share its stacked calls until then
+    model, field = manipulator_rc.model, manipulator_rc.field
+    reg = RegularizerConfig(eps=manipulator_rc.train.reg_eps)
+    starts = envs.sample_initial_states(model, 5, 12345, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=3, reg=reg)
+    assert set(exc.value.errors) == {4}
+    assert exc.value.results[4] is None
+    for i in range(4):
+        _assert_same_result(exc.value.results[i],
+                            solve(model, field, starts[i], warms[i],
+                                  max_iter=3, reg=reg))
+
+
+
+def test_failing_problems_never_reach_lapack_with_non_finite_input(
+        manipulator_rc, monkeypatch):
+    # problem 4 fails in its first backward pass and the NaN start in its
+    # initial rollout; the manipulator's dynamics call solve/inv and the
+    # solver eigh/solve, all on stacks shared with the other problems
+    model, field = manipulator_rc.model, manipulator_rc.field
+    non_finite = []
+    for name in ("solve", "inv", "eigh"):
+        def checked(*arrays, _name=name, _real=getattr(np.linalg, name)):
+            if not all(np.isfinite(a).all() for a in arrays):
+                non_finite.append(_name)
+            return _real(*arrays)
+        monkeypatch.setattr(np.linalg, name, checked)
+    starts = envs.sample_initial_states(model, 5, 12345, Region.WORKSPACE)
+    starts.append(TimeState(np.full(model.n, np.nan), 0))
+    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=3,
+                    reg=RegularizerConfig(eps=manipulator_rc.train.reg_eps))
+    assert set(exc.value.errors) == {4, 5}
+    assert non_finite == []
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(["toy1d", "pointmass"]),
+       seed=st.integers(0, 2**16),
+       times=st.lists(st.sampled_from([0, 0, 0, 7, 30]), min_size=1,
+                      max_size=6),
+       data=st.data())
+def test_solve_batch_invariant_under_permutation_and_split(name, seed, times,
+                                                           data):
+    model = envs.default_model(name)
+    field = envs.CostField(control_weight=0.01) if name == "toy1d" else \
+        envs.CostField(obstacles=(envs.Ellipse((0.0, 3.5), (1.8, 3.2)),
+                                  envs.Ellipse((0.0, -3.5), (1.8, 3.2)),
+                                  envs.Ellipse((1.2, 0.0), (2.2, 1.4))),
+                       obstacle_weight=10.0, control_weight=0.005)
+    reg = RegularizerConfig(eps=0.1)
+    base = envs.sample_initial_states(model, len(times), seed, Region.WORKSPACE)
+    starts = [TimeState(s.x, t) for s, t in zip(base, times)]
+    warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
+
+    def run(idx):
+        return solve_batch(model, field, [starts[i] for i in idx],
+                           [warms[i] for i in idx], max_iter=6, reg=reg)
+
+    whole = run(range(len(starts)))
+    perm = data.draw(st.permutations(range(len(starts))))
+    for pos, res in zip(perm, run(perm)):
+        _assert_same_result(res, whole[pos])
+    cut = data.draw(st.integers(0, len(starts)))
+    for res, want in zip(run(range(cut)) + run(range(cut, len(starts))),
+                         whole):
+        _assert_same_result(res, want)
 
 
 # -- K-step targets -----------------------------------------------------------------
