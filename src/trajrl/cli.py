@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
 def _load_actor(path, rc: RunConfig):
     try:
         mlp, meta = nets.load_checkpoint(path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"cannot load checkpoint {path}: {err}") from None
     if meta["model"] != rc.model.name or mlp.in_dim != rc.model.n + 1:
         raise CheckpointError(

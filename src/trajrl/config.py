@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .envs import CostField, Ellipse, ModelSpec, default_model
@@ -180,43 +180,25 @@ def load_config(path) -> RunConfig:
                      config_hash=config_hash(text), raw=raw_snapshot)
 
 
-def _build_train(model, field, take) -> TrainConfig:
-    def opt_int(raw):
-        return int(raw)
+# The config section of each TrainConfig field a file may set.  A value is
+# parsed by the field's annotated type and falls back to the field's default.
+_TRAIN_KEYS = {
+    "trainer": ("n_episodes", "episode_fraction", "candidate_multiplier", "m_updates",
+                "k_lookahead", "minibatch", "iterations", "seed", "bic", "eval_count",
+                "eval_use_to", "buffer_capacity", "randomize_initial_time"),
+    "nets": ("k_s", "lr_actor", "lr_critic", "lr_std", "bootstrap", "tau", "sigma_min",
+             "hidden", "activation"),
+    "solver": ("reg_eps", "tol", "p_first", "p_later", "max_iter_first",
+               "max_iter_later", "calibration_probes", "calibration_cap",
+               "eval_max_iter"),
+}
+_PARSERS = {"int": int, "Optional[int]": int, "float": float, "bool": _bool,
+            "str": str.strip,
+            "tuple[int, ...]": lambda r: tuple(int(v) for v in _floats(r))}
 
-    return TrainConfig(
-        model=model, field=field,
-        n_episodes=take("trainer", "n_episodes", int, 300),
-        episode_fraction=take("trainer", "episode_fraction", float, 0.25),
-        candidate_multiplier=take("trainer", "candidate_multiplier", int, 10),
-        m_updates=take("trainer", "m_updates", int, 500),
-        k_lookahead=take("trainer", "k_lookahead", int, 10),
-        k_s=take("nets", "k_s", float, 1.0),
-        lr_actor=take("nets", "lr_actor", float, 5e-4),
-        lr_critic=take("nets", "lr_critic", float, 1e-3),
-        lr_std=take("nets", "lr_std", float, 1e-3),
-        minibatch=take("trainer", "minibatch", int, 128),
-        iterations=take("trainer", "iterations", int, 5),
-        seed=take("trainer", "seed", int, 0),
-        bic=take("trainer", "bic", _bool, True),
-        bootstrap=take("nets", "bootstrap", _bool, True),
-        tau=take("nets", "tau", float, 0.005),
-        sigma_min=take("nets", "sigma_min", float, 1e-3),
-        hidden=take("nets", "hidden", lambda r: tuple(int(v) for v in _floats(r)),
-                    (64, 64, 64)),
-        activation=take("nets", "activation", lambda r: r.strip(), "elu"),
-        reg_eps=take("solver", "reg_eps", float, 1e-6),
-        tol=take("solver", "tol", float, 1e-6),
-        p_first=take("solver", "p_first", float, 99.0),
-        p_later=take("solver", "p_later", float, 50.0),
-        max_iter_first=take("solver", "max_iter_first", opt_int, None),
-        max_iter_later=take("solver", "max_iter_later", opt_int, None),
-        calibration_probes=take("solver", "calibration_probes", int, 100),
-        calibration_cap=take("solver", "calibration_cap", int, 1000),
-        eval_count=take("trainer", "eval_count", int, 100),
-        eval_use_to=take("trainer", "eval_use_to", _bool, True),
-        eval_max_iter=take("solver", "eval_max_iter", int, 300),
-        buffer_capacity=take("trainer", "buffer_capacity", int, 2**20),
-        randomize_initial_time=take("trainer", "randomize_initial_time",
-                                    _bool, False),
-    )
+
+def _build_train(model, field, take) -> TrainConfig:
+    section = {key: sec for sec, keys in _TRAIN_KEYS.items() for key in keys}
+    return TrainConfig(model=model, field=field, **{
+        f.name: take(section[f.name], f.name, _PARSERS[f.type], f.default)
+        for f in fields(TrainConfig) if f.name in section})

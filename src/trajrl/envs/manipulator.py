@@ -19,6 +19,10 @@ from .base import ModelSpec, System, register_system
 _DEFAULT_LINKS = {"l1": 4.0, "l2": 3.5, "l3": 2.5, "m1": 1.5, "m2": 1.0, "m3": 0.6}
 
 
+def _outer(scalar, mat):
+    return scalar[..., None, None] * mat
+
+
 @register_system("manipulator3")
 class Manipulator3(System):
 
@@ -49,26 +53,28 @@ class Manipulator3(System):
     # -- rigid-body terms ---------------------------------------------------
 
     def _mass_terms(self, q):
-        """M, dM/dq (lead index = derivative), d2M/dq2 (two lead indices)."""
-        batch = q.shape[:-1]
+        """M and dM/dq (lead index = derivative)."""
         c2, s2 = np.cos(q[..., 1]), np.sin(q[..., 1])
         c3, s3 = np.cos(q[..., 2]), np.sin(q[..., 2])
         q23 = q[..., 1] + q[..., 2]
         c23, s23 = np.cos(q23), np.sin(q23)
+        m = (self._a0 + _outer(c2, self._b12) + _outer(c23, self._b13)
+             + _outer(c3, self._b23))
+        dm = np.zeros(q.shape[:-1] + (3, 3, 3))
+        dm[..., 1, :, :] = -_outer(s2, self._b12) - _outer(s23, self._b13)
+        dm[..., 2, :, :] = -_outer(s23, self._b13) - _outer(s3, self._b23)
+        return m, dm
 
-        def outer(scalar, mat):
-            return scalar[..., None, None] * mat
-
-        m = self._a0 + outer(c2, self._b12) + outer(c23, self._b13) + outer(c3, self._b23)
-        dm = np.zeros(batch + (3, 3, 3))
-        dm[..., 1, :, :] = -outer(s2, self._b12) - outer(s23, self._b13)
-        dm[..., 2, :, :] = -outer(s23, self._b13) - outer(s3, self._b23)
-        ddm = np.zeros(batch + (3, 3, 3, 3))
-        ddm[..., 1, 1, :, :] = -outer(c2, self._b12) - outer(c23, self._b13)
-        ddm[..., 1, 2, :, :] = -outer(c23, self._b13)
+    def _mass_hessian(self, q):
+        """d2M/dq2 (two lead indices); only the Jacobians need it."""
+        c2, c3 = np.cos(q[..., 1]), np.cos(q[..., 2])
+        c23 = np.cos(q[..., 1] + q[..., 2])
+        ddm = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
+        ddm[..., 1, 1, :, :] = -_outer(c2, self._b12) - _outer(c23, self._b13)
+        ddm[..., 1, 2, :, :] = -_outer(c23, self._b13)
         ddm[..., 2, 1, :, :] = ddm[..., 1, 2, :, :]
-        ddm[..., 2, 2, :, :] = -outer(c23, self._b13) - outer(c3, self._b23)
-        return m, dm, ddm
+        ddm[..., 2, 2, :, :] = -_outer(c23, self._b13) - _outer(c3, self._b23)
+        return ddm
 
     @staticmethod
     def _christoffel(dm):
@@ -78,7 +84,7 @@ class Manipulator3(System):
         return 0.5 * (d_kij + d_jik - dm)
 
     def forward_dynamics(self, q, dq, tau):
-        m, dm, _ = self._mass_terms(q)
+        m, dm = self._mass_terms(q)
         c = self._christoffel(dm)
         h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
         return np.linalg.solve(m, (tau - h)[..., None])[..., 0]
@@ -93,7 +99,8 @@ class Manipulator3(System):
     def jacobians(self, x, u):
         batch = x.shape[:-1]
         q, dq = x[..., :3], x[..., 3:]
-        m, dm, ddm = self._mass_terms(q)
+        m, dm = self._mass_terms(q)
+        ddm = self._mass_hessian(q)
         c = self._christoffel(dm)
         h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
         qdd = np.linalg.solve(m, (u - h)[..., None])[..., 0]

@@ -5,11 +5,15 @@ gradients, so its parameter gradient needs backprop *through* the network's
 input gradient (double backprop); that path is written out explicitly below
 and verified against finite differences in the tests.
 
-Parameter containers are immutable by convention: updates build new arrays.
+Each network keeps its parameters in one contiguous vector, layer by layer:
+the row-major weight matrix, then the bias.  `weights`/`biases` are views
+into it; gradients and Adam moments share the layout.  Parameters are never
+mutated in place: an update builds a new vector (`Mlp.with_params`).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -22,33 +26,29 @@ from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
 from .ilqr import Trajectory, _cost_trajectory
 
 
-# -- activations (value, first, second derivative) ----------------------------
+# -- activations (value; first and second derivative as one pair) -------------
+
+# exp(0) = 1 and expm1(0) = 0 exactly, so these equal the branchwise formulas
+# (z > 0: z, 1, 0; else expm1(z), exp(z), exp(z)) bit for bit.
 
 def _elu(z):
-    neg = np.minimum(z, 0.0)
-    return np.where(z > 0.0, z, np.expm1(neg))
+    return np.maximum(z, 0.0) + np.expm1(np.minimum(z, 0.0))
 
 
-def _elu_d1(z):
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+def _elu_derivs(z):
+    e = np.exp(np.minimum(z, 0.0))
+    return e, e * (z <= 0.0)
 
 
-def _elu_d2(z):
-    return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
-
-
-def _tanh_d1(z):
-    return 1.0 - np.tanh(z) ** 2
-
-
-def _tanh_d2(z):
+def _tanh_derivs(z):
     t = np.tanh(z)
-    return -2.0 * t * (1.0 - t**2)
+    d1 = 1.0 - t**2
+    return d1, -2.0 * t * d1
 
 
 _ACTIVATIONS = {
-    "elu": (_elu, _elu_d1, _elu_d2),
-    "tanh": (np.tanh, _tanh_d1, _tanh_d2),
+    "elu": (_elu, _elu_derivs),
+    "tanh": (np.tanh, _tanh_derivs),
 }
 
 
@@ -78,6 +78,20 @@ class Mlp:
     in_center: Optional[np.ndarray] = None
     in_half: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        for name in ("out_scale", "in_center", "in_half"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        self._bind(np.concatenate([p.reshape(-1) for wb in zip(self.weights, self.biases)
+                                   for p in wb], dtype=float))
+
+    def _bind(self, theta: np.ndarray):
+        """Own theta as the parameter vector; weights/biases become its views."""
+        ws, bs = _layer_views(self, theta)
+        object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "biases", tuple(bs))
+
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
@@ -90,17 +104,27 @@ class Mlp:
     def layer_sizes(self) -> list[int]:
         return [self.in_dim] + [w.shape[0] for w in self.weights]
 
-    def flat_params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def flat_params(self) -> np.ndarray:
+        return self._theta
 
-    def with_params(self, params: list[np.ndarray]) -> "Mlp":
-        ws = tuple(params[2 * i] for i in range(len(self.weights)))
-        bs = tuple(params[2 * i + 1] for i in range(len(self.biases)))
-        return replace(self, weights=ws, biases=bs)
+    def with_params(self, theta: np.ndarray) -> "Mlp":
+        """The same network around a new parameter vector (not copied)."""
+        net = copy.copy(self)
+        net._bind(theta)
+        return net
+
+
+def _layer_views(mlp: Mlp, vec: np.ndarray):
+    """Lists of weight and bias views into a vector in mlp's parameter layout."""
+    ws, bs, k = [], [], 0
+    for rows, cols in (w.shape for w in mlp.weights):
+        ws.append(vec[k:k + rows * cols].reshape(rows, cols))
+        k += rows * cols
+        bs.append(vec[k:k + rows])
+        k += rows
+    if vec.shape != (k,):
+        raise ValueError(f"parameter vector of shape {vec.shape}, layout needs ({k},)")
+    return ws, bs
 
 
 def init_mlp(sizes, rng: np.random.Generator, activation="elu", head="linear",
@@ -115,12 +139,9 @@ def init_mlp(sizes, rng: np.random.Generator, activation="elu", head="linear",
             scale *= 0.1
         ws.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
         bs.append(np.zeros(fan_out))
-    return Mlp(weights=tuple(ws), biases=tuple(bs), activation=activation,
-               head=head,
-               out_scale=None if out_scale is None else np.asarray(out_scale, float),
-               sigma_min=sigma_min,
-               in_center=None if in_center is None else np.asarray(in_center, float),
-               in_half=None if in_half is None else np.asarray(in_half, float))
+    return Mlp(weights=tuple(ws), biases=tuple(bs), activation=activation, head=head,
+               out_scale=out_scale, sigma_min=sigma_min, in_center=in_center,
+               in_half=in_half)
 
 
 def _normalize(mlp: Mlp, x):
@@ -141,24 +162,15 @@ def _forward_caches(mlp: Mlp, xa):
     return zs, a, o
 
 
-def _head_value(mlp: Mlp, o):
+def _head(mlp: Mlp, o):
+    """The output head's value Y and its diagonal derivative dY/dO."""
     if mlp.head == "linear":
-        return o
+        return o, np.ones_like(o)
     if mlp.head == "tanh":
-        return mlp.out_scale * np.tanh(o)
+        t = np.tanh(o)
+        return mlp.out_scale * t, mlp.out_scale * (1.0 - t**2)
     if mlp.head == "std":
-        return mlp.sigma_min + _softplus(o)
-    raise ValueError(f"unknown head '{mlp.head}'")
-
-
-def _head_chain(mlp: Mlp, o):
-    """Diagonal dY/dO of the output head."""
-    if mlp.head == "linear":
-        return np.ones_like(o)
-    if mlp.head == "tanh":
-        return mlp.out_scale * (1.0 - np.tanh(o) ** 2)
-    if mlp.head == "std":
-        return _sigmoid(o)
+        return mlp.sigma_min + _softplus(o), _sigmoid(o)
     raise ValueError(f"unknown head '{mlp.head}'")
 
 
@@ -169,8 +181,14 @@ def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
     if xa.shape[-1] != mlp.in_dim:
         raise ValueError(f"input dim {xa.shape[-1]} != {mlp.in_dim}")
     _, _, o = _forward_caches(mlp, xa if not single else xa[None, :])
-    y = _head_value(mlp, o)
+    y = _head(mlp, o)[0]
     return y[0] if single else y
+
+
+def _act_derivs(mlp: Mlp, zs):
+    """Per-layer first and second activation derivatives, each computed once."""
+    pairs = [_ACTIVATIONS[mlp.activation][1](z) for z in zs]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def value_and_state_grad(mlp: Mlp, xa):
@@ -178,10 +196,10 @@ def value_and_state_grad(mlp: Mlp, xa):
     assert mlp.head == "linear" and mlp.out_dim == 1
     xa = np.asarray(xa, dtype=float)
     zs, _, o = _forward_caches(mlp, xa)
-    d1 = _ACTIVATIONS[mlp.activation][1]
+    d1, _ = _act_derivs(mlp, zs)
     s = np.broadcast_to(mlp.weights[-1][0], (xa.shape[0], mlp.weights[-1].shape[1]))
     for i in range(len(mlp.weights) - 2, -1, -1):
-        s = (d1(zs[i]) * s) @ mlp.weights[i]
+        s = (d1[i] * s) @ mlp.weights[i]
     if mlp.in_center is not None:
         s = s / mlp.in_half
     return o[:, 0], s
@@ -189,25 +207,22 @@ def value_and_state_grad(mlp: Mlp, xa):
 
 # -- losses -------------------------------------------------------------------
 
-def _zero_grads(mlp: Mlp):
-    return [np.zeros_like(w) for w in mlp.flat_params()]
-
-
-def _backprop_from_output(mlp: Mlp, zs, a, delta, grads, zeta=None):
-    """Accumulate parameter grads given the cotangent on the pre-head output;
-    zeta optionally injects extra per-layer cotangents on the pre-activations
-    (the double-backprop path of the gradient-matching term)."""
-    d1 = _ACTIVATIONS[mlp.activation][1]
+def _backprop_from_output(mlp: Mlp, d1, a, delta, grads, zeta=None):
+    """Accumulate into the flat vector grads the parameter gradient, given the
+    cotangent on the pre-head output and the activation derivatives d1; zeta
+    optionally injects extra per-layer cotangents on the pre-activations (the
+    double-backprop path of the gradient-matching term)."""
+    gw, gb = _layer_views(mlp, grads)
     last = len(mlp.weights) - 1
-    grads[2 * last] += delta.T @ a[last]
-    grads[2 * last + 1] += delta.sum(axis=0)
+    gw[last] += delta.T @ a[last]
+    gb[last] += delta.sum(axis=0)
     abar = delta @ mlp.weights[last]
     for i in range(last - 1, -1, -1):
-        zbar = d1(zs[i]) * abar
+        zbar = d1[i] * abar
         if zeta is not None:
             zbar = zbar + zeta[i]
-        grads[2 * i] += zbar.T @ a[i]
-        grads[2 * i + 1] += zbar.sum(axis=0)
+        gw[i] += zbar.T @ a[i]
+        gb[i] += zbar.sum(axis=0)
         abar = zbar @ mlp.weights[i]
 
 
@@ -218,6 +233,7 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     Per-sample value target: raw partial cost-to-go, plus the target critic at
     the window-end state when bootstrapping is on and that state is not
     terminal.  The gradient target excludes the partial w.r.t. time.
+    Returns (loss, flat parameter gradient).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -232,17 +248,18 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
         y = y + np.where(gate, v_next, 0.0)
 
     zs, a, o = _forward_caches(critic, xa)
-    d1, d2 = _ACTIVATIONS[critic.activation][1:3]
-    nlayers = len(critic.weights)
-    last = nlayers - 1
+    d1, d2 = _act_derivs(critic, zs)
+    ws = critic.weights
+    last = len(ws) - 1
 
-    # input-gradient forward sweep (keep the per-layer sensitivities)
-    s_list = [None] * nlayers
-    s = np.broadcast_to(critic.weights[last][0], (bsz, critic.weights[last].shape[1]))
-    s_list[last] = s
+    # input-gradient forward sweep (keep the per-layer sensitivities s and
+    # the products ds[i] = d1[i] * s[i + 1], which the cotangent sweep reuses)
+    s_list = [None] * len(ws)
+    s_list[last] = np.broadcast_to(ws[last][0], (bsz, ws[last].shape[1]))
+    ds = [None] * last
     for i in range(last - 1, -1, -1):
-        s = (d1(zs[i]) * s_list[i + 1]) @ critic.weights[i]
-        s_list[i] = s
+        ds[i] = d1[i] * s_list[i + 1]
+        s_list[i] = ds[i] @ ws[i]
     half = critic.in_half if critic.in_center is not None else np.ones(critic.in_dim)
     grad_x = s_list[0] / half
 
@@ -251,23 +268,23 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     e_g = batch.v_bar_x - grad_x[:, :n]
     loss = float((e_v**2).mean() + k_s * (e_g**2).sum(axis=1).mean())
 
-    grads = _zero_grads(critic)
+    grads = np.zeros_like(critic.flat_params())
+    gw = _layer_views(critic, grads)[0]
 
     # cotangent on the input-gradient path
     u = np.zeros((bsz, critic.in_dim))
     u[:, :n] = (-2.0 * k_s / bsz) * e_g / half[:n]
-    zeta = [None] * max(last, 0)
-    for i in range(0, last):
-        rbar = u @ critic.weights[i].T
-        grads[2 * i] += (d1(zs[i]) * s_list[i + 1]).T @ u
-        zeta[i] = d2(zs[i]) * s_list[i + 1] * rbar
-        u = d1(zs[i]) * rbar
-    grads[2 * last] += u.sum(axis=0, keepdims=True)
+    zeta = [None] * last
+    for i in range(last):
+        rbar = u @ ws[i].T
+        gw[i] += ds[i].T @ u
+        zeta[i] = d2[i] * s_list[i + 1] * rbar
+        u = d1[i] * rbar
+    gw[last] += u.sum(axis=0, keepdims=True)
 
     # cotangent on the value path plus the injected zeta terms
     delta = (-2.0 / bsz) * e_v[:, None]
-    _backprop_from_output(critic, zs, a, delta, grads,
-                          zeta=zeta if last > 0 else None)
+    _backprop_from_output(critic, d1, a, delta, grads, zeta=zeta)
     return loss, grads
 
 
@@ -293,7 +310,7 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     cost = cost_for(model, field)
 
     zs, a, o = _forward_caches(actor, xa)
-    u = _head_value(actor, o)
+    u, du_do = _head(actor, o)
 
     l, _, lu, _, _, _ = cost.stage_derivs(x, u)
     x_next = system.step_x(x, u)
@@ -304,9 +321,9 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     loss = float((l + v_next).mean())
     dq_du = lu + np.einsum("bnm,bn->bm", fu, g_next[:, :-1])
 
-    grads = _zero_grads(actor)
-    delta = (dq_du / bsz) * _head_chain(actor, o)
-    _backprop_from_output(actor, zs, a, delta, grads)
+    grads = np.zeros_like(actor.flat_params())
+    delta = (dq_du / bsz) * du_do
+    _backprop_from_output(actor, _act_derivs(actor, zs)[0], a, delta, grads)
     return loss, grads, skipped
 
 
@@ -319,13 +336,13 @@ def std_critic_loss(std_net: Mlp, critic: Mlp, batch: SampleBatch):
     err = batch.v_bar - mlp_forward(critic, batch.xa)[:, 0]
 
     zs, a, o = _forward_caches(std_net, batch.xa)
-    sigma = _head_value(std_net, o)[:, 0]
+    sigma, dsigma_do = (h[:, 0] for h in _head(std_net, o))
     loss = float((np.log(sigma) + 0.5 * err**2 / sigma**2).mean())
 
     dl_dsigma = (1.0 / sigma - err**2 / sigma**3) / bsz
-    grads = _zero_grads(std_net)
-    delta = (dl_dsigma * _sigmoid(o[:, 0]))[:, None]
-    _backprop_from_output(std_net, zs, a, delta, grads)
+    grads = np.zeros_like(std_net.flat_params())
+    delta = (dl_dsigma * dsigma_do)[:, None]
+    _backprop_from_output(std_net, _act_derivs(std_net, zs)[0], a, delta, grads)
     return loss, grads
 
 
@@ -333,8 +350,8 @@ def std_critic_loss(std_net: Mlp, critic: Mlp, batch: SampleBatch):
 
 @dataclass(frozen=True)
 class AdamState:
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -343,35 +360,27 @@ class AdamState:
 
     @classmethod
     def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps_adam=1e-8):
-        return cls(m=tuple(np.zeros_like(p) for p in params),
-                   v=tuple(np.zeros_like(p) for p in params),
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
                    step=0, lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
 
 
-def adam_step(params, state: AdamState, grads):
-    """Standard Adam with bias correction; returns (new params, new state)."""
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
+def adam_step(params: np.ndarray, state: AdamState, grads: np.ndarray):
+    """Standard Adam with bias correction on one flat parameter vector;
+    returns (new params, new state)."""
+    if params.shape != grads.shape:
+        raise ValueError(f"grad shape {grads.shape} != param shape {params.shape}")
     t = state.step + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p = p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_adam)
-        new_p.append(p)
-        new_m.append(m)
-        new_v.append(v)
-    return new_p, replace(state, m=tuple(new_m), v=tuple(new_v), step=t)
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
+    params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_adam)
+    return params, replace(state, m=m, v=v, step=t)
 
 
 def polyak(target: Mlp, online: Mlp, tau: float) -> Mlp:
-    params = [(1.0 - tau) * pt + tau * po
-              for pt, po in zip(target.flat_params(), online.flat_params())]
-    return target.with_params(params)
+    return target.with_params((1.0 - tau) * target.flat_params()
+                              + tau * online.flat_params())
 
 
 # -- policy rollout -------------------------------------------------------------
@@ -423,18 +432,20 @@ def save_checkpoint(path, mlp: Mlp, kind: str, model_name: str, config_hash: str
 def load_checkpoint(path) -> tuple[Mlp, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    sizes = doc["layer_sizes"]
-    ws = tuple(np.asarray(doc["weights"][i], float).reshape(sizes[i + 1], sizes[i])
-               for i in range(len(sizes) - 1))
-    bs = tuple(np.asarray(b, float) for b in doc["biases"])
-    mlp = Mlp(weights=ws, biases=bs, activation=doc["activation"],
-              head=doc["head"],
-              out_scale=None if doc["out_scale"] is None
-              else np.asarray(doc["out_scale"], float),
-              sigma_min=doc["sigma_min"],
-              in_center=None if doc["norm_center"] is None
-              else np.asarray(doc["norm_center"], float),
-              in_half=None if doc["norm_half"] is None
-              else np.asarray(doc["norm_half"], float))
+    # every layer's lists must match layer_sizes before any vector is built; a
+    # missing or extra list reads as an empty one
+    sizes, ws, bs = doc["layer_sizes"], [], []
+    for i in range(max(len(sizes) - 1, len(doc["weights"]), len(doc["biases"]))):
+        w, b = (np.asarray(doc[k][i] if i < len(doc[k]) else [], float)
+                for k in ("weights", "biases"))
+        if (i >= len(sizes) - 1 or w.shape != (sizes[i + 1] * sizes[i],)
+                or b.shape != (sizes[i + 1],)):
+            raise ValueError(f"layer {i}: weights of shape {w.shape} and biases of "
+                             f"shape {b.shape} do not fit layer_sizes {sizes}")
+        ws.append(w.reshape(sizes[i + 1], sizes[i]))
+        bs.append(b)
+    mlp = Mlp(weights=tuple(ws), biases=tuple(bs), activation=doc["activation"],
+              head=doc["head"], out_scale=doc["out_scale"], sigma_min=doc["sigma_min"],
+              in_center=doc["norm_center"], in_half=doc["norm_half"])
     meta = {k: doc[k] for k in ("kind", "model", "config_hash")}
     return mlp, meta

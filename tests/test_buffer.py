@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajrl.buffer import ReplayBuffer, SampleBatch
 
@@ -104,3 +105,24 @@ def test_push_rejects_non_finite_value_before_writing():
     assert len(buf) == 3
     batch = buf.sample_minibatch(200, np.random.default_rng(4))
     assert set(np.unique(batch.v_bar)) == {0.0, 1.0, 2.0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(capacity=st.integers(1, 12),
+       sizes=st.lists(st.integers(0, 30), min_size=1, max_size=8))
+def test_ring_invariants_under_random_push_sizes(capacity, sizes):
+    buf = _make(capacity)
+    pushed = 0
+    for size in sizes:
+        cursor = buf._cursor
+        stored = buf.push_many(_batch(range(pushed, pushed + size)))
+        pushed += size
+        assert stored == min(size, capacity)
+        assert len(buf) == min(pushed, capacity) <= capacity
+        assert buf._cursor == (cursor + stored) % capacity
+        # oldest to newest, starting at the cursor once the ring is full
+        order = (buf._cursor - len(buf) + np.arange(len(buf))) % capacity
+        newest = np.arange(pushed - len(buf), pushed, dtype=float)
+        for column in (buf._v, buf._xa[:, 0], buf._u[:, 0], buf._vx[:, 0],
+                       buf._xk[:, 0]):
+            np.testing.assert_array_equal(column[order], newest)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from trajrl import nets
 from trajrl.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MODEL_MISMATCH,
                         EXIT_OK, main)
 
@@ -127,6 +129,27 @@ def test_eval_garbage_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
                  "--out", str(tmp_path / "eval")])
     assert code == EXIT_CHECKPOINT
     assert "checkpoint error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {**d, "biases": [[0.5], d["biases"][1]]}, "layer 0"),  # broadcast
+    (lambda d: {**d, "biases": d["biases"][:1]}, "layer 1"),          # zip drop
+    (lambda d: {**d, "layer_sizes": ["2", "8", "1"]}, ""),
+    (lambda d: {**d, "weights": None}, ""),
+    (lambda d: [], ""),
+], ids=["short-bias", "missing-bias", "string-sizes", "null-weights", "not-an-object"])
+def test_eval_malformed_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
+                                                          capsys, edit, message):
+    ckpt = tmp_path / "actor.json"
+    actor = nets.init_mlp([2, 8, 1], np.random.default_rng(0), head="tanh",
+                          out_scale=[2.0])
+    nets.save_checkpoint(ckpt, actor, "actor", "toy1d", "cafebabe")
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    code = main(["eval", str(ckpt), str(toy_config),
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and message in err
 
 
 def test_demo1d_on_pointmass_exits_model_mismatch(tmp_path, capsys):

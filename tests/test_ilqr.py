@@ -45,6 +45,20 @@ def test_regularize_rejects_non_finite():
         regularize_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
 
 
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 4), count=st.integers(1, 5), seed=st.integers(0, 2**16),
+       eps=st.sampled_from([1e-6, 1e-2, 1.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_regularize_psd_properties(k, count, seed, eps, scale):
+    q = np.random.default_rng(seed).normal(0.0, scale, (count, k, k))
+    out = regularize_psd(q, eps)
+    np.testing.assert_array_equal(out, np.swapaxes(out, -1, -2))
+    # the reconstruction rounds, so allow a few ulps of the largest entry
+    assert np.linalg.eigvalsh(out).min() >= eps - 1e-12 * max(1.0, np.abs(out).max())
+    for qi, oi in zip(q, out):
+        np.testing.assert_array_equal(regularize_psd(qi, eps), oi)
+
+
 # -- backward pass ------------------------------------------------------------------
 
 def _open_loop(spec, field, x0, U):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,31 +24,42 @@ def _rand_batch(rng, n, bsz, t_max=50):
                        rng.normal(0.0, 1.0, (bsz, n)), xk, t_max=t_max)
 
 
+def _layer_arrays(mlp):
+    return [p for wb in zip(mlp.weights, mlp.biases) for p in wb]
+
+
 def _fd_grads(loss_fn, mlp, picks=25, h=1e-6, rng=None):
-    """Finite differences at a random subset of parameter entries."""
+    """Finite differences at a random subset of each layer array's entries:
+    (indices into the flat parameter vector, derivatives there)."""
     rng = rng or np.random.default_rng(0)
-    params = mlp.flat_params()
-    out = []
-    for idx, p in enumerate(params):
-        flat = np.zeros(p.size)
-        sel = rng.choice(p.size, size=min(picks, p.size), replace=False)
-        for j in sel:
-            pp = [q.copy() for q in params]
-            pp[idx].reshape(-1)[j] += h
-            lp = loss_fn(mlp.with_params(pp))
-            pp = [q.copy() for q in params]
-            pp[idx].reshape(-1)[j] -= h
-            lm = loss_fn(mlp.with_params(pp))
-            flat[j] = (lp - lm) / (2 * h)
-        out.append((sel, flat.reshape(p.shape)))
-    return out
+    theta = mlp.flat_params()
+    sel, start = [], 0
+    for p in _layer_arrays(mlp):
+        sel.append(start + rng.choice(p.size, size=min(picks, p.size), replace=False))
+        start += p.size
+    sel = np.concatenate(sel)
+    fd = np.empty(sel.size)
+    for k, j in enumerate(sel):
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        fd[k] = (loss_fn(mlp.with_params(tp)) - loss_fn(mlp.with_params(tm))) / (2 * h)
+    return sel, fd
 
 
 def _assert_grads_close(grads, fd, rel=1e-4):
-    scale = max(1e-8, max(np.abs(f[1]).max() for f in fd))
-    for g, (sel, f) in zip(grads, fd):
-        diff = np.abs(g.reshape(-1)[sel] - f.reshape(-1)[sel]).max()
-        assert diff / scale < rel
+    sel, f = fd
+    scale = max(1e-8, np.abs(f).max())
+    assert np.abs(grads[sel] - f).max() / scale < rel
+
+
+def _with_zero_output_layer(mlp, bias_too=False):
+    """Copy of mlp with its output weights (and optionally bias) zeroed."""
+    net = mlp.with_params(mlp.flat_params().copy())
+    net.weights[-1][...] = 0.0
+    if bias_too:
+        net.biases[-1][...] = 0.0
+    return net
 
 
 # -- forward / input gradient ----------------------------------------------------
@@ -97,10 +110,7 @@ def test_input_gradient_matches_finite_differences():
 
 def test_input_gradient_zero_for_constant_net():
     rng = np.random.default_rng(4)
-    net = init_mlp([4, 8, 1], rng)
-    zeroed = list(net.flat_params())
-    zeroed[-2] = np.zeros_like(zeroed[-2])     # output weights
-    net = net.with_params(zeroed)
+    net = _with_zero_output_layer(init_mlp([4, 8, 1], rng))
     np.testing.assert_array_equal(value_and_state_grad(net, np.ones((1, 4)))[1],
                                   np.zeros((1, 4)))
 
@@ -117,7 +127,7 @@ def test_critic_loss_zero_for_perfect_critic():
     loss, grads = critic_loss(critic, None, batch, k_s=0.7,
                               gamma_bootstrap=False)
     assert loss < 1e-24
-    assert max(np.abs(g).max() for g in grads) < 1e-11
+    assert np.abs(grads).max() < 1e-11
 
 
 def test_critic_loss_ks_zero_is_value_mse():
@@ -190,14 +200,12 @@ def test_actor_loss_zero_grads_when_nothing_depends_on_u():
                                 obstacle_weight=10.0, target_reward_weight=15.0,
                                 target_reward_radius=2.0, control_weight=0.0,
                                 distance_weight=0.02)
-    const_params = list(critic.flat_params())
-    const_params[-2] = np.zeros_like(const_params[-2])
-    const_critic = critic.with_params(const_params)
+    const_critic = _with_zero_output_layer(critic)
     xa = np.append(rng.uniform(-5, 5, 4), 3.0)[None, :]
     loss, grads, skipped = actor_loss(actor, const_critic, model, free_field,
                                       xa)
     assert skipped == 0
-    assert max(np.abs(g).max() for g in grads) < 1e-14
+    assert np.abs(grads).max() < 1e-14
 
 
 def test_actor_loss_gradients_match_finite_differences():
@@ -312,39 +320,37 @@ def test_actor_outputs_respect_bounds():
 
 def test_adam_zero_grads_no_change():
     rng = np.random.default_rng(18)
-    params = [rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)]
+    params = rng.normal(0, 1, 9)
     state = AdamState.init(params, lr=1e-2)
-    new_params, new_state = adam_step(params, state,
-                                      [np.zeros((3, 2)), np.zeros(3)])
-    for p, q in zip(params, new_params):
-        np.testing.assert_array_equal(p, q)
+    new_params, new_state = adam_step(params, state, np.zeros(9))
+    np.testing.assert_array_equal(params, new_params)
     assert new_state.step == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    params = [np.zeros(4)]
+    params = np.zeros(4)
     state = AdamState.init(params, lr=3e-3)
     g = np.array([0.5, -2.0, 10.0, -0.01])
-    new_params, _ = adam_step(params, state, [g])
-    np.testing.assert_allclose(np.abs(new_params[0]), 3e-3, rtol=1e-5)
-    assert np.all(np.sign(new_params[0]) == -np.sign(g))
+    new_params, _ = adam_step(params, state, g)
+    np.testing.assert_allclose(np.abs(new_params), 3e-3, rtol=1e-5)
+    assert np.all(np.sign(new_params) == -np.sign(g))
 
 
 def test_adam_descends_quadratic():
-    params = [np.array([4.0, -3.0])]
+    params = np.array([4.0, -3.0])
     state = AdamState.init(params, lr=5e-2)
     target = np.array([1.0, 1.0])
     for _ in range(100):
-        g = 2.0 * (params[0] - target)
-        params, state = adam_step(params, state, [g])
-    assert np.linalg.norm(params[0] - target) < np.linalg.norm([3.0, -4.0])
+        g = 2.0 * (params - target)
+        params, state = adam_step(params, state, g)
+    assert np.linalg.norm(params - target) < np.linalg.norm([3.0, -4.0])
 
 
 def test_adam_rejects_shape_mismatch():
-    params = [np.zeros((2, 2))]
+    params = np.zeros(4)
     state = AdamState.init(params)
     with pytest.raises(ValueError):
-        adam_step(params, state, [np.zeros(3)])
+        adam_step(params, state, np.zeros(3))
 
 
 # -- rollout / polyak / checkpoints ------------------------------------------------
@@ -352,11 +358,8 @@ def test_adam_rejects_shape_mismatch():
 def test_zero_actor_rollout_equals_naive_warm_start():
     rng = np.random.default_rng(19)
     model = envs.default_model("pointmass")
-    actor = init_mlp([5, 8, 2], rng, head="tanh", out_scale=model.u_bound)
-    zeroed = list(actor.flat_params())
-    zeroed[-2] = np.zeros_like(zeroed[-2])
-    zeroed[-1] = np.zeros_like(zeroed[-1])
-    actor = actor.with_params(zeroed)
+    actor = _with_zero_output_layer(
+        init_mlp([5, 8, 2], rng, head="tanh", out_scale=model.u_bound), bias_too=True)
     start = TimeState(np.array([3.0, -2.0, 1.0, 0.5]), 0)
     traj = actor_rollout(actor, model, start, model.t_max)
     np.testing.assert_array_equal(traj.U, np.zeros((model.t_max, 2)))
@@ -395,9 +398,9 @@ def test_polyak_moves_target_toward_online():
     a = init_mlp([3, 4, 1], rng)
     b = init_mlp([3, 4, 1], rng)
     mixed = polyak(a, b, tau=0.25)
-    for pm, pa, pb in zip(mixed.flat_params(), a.flat_params(),
-                          b.flat_params()):
-        np.testing.assert_allclose(pm, 0.75 * pa + 0.25 * pb, atol=1e-15)
+    np.testing.assert_allclose(mixed.flat_params(),
+                               0.75 * a.flat_params() + 0.25 * b.flat_params(),
+                               atol=1e-15)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -428,5 +431,171 @@ def test_update_determinism_from_seed():
         return critic
 
     a, b = run(), run()
-    for pa, pb in zip(a.flat_params(), b.flat_params()):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.flat_params(), b.flat_params())
+
+
+def test_flat_params_layout_and_views():
+    net = init_mlp([3, 5, 2], np.random.default_rng(23))
+    theta = net.flat_params()
+    np.testing.assert_array_equal(
+        theta, np.concatenate([p.ravel() for p in _layer_arrays(net)]))
+    assert all(np.shares_memory(p, theta) for p in _layer_arrays(net))
+    moved = net.with_params(theta + 1.0)
+    np.testing.assert_array_equal(moved.weights[1], net.weights[1] + 1.0)
+    with pytest.raises(ValueError):
+        net.with_params(theta[:-1])
+
+
+@pytest.mark.parametrize("edit, layer", [
+    (lambda d: d["biases"].__setitem__(0, [0.5]), 0),     # would broadcast
+    (lambda d: d["biases"].pop(), 1),                     # zip would drop it
+    (lambda d: d["weights"][1].append(0.0), 1),
+    (lambda d: (d["weights"].append([1.0]), d["biases"].append([0.0])), 2),
+], ids=["short-bias", "missing-bias", "long-weights", "extra-layer"])
+def test_load_checkpoint_rejects_layers_that_do_not_fit_layer_sizes(tmp_path, edit,
+                                                                     layer):
+    path = tmp_path / "critic.json"
+    save_checkpoint(path, init_mlp([3, 8, 1], np.random.default_rng(24)), "critic",
+                    "toy1d", "cafebabe")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"layer {layer}:"):
+        load_checkpoint(path)
+
+
+# -- bit-identity of the flat-vector path against per-array references ------------
+
+def _ref_elu(z):
+    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+
+
+def _ref_elu_d1(z):
+    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+
+
+def _ref_elu_d2(z):
+    return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
+
+
+def _ref_tanh_d1(z):
+    return 1.0 - np.tanh(z) ** 2
+
+
+def _ref_tanh_d2(z):
+    t = np.tanh(z)
+    return -2.0 * t * (1.0 - t**2)
+
+
+_REF_DERIVS = {"elu": (_ref_elu_d1, _ref_elu_d2),
+               "tanh": (_ref_tanh_d1, _ref_tanh_d2)}
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_activation_derivative_pairs_match_separate_formulas_bitwise():
+    z = np.random.default_rng(25).normal(0.0, 3.0, 5000)
+    z[:8] = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf]
+    _assert_bitwise(nets._elu(z), _ref_elu(z))
+    for name, (d1, d2) in _REF_DERIVS.items():
+        got1, got2 = nets._ACTIVATIONS[name][1](z)
+        _assert_bitwise(got1, d1(z))
+        _assert_bitwise(got2, d2(z))
+
+
+def _ref_critic_loss(critic, critic_target, batch, k_s, gamma_bootstrap):
+    """critic_loss on per-layer gradient arrays, recomputing the activation
+    derivatives at every use; returns the gradient in the flat layout."""
+    d1, d2 = _REF_DERIVS[critic.activation]
+    bsz, n, ws = len(batch), batch.n, critic.weights
+    y = batch.v_bar.copy()
+    if gamma_bootstrap and critic_target is not None:
+        v_next = mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
+        y = y + np.where(batch.xa_plus_k[:, -1] < batch.t_max, v_next, 0.0)
+    zs, a, o = nets._forward_caches(critic, batch.xa)
+    last = len(ws) - 1
+    s_list = [None] * len(ws)
+    s_list[last] = np.broadcast_to(ws[last][0], (bsz, ws[last].shape[1]))
+    for i in range(last - 1, -1, -1):
+        s_list[i] = (d1(zs[i]) * s_list[i + 1]) @ ws[i]
+    half = critic.in_half if critic.in_center is not None else np.ones(critic.in_dim)
+    e_v = y - o[:, 0]
+    e_g = batch.v_bar_x - (s_list[0] / half)[:, :n]
+    loss = float((e_v**2).mean() + k_s * (e_g**2).sum(axis=1).mean())
+    gw = [np.zeros_like(w) for w in ws]
+    gb = [np.zeros_like(b) for b in critic.biases]
+    u = np.zeros((bsz, critic.in_dim))
+    u[:, :n] = (-2.0 * k_s / bsz) * e_g / half[:n]
+    zeta = []
+    for i in range(last):
+        rbar = u @ ws[i].T
+        gw[i] += (d1(zs[i]) * s_list[i + 1]).T @ u
+        zeta.append(d2(zs[i]) * s_list[i + 1] * rbar)
+        u = d1(zs[i]) * rbar
+    gw[last] += u.sum(axis=0, keepdims=True)
+    delta = (-2.0 / bsz) * e_v[:, None]
+    gw[last] += delta.T @ a[last]
+    gb[last] += delta.sum(axis=0)
+    abar = delta @ ws[last]
+    for i in range(last - 1, -1, -1):
+        zbar = d1(zs[i]) * abar + zeta[i]
+        gw[i] += zbar.T @ a[i]
+        gb[i] += zbar.sum(axis=0)
+        abar = zbar @ ws[i]
+    return loss, np.concatenate([g.ravel() for wb in zip(gw, gb) for g in wb])
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (10,), (16, 12, 8)])
+def test_critic_loss_matches_per_use_derivative_reference_bitwise(activation, hidden):
+    rng = np.random.default_rng(26)
+    sizes = [4, *hidden, 1]
+    critic = init_mlp(sizes, rng, activation, in_center=np.zeros(4),
+                      in_half=np.array([2.0, 1.0, 3.0, 50.0]))
+    critic = critic.with_params(critic.flat_params() * 3.0)    # reach both ELU branches
+    target = init_mlp(sizes, rng, activation)
+    batch = _rand_batch(rng, 3, 64)
+    loss, grads = critic_loss(critic, target, batch, 0.7, True)
+    ref_loss, ref_grads = _ref_critic_loss(critic, target, batch, 0.7, True)
+    assert loss == ref_loss
+    _assert_bitwise(grads, ref_grads)
+
+
+def _ref_adam_step(params, m, v, step, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over a list of per-layer arrays."""
+    t = step + 1
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    new_p, new_m, new_v = [], [], []
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi = beta1 * mi + (1.0 - beta1) * g
+        vi = beta2 * vi + (1.0 - beta2) * (g * g)
+        new_p.append(p - lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps))
+        new_m.append(mi)
+        new_v.append(vi)
+    return new_p, new_m, new_v
+
+
+def test_flat_adam_and_polyak_match_per_array_reference_bitwise():
+    rng = np.random.default_rng(27)
+    net, target = init_mlp([3, 16, 8, 2], rng), init_mlp([3, 16, 8, 2], rng)
+    opt = AdamState.init(net.flat_params(), lr=1e-2)
+    ref_p, ref_t = _layer_arrays(net), _layer_arrays(target)
+    ref_m = [np.zeros_like(p) for p in ref_p]
+    ref_v = [np.zeros_like(p) for p in ref_p]
+    flat = lambda arrays: np.concatenate([p.ravel() for p in arrays])  # noqa: E731
+    for step in range(6):
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), net.flat_params().shape)
+        ref_g = _layer_arrays(net.with_params(g))
+        params, opt = adam_step(net.flat_params(), opt, g)
+        net = net.with_params(params)
+        target = polyak(target, net, 0.05)
+        ref_p, ref_m, ref_v = _ref_adam_step(ref_p, ref_m, ref_v, step, ref_g, 1e-2)
+        ref_t = [(1.0 - 0.05) * pt + 0.05 * po for pt, po in zip(ref_t, ref_p)]
+        _assert_bitwise(net.flat_params(), flat(ref_p))
+        _assert_bitwise(opt.m, flat(ref_m))
+        _assert_bitwise(opt.v, flat(ref_v))
+        _assert_bitwise(target.flat_params(), flat(ref_t))

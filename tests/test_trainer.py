@@ -121,11 +121,8 @@ def test_fixed_seed_runs_are_identical():
     cfg = _tiny_toy_config(iterations=2)
     a_actor, a_critic, a_std, a_reports = train(cfg)
     b_actor, b_critic, b_std, b_reports = train(cfg)
-    for pa, pb in zip(a_actor.flat_params() + a_critic.flat_params()
-                      + a_std.flat_params(),
-                      b_actor.flat_params() + b_critic.flat_params()
-                      + b_std.flat_params()):
-        np.testing.assert_array_equal(pa, pb)
+    for pa, pb in ((a_actor, b_actor), (a_critic, b_critic), (a_std, b_std)):
+        np.testing.assert_array_equal(pa.flat_params(), pb.flat_params())
     for ra, rb in zip(a_reports, b_reports):
         assert ra.episodes_cum == rb.episodes_cum
         assert ra.to_cost_mean == rb.to_cost_mean
