@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train, eval, demo1d, bench.  Every command writes its outputs
+Subcommands: train, eval, demo1d.  Every command writes its outputs
 plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
 3 checkpoint error, 4 model mismatch, 1 runtime failure.
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, nets
 from .config import ConfigError, RunConfig, load_config
 from .envs import Region, sample_initial_states, toy1d_cost
-from .ilqr import RegularizerConfig, solve_batch
+from .ilqr import RegularizerConfig
 from .trainer import evaluate_policy_costs, toy1d_diagnostic, train
 
 EXIT_OK = 0
@@ -214,36 +214,6 @@ def cmd_demo1d(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    rc = load_config(args.config)
-    seed, seed_source = _resolve_seed(args, rc)
-    out = Path(args.out or rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], seed_source, "bench")
-    model, field = rc.model, rc.field
-    reg = RegularizerConfig(rc.train.reg_eps)
-    max_iter = rc.train.max_iter_first or 50
-    sizes = [int(s) for s in args.batch_sizes.split(",")]
-
-    rows = []
-    for size in sizes:
-        starts = sample_initial_states(model, size, seed, Region.WORKSPACE)
-        warms = [np.zeros((model.t_max, model.m)) for _ in starts]
-        t0 = time.perf_counter()
-        solve_batch(model, field, starts, warms, max_iter, reg, rc.train.tol)
-        wall = time.perf_counter() - t0
-        rows.append((size, wall, wall / size))
-        print(f"batch {size:5d}: {wall:8.2f} s "
-              f"({wall / size * 1000:7.1f} ms/problem)")
-    with open(out / "bench.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["batch_size", "wall_s", "s_per_problem"])
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
-    _write_timings(out, {"total_s": sum(r[1] for r in rows)})
-    return EXIT_OK
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajrl",
@@ -274,13 +244,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=int, default=None)
     p_demo.add_argument("--out", default=None)
     p_demo.set_defaults(func=cmd_demo1d)
-
-    p_bench = sub.add_parser("bench", help="time batched solving")
-    p_bench.add_argument("config")
-    p_bench.add_argument("--batch-sizes", default="10,50,100,250")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,10 +1,11 @@
 """Plain-text run configuration: sections (model, cost, solver, nets, trainer,
 cli) of key = value pairs, parsed into the spec/field/train dataclasses.
 
-Keys are optional; anything missing falls back to the per-system defaults.
-A key the parser does not read is an error, so a misspelt or retired key
-does not pass silently.  Errors carry the config line they came from where
-possible.
+Keys are optional; anything missing falls back to the defaults of the
+system class ([model]) or of the dataclass field.  Each key is parsed by the
+annotated type of the field it fills.  A key the parser does not read is an
+error, so a misspelt or retired key does not pass silently.  Errors carry the
+config line they came from where possible.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .envs import CostField, Ellipse, ModelSpec, default_model
+from .envs import CostField, Ellipse, ModelSpec, cost_for, default_model
 from .trainer import TrainConfig
 
 
@@ -52,9 +53,12 @@ def _find_line(text: str, section: str, key: str):
     return None
 
 
-def _floats(raw: str) -> list[float]:
-    parts = raw.replace(",", " ").split()
-    return [float(p) for p in parts]
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.replace(",", " ").split())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.replace(",", " ").split())
 
 
 def _bounds(raw: str) -> tuple:
@@ -115,26 +119,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(err), path=path,
                           line=_find_line(text, "model", "name")) from None
 
-    extra = dict(base.extra)
-    for key, raw in section("model").items():
-        if key.startswith("param_"):
-            used.add(("model", key))
-            try:
-                extra[key[len("param_"):]] = float(raw)
-            except ValueError as err:
-                raise ConfigError(f"bad value for [model] {key}: {err}",
-                                  path=path,
-                                  line=_find_line(text, "model", key)) from None
+    # only the parameters the system defines may be set, as param_<name>
+    extra = tuple((key, take("model", f"param_{key}", float, value))
+                  for key, value in base.extra)
     try:
-        model = ModelSpec(
-            name=base.name, n=base.n, m=base.m,
-            dt=take("model", "dt", float, base.dt),
-            t_max=take("model", "t_max", int, base.t_max),
-            u_max=take("model", "u_max", lambda r: tuple(_floats(r)), base.u_max),
-            workspace=take("model", "workspace", _bounds, base.workspace),
-            hard_region=take("model", "hard_region", _bounds, base.hard_region),
-            extra=tuple(sorted(extra.items())),
-        )
+        model = _from_fields(ModelSpec, take, lambda _: "model",
+                             lambda f: getattr(base, f.name), name=base.name,
+                             n=base.n, m=base.m, extra=extra)
     except ValueError as err:
         raise ConfigError(f"invalid [model] section: {err}", path=path) from None
 
@@ -151,20 +142,15 @@ def load_config(path) -> RunConfig:
         obstacles.append(Ellipse(center=(vals[0], vals[1]),
                                  semi_axes=(vals[2], vals[3]), angle=vals[4]))
     try:
-        field = CostField(
-            target=take("cost", "target", lambda r: tuple(_floats(r)), (-7.0, 0.0)),
-            obstacles=tuple(obstacles),
-            obstacle_weight=take("cost", "obstacle_weight", float, 0.0),
-            target_reward_weight=take("cost", "target_reward_weight", float, 0.0),
-            target_reward_radius=take("cost", "target_reward_radius", float, 1.0),
-            control_weight=take("cost", "control_weight", float, 0.0),
-            distance_weight=take("cost", "distance_weight", float, 1.0),
-        )
+        field = _from_fields(CostField, take, lambda _: "cost",
+                             lambda f: f.default, obstacles=tuple(obstacles))
+        cost_for(model, field)      # the system's own cost checks fail here
     except ValueError as err:
         raise ConfigError(f"invalid [cost] section: {err}", path=path) from None
 
     try:
-        train = _build_train(model, field, take)
+        train = _from_fields(TrainConfig, take, _TRAIN_SECTION.get,
+                             lambda f: f.default, model=model, field=field)
     except ValueError as err:
         raise ConfigError(f"invalid trainer settings: {err}", path=path) from None
 
@@ -180,8 +166,7 @@ def load_config(path) -> RunConfig:
                      config_hash=config_hash(text), raw=raw_snapshot)
 
 
-# The config section of each TrainConfig field a file may set.  A value is
-# parsed by the field's annotated type and falls back to the field's default.
+# The config section of each TrainConfig field a file may set.
 _TRAIN_KEYS = {
     "trainer": ("n_episodes", "episode_fraction", "candidate_multiplier", "m_updates",
                 "k_lookahead", "minibatch", "iterations", "seed", "bic", "eval_count",
@@ -192,13 +177,17 @@ _TRAIN_KEYS = {
                "max_iter_later", "calibration_probes", "calibration_cap",
                "eval_max_iter"),
 }
+_TRAIN_SECTION = {key: sec for sec, keys in _TRAIN_KEYS.items() for key in keys}
 _PARSERS = {"int": int, "Optional[int]": int, "float": float, "bool": _bool,
-            "str": str.strip,
-            "tuple[int, ...]": lambda r: tuple(int(v) for v in _floats(r))}
+            "str": str.strip, "Bounds": _bounds,
+            "tuple[float, ...]": _floats, "tuple[float, float]": _floats,
+            "tuple[int, ...]": _ints}
 
 
-def _build_train(model, field, take) -> TrainConfig:
-    section = {key: sec for sec, keys in _TRAIN_KEYS.items() for key in keys}
-    return TrainConfig(model=model, field=field, **{
-        f.name: take(section[f.name], f.name, _PARSERS[f.type], f.default)
-        for f in fields(TrainConfig) if f.name in section})
+def _from_fields(cls, take, section, default, **fixed):
+    """cls(**fixed), every other field read from the key of its name in
+    config section section(name), parsed by the field's annotated type and
+    falling back to default(field) when the key is absent."""
+    return cls(**fixed, **{
+        f.name: take(section(f.name), f.name, _PARSERS[f.type], default(f))
+        for f in fields(cls) if f.name not in fixed})

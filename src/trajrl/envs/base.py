@@ -3,6 +3,11 @@
 Specs are frozen (hashable) dataclasses built from plain tuples so they can be
 used as cache keys and serialized into run manifests; numeric arrays are
 derived from them on demand.
+
+A system class is the one definition of its system: registered under the
+system's name, it carries the default model (`defaults`, every `ModelSpec`
+field but the name, including its physical parameters as `extra`), its
+dynamics, and the cost it builds for a `CostField` (`cost`).
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class CostField:
                 raise ValueError("cost weights must be non-negative")
         if self.target_reward_radius <= 0.0:
             raise ValueError("target_reward_radius must be positive")
+        if len(self.target) != 2:
+            raise ValueError(f"target must have 2 entries, got {len(self.target)}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +129,10 @@ class ModelSpec:
 class System:
     """Discrete-time dynamics of one system, vectorized over a leading batch axis.
 
-    `step_x`/`jacobians` take raw state arrays (without the time index); the
-    time-aware wrappers live in envs.__init__.
+    `step_x`/`jacobians` take raw state arrays (without the time index).
     """
+
+    defaults: dict = {}     # ModelSpec fields other than name
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -138,12 +146,8 @@ class System:
     def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def position(self, x: np.ndarray) -> np.ndarray:
-        """Task-space point the cost acts on; (..., 2)."""
-        raise NotImplementedError
-
-    def position_derivs(self, x: np.ndarray):
-        """(p, dp/dx, d2p/dx2) with shapes (...,2), (...,2,n), (...,2,n,n)."""
+    def cost(self, field: CostField):
+        """The stage/terminal cost of this system for `field`."""
         raise NotImplementedError
 
 
@@ -157,10 +161,9 @@ def register_system(name: str):
     return deco
 
 
-def make_system(spec: ModelSpec) -> System:
+def system_class(name: str) -> type[System]:
     try:
-        cls = _REGISTRY[spec.name]
+        return _REGISTRY[name]
     except KeyError:
-        raise ValueError(f"unknown system '{spec.name}' "
+        raise ValueError(f"unknown system '{name}' "
                          f"(known: {sorted(_REGISTRY)})") from None
-    return cls(spec)

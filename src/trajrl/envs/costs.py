@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CostField, ModelSpec, System
-from . import base
+from .base import CostField, System
 
 BARRIER_SHARPNESS = 10.0   # slope of the softplus obstacle wall
 
@@ -86,6 +85,9 @@ class TaskCost(Cost):
     """Reach/avoid cost acting through the system's task-space point."""
 
     def __init__(self, system: System, field: CostField):
+        if len(field.obstacles) != 3:
+            raise ValueError(f"{system.spec.name} expects exactly 3 obstacles, "
+                             f"got {len(field.obstacles)}")
         self.system = system
         self.field = field
         self.target = np.asarray(field.target, dtype=float)
@@ -148,17 +150,21 @@ class TaskCost(Cost):
         w_u = self.field.control_weight
         return self.point_value(self.system.position(x)) + w_u * (u**2).sum(axis=-1)
 
-    def stage_derivs(self, x, u):
-        batch = x.shape[:-1]
-        n, m = self.system.n, self.system.m
+    def _chained_derivs(self, x):
+        """(value, d/dx, d2/dx2) of the point field through p(x)."""
         p, jp, hp = self.system.position_derivs(x)
         val, g, h = self.point_derivs(p)
-
-        w_u = self.field.control_weight
-        l = val + w_u * (u**2).sum(axis=-1)
         lx = np.einsum("...ci,...c->...i", jp, g)
         lxx = (np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
                + np.einsum("...c,...cij->...ij", g, hp))
+        return val, lx, lxx
+
+    def stage_derivs(self, x, u):
+        batch = x.shape[:-1]
+        n, m = self.system.n, self.system.m
+        val, lx, lxx = self._chained_derivs(x)
+        w_u = self.field.control_weight
+        l = val + w_u * (u**2).sum(axis=-1)
         lu = 2.0 * w_u * u
         luu = np.broadcast_to(2.0 * w_u * np.eye(m), batch + (m, m)).copy()
         lux = np.zeros(batch + (m, n))
@@ -168,33 +174,4 @@ class TaskCost(Cost):
         return self.point_value(self.system.position(x))
 
     def terminal_derivs(self, x):
-        p, jp, hp = self.system.position_derivs(x)
-        val, g, h = self.point_derivs(p)
-        lx = np.einsum("...ci,...c->...i", jp, g)
-        lxx = (np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
-               + np.einsum("...c,...cij->...ij", g, hp))
-        return val, lx, lxx
-
-
-_COST_REGISTRY: dict[str, type] = {}
-
-
-def register_cost(name: str):
-    """Attach a custom cost factory (spec, field, system) -> Cost to a system name."""
-    def deco(factory):
-        _COST_REGISTRY[name] = factory
-        return factory
-    return deco
-
-
-def build_cost(spec: ModelSpec, field: CostField, system: System | None = None) -> Cost:
-    if system is None:
-        system = base.make_system(spec)
-    if spec.name in _COST_REGISTRY:
-        return _COST_REGISTRY[spec.name](spec, field, system)
-    if spec.name == "toy1d":
-        return Toy1DCost(field)
-    if len(field.obstacles) != 3:
-        raise ValueError(f"{spec.name} expects exactly 3 obstacles, "
-                         f"got {len(field.obstacles)}")
-    return TaskCost(system, field)
+        return self._chained_derivs(x)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, System, register_system
-
-_DEFAULT_LINKS = {"l1": 4.0, "l2": 3.5, "l3": 2.5, "m1": 1.5, "m2": 1.0, "m3": 0.6}
+from .base import ModelSpec, register_system
+from .systems import _PI, TaskSpaceSystem
 
 
 def _outer(scalar, mat):
@@ -24,12 +23,22 @@ def _outer(scalar, mat):
 
 
 @register_system("manipulator3")
-class Manipulator3(System):
+class Manipulator3(TaskSpaceSystem):
+
+    # extra: link lengths l1..l3 and masses m1..m3, each set by a config's
+    # param_<name> key
+    defaults = dict(
+        n=6, m=3, dt=0.05, t_max=100, u_max=(100.0, 60.0, 25.0),
+        workspace=((-_PI, _PI), (-_PI, _PI), (-_PI, _PI),
+                   (-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
+        hard_region=((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4),
+                     (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        extra=(("l1", 4.0), ("l2", 3.5), ("l3", 2.5),
+               ("m1", 1.5), ("m2", 1.0), ("m3", 0.6)))
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
-        p = dict(_DEFAULT_LINKS)
-        p.update(spec.extra_params())
+        p = spec.extra_params()
         l1, l2, l3 = p["l1"], p["l2"], p["l3"]
         m1, m2, m3 = p["m1"], p["m2"], p["m3"]
         self.lengths = np.array([l1, l2, l3])

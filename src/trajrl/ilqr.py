@@ -535,7 +535,7 @@ def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
                        cap: int, percentile: float,
                        warmstart_source: Optional[Callable] = None,
                        rng_seed=0, reg: RegularizerConfig = RegularizerConfig(),
-                       tol: float = 1e-6, return_counts: bool = False):
+                       tol: float = 1e-6) -> int:
     """Pick the shared iteration cap as a percentile of probe convergence counts.
 
     Probes start uniformly in the workspace; warmstart_source maps a start to
@@ -551,6 +551,5 @@ def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
     else:
         warms = [warmstart_source(s) for s in starts]
     results = solve_batch(model, field, starts, warms, cap, reg, tol)
-    counts = [r.iters_used if r.converged else cap for r in results]
-    value = nearest_rank(counts, percentile)
-    return (value, counts) if return_counts else value
+    return nearest_rank([r.iters_used if r.converged else cap for r in results],
+                        percentile)

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("episode_fraction must be in (0, 1]")
         if self.k_lookahead < 1 or self.m_updates < 1:
             raise ValueError("k_lookahead and m_updates must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
 
     @property
     def later_batch(self) -> int:
@@ -231,9 +233,10 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     t_nets = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    eval_mean = evaluate_policy(state.actor, model, fld, state.eval_starts,
-                                cfg.eval_use_to, max_iter=cfg.eval_max_iter,
-                                reg=state.reg, tol=cfg.tol)
+    eval_mean = evaluate_policy_costs(state.actor, model, fld,
+                                      state.eval_starts, cfg.eval_use_to,
+                                      max_iter=cfg.eval_max_iter,
+                                      reg=state.reg, tol=cfg.tol).mean()
     t_to += time.perf_counter() - t2
 
     report = IterationReport(
@@ -267,13 +270,6 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
     results = solve_batch(model, fld, eval_starts, [r.U for r in rollouts],
                           max_iter, reg, tol)
     return np.array([r.cost for r in results])
-
-
-def evaluate_policy(actor: nets.Mlp, model: ModelSpec, fld: CostField,
-                    eval_starts: list[TimeState], use_to: bool,
-                    **kwargs) -> float:
-    return float(evaluate_policy_costs(actor, model, fld, eval_starts,
-                                       use_to, **kwargs).mean())
 
 
 def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,

@@ -1,8 +1,8 @@
 """Linear-quadratic test problems and an independent Riccati oracle.
 
-The linear system and quadratic cost are registered with the envs machinery
-so LQR instances run through the exact same solver entry points as the
-benchmark systems; all matrices ride inside ModelSpec.extra, which keeps the
+The linear system is registered with the envs machinery and builds the
+quadratic cost, so LQR instances run through the exact same solver entry
+points as the benchmark systems; all matrices ride inside ModelSpec.extra, which keeps the
 specs hashable and picklable.
 """
 
@@ -28,10 +28,12 @@ class LinearSystem(envs_base.System):
         return (np.broadcast_to(self.A, batch + self.A.shape).copy(),
                 np.broadcast_to(self.B, batch + self.B.shape).copy())
 
+    def cost(self, field):
+        return QuadraticCost(self.spec)
 
-@envs_costs.register_cost("lintest")
+
 class QuadraticCost(envs_costs.Cost):
-    def __init__(self, spec, field, system):
+    def __init__(self, spec):
         self.Q = _unpack(spec, "q", spec.n, spec.n)
         self.R = _unpack(spec, "r", spec.m, spec.m)
         self.QF = _unpack(spec, "f", spec.n, spec.n)

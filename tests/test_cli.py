@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajrl import nets
 from trajrl.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MODEL_MISMATCH,
-                        EXIT_OK, main)
+                        EXIT_OK, EXIT_RUNTIME, main)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Fixed iteration caps, so no calibration solves run.
 TINY_TOY1D = """\
@@ -35,6 +38,12 @@ iterations = 2
 seed = 11
 eval_count = 2
 """
+
+TINY_POINTMASS = TINY_TOY1D.replace("name = toy1d", "name = pointmass").replace(
+    "[cost]\n", "[cost]\n"
+    "obstacle1 = 0.0, 3.5, 1.8, 3.2, 0.0\n"
+    "obstacle2 = 0.0, -3.5, 1.8, 3.2, 0.0\n"
+    "obstacle3 = 1.2, 0.0, 2.2, 1.4, 0.0\n")
 
 
 @pytest.fixture
@@ -111,14 +120,48 @@ def test_removed_workers_key_exits_config_error_with_line(tmp_path, capsys):
     assert f"{path}:{line}:" in err and "unknown key [solver] workers" in err
 
 
-def test_bench_writes_one_row_per_batch_size(toy_config, tmp_path):
-    out = tmp_path / "bench"
-    code = main(["bench", str(toy_config), "--batch-sizes", "1,3",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    rows = (out / "bench.csv").read_text().splitlines()
-    assert rows[0] == "batch_size,wall_s,s_per_problem"
-    assert [r.split(",")[0] for r in rows[1:]] == ["1", "3"]
+# Config text, the offending line (None when the error names no line) and the
+# expected message of each malformed case.
+MALFORMED = {
+    "hidden-float": (TINY_TOY1D.replace("hidden = 8", "hidden = 8.7, 0.5"),
+                     "hidden = 8.7, 0.5", "bad value for [nets] hidden"),
+    "hidden-zero": (TINY_TOY1D.replace("hidden = 8", "hidden = 8, 0"), None,
+                    "hidden layer widths must be >= 1"),
+    "target-length": (TINY_TOY1D.replace("[cost]\n", "[cost]\ntarget = 3\n"),
+                      None, "target must have 2 entries, got 1"),
+    "one-obstacle": (TINY_POINTMASS.replace("obstacle2 = 0.0, -3.5, 1.8, 3.2, 0.0\n", "")
+                     .replace("obstacle3 = 1.2, 0.0, 2.2, 1.4, 0.0\n", ""),
+                     None, "pointmass expects exactly 3 obstacles, got 1"),
+    "pointmass-param": (TINY_POINTMASS.replace("t_max = 10", "t_max = 10\nparam_l1 = 4.0"),
+                        "param_l1 = 4.0", "unknown key [model] param_l1"),
+    "manipulator-param": (TINY_POINTMASS.replace("name = pointmass", "name = manipulator3")
+                          .replace("t_max = 10", "t_max = 10\nparam_l4 = 1.0"),
+                          "param_l4 = 1.0", "unknown key [model] param_l4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_model_cost_nets_exit_config_error(tmp_path, capsys, case):
+    text, bad_line, message = MALFORMED[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert _train(path, tmp_path / "run") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    if bad_line is None:
+        assert f"{path}: " in err
+    else:
+        assert f"{path}:{text.splitlines().index(bad_line) + 1}:" in err
+    assert message in err
+
+
+def test_runtime_failure_exits_runtime_error(toy_config, tmp_path, monkeypatch,
+                                             capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr("trajrl.cli.train", fail)
+    assert _train(toy_config, tmp_path / "run") == EXIT_RUNTIME
+    assert "error: solver blew up" in capsys.readouterr().err
 
 
 def test_eval_garbage_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
@@ -153,8 +196,7 @@ def test_eval_malformed_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
 
 
 def test_demo1d_on_pointmass_exits_model_mismatch(tmp_path, capsys):
-    path = tmp_path / "pointmass.ini"
-    path.write_text("[model]\nname = pointmass\n")
-    code = main(["demo1d", str(path), "--out", str(tmp_path / "demo")])
+    code = main(["demo1d", str(CONFIGS / "pointmass.ini"),
+                 "--out", str(tmp_path / "demo")])
     assert code == EXIT_MODEL_MISMATCH
     assert "model mismatch" in capsys.readouterr().err

@@ -61,7 +61,7 @@ def test_manipulator_step_matches_rk4_reference():
         err_full = np.abs(system.step_x(x, u)
                           - _rk4_reference(system, x, u, model.dt)).max()
         half = envs.ModelSpec(**{**model.__dict__, "dt": model.dt / 2})
-        sys_half = envs.make_system(half)
+        sys_half = envs.system_for(half)
         err_half = np.abs(sys_half.step_x(x, u)
                           - _rk4_reference(sys_half, x, u, half.dt)).max()
         assert err_full < 100.0 * model.dt**2

@@ -596,10 +596,14 @@ def test_nearest_rank_on_one_to_hundred():
 def test_calibrate_matches_sort_oracle(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
     reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
-    value, counts = calibrate_max_iter(model, field, probe_count=10, cap=60,
-                                       percentile=99.0, rng_seed=5, reg=reg,
-                                       return_counts=True)
-    ordered = sorted(counts)
+    # the probes calibrate_max_iter draws, solved here to read their counts
+    probes = envs.sample_initial_states(model, 10, 5, Region.WORKSPACE)
+    results = solve_batch(model, field, probes,
+                          [np.zeros((model.t_max, model.m)) for _ in probes],
+                          60, reg, 1e-6)
+    ordered = sorted(r.iters_used if r.converged else 60 for r in results)
+    value = calibrate_max_iter(model, field, probe_count=10, cap=60,
+                               percentile=99.0, rng_seed=5, reg=reg)
     assert value == ordered[int(np.ceil(0.99 * len(ordered))) - 1]
     value50 = calibrate_max_iter(model, field, probe_count=10, cap=60,
                                  percentile=50.0, rng_seed=5, reg=reg)

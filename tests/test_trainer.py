@@ -5,7 +5,7 @@ from dataclasses import replace
 from trajrl import envs, nets
 from trajrl.envs import Region, TimeState
 from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
-                            evaluate_policy, evaluate_policy_costs,
+                            evaluate_policy_costs,
                             run_iteration, select_initial_states_bic,
                             toy1d_diagnostic, train)
 
@@ -137,7 +137,7 @@ def test_different_seeds_differ():
     assert a[0].to_cost_mean != b[0].to_cost_mean
 
 
-# -- evaluate_policy --------------------------------------------------------------------
+# -- evaluate_policy_costs --------------------------------------------------------------
 
 def _trained_tiny():
     cfg = _tiny_toy_config(iterations=1)
@@ -150,8 +150,9 @@ def test_evaluate_single_start_equals_trajectory_cost():
     start = TimeState(np.array([1.0]), 0)
     traj = nets.actor_rollout(actor, cfg.model, start, cfg.model.t_max,
                               cfg.field)
-    mean = evaluate_policy(actor, cfg.model, cfg.field, [start], use_to=False)
-    assert mean == pytest.approx(traj.cost, abs=1e-12)
+    costs = evaluate_policy_costs(actor, cfg.model, cfg.field, [start],
+                                  use_to=False)
+    assert costs.mean() == pytest.approx(traj.cost, abs=1e-12)
 
 
 def test_evaluate_with_to_never_worse_than_rollout():
@@ -167,7 +168,7 @@ def test_evaluate_with_to_never_worse_than_rollout():
 def test_evaluate_requires_starts():
     cfg, actor = _trained_tiny()
     with pytest.raises(ValueError):
-        evaluate_policy(actor, cfg.model, cfg.field, [], use_to=False)
+        evaluate_policy_costs(actor, cfg.model, cfg.field, [], use_to=False)
 
 
 # -- reports ---------------------------------------------------------------------------
