@@ -102,9 +102,11 @@ def load_config(path) -> RunConfig:
 
     def take(sec, key, conv, default):
         raw = get(sec, key)
-        if raw is None or raw.strip() == "":
+        if raw is None:
             return default
         try:
+            if not raw.strip():
+                raise ValueError("empty value")
             return conv(raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for [{sec}] {key}: {err}",

@@ -268,36 +268,29 @@ def _cost_trajectory(cost, X, U) -> np.ndarray:
     return sc
 
 
-def _roll(system, cost, u_bound, x0, u_nom, x_ref=None, gains=None,
-          alpha: float = 1.0, rows=slice(None)):
-    """Roll the problems `rows` of a lockstep block forward from x0.
+def _roll(system, cost, u_bound, x0, t_hor: int, control):
+    """Roll a stack of rows forward from x0 (b, n) for t_hor steps.
 
-    The controls are u_nom (T, B, m), or with gains the closed-loop update
-    u_nom + alpha*k_ff + K_fb (x - x_ref), clamped to the bounds; each step
-    reads only the rows rolled.  Returns X (T+1, b, n), U (T, b, m) and the
-    step costs (b, T+1) of the b rows, all inf on a row whose states or
+    The one stepping loop, for the solver and the policy alike: the controls
+    u_k = control(k, x_k) of the b rows are clamped to the bounds, and the
+    step costs evaluated on the rolled rows.  Returns X (T+1, b, n),
+    U (T, b, m) and the step costs (b, T+1), all inf on a row whose states or
     controls left the finite numbers; such a row is not stepped again, so the
     dynamics only see finite input.
     """
-    t_hor, m = u_nom.shape[0], u_nom.shape[2]
-    b = len(x0)
-    X = np.empty((t_hor + 1, b, x0.shape[-1]))
-    U = np.empty((t_hor, b, m))
+    X = np.empty((t_hor + 1,) + x0.shape)
+    U = np.empty((t_hor, len(x0), system.m))
     X[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(t_hor):
-            u = u_nom[k, rows]
-            if gains is not None:
-                u = (u + alpha * gains.k_ff[k, rows]
-                     + _mv(gains.K_fb[k, rows], X[k] - x_ref[k, rows]))
-            U[k] = np.clip(u, -u_bound, u_bound)
+            U[k] = np.clip(control(k, X[k]), -u_bound, u_bound)
             if np.isfinite(X[k]).all() and np.isfinite(U[k]).all():
                 X[k + 1] = system.step_x(X[k], U[k])
             else:
                 ok = np.isfinite(X[k]).all(axis=1) & np.isfinite(U[k]).all(axis=1)
                 X[k + 1] = np.nan
                 X[k + 1, ok] = system.step_x(X[k, ok], U[k, ok])
-        sc = np.full((b, t_hor + 1), np.inf)
+        sc = np.full((len(x0), t_hor + 1), np.inf)
         fin = np.isfinite(X).all(axis=(0, 2))
         if fin.all():
             sc[:] = _cost_trajectory(cost, X, U).T
@@ -341,7 +334,7 @@ def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
     """
     u_bound = model.u_bound
     X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
-                     u_nom)
+                     len(u_nom), lambda k, x: u_nom[k])
     st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc)
     del X, U, sc
     for i in st.ids[~np.isfinite(st.cost)]:
@@ -376,8 +369,10 @@ def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
             rows = np.flatnonzero(searching)
             if rows.size == searching.size:
                 rows = slice(None)
-            cX, cU, csc = _roll(system, cost, u_bound, st.X[0, rows], st.U,
-                                st.X, gains, alpha, rows)
+            cX, cU, csc = _roll(
+                system, cost, u_bound, st.X[0, rows], len(st.U),
+                lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
+                              + _mv(gains.K_fb[k, rows], x - st.X[k, rows])))
             c = csc.sum(axis=1)
             better = np.isfinite(c) & (c < prev[rows])
             if better.any():
@@ -538,18 +533,15 @@ def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
                        tol: float = 1e-6) -> int:
     """Pick the shared iteration cap as a percentile of probe convergence counts.
 
-    Probes start uniformly in the workspace; warmstart_source maps a start to
-    a control sequence (naive zeros when absent).  Non-converged probes count
-    as the cap.
+    Probes start uniformly in the workspace; warmstart_source maps the list of
+    probe starts to their control sequences in one call (naive zeros when
+    absent).  Non-converged probes count as the cap.
     """
     if probe_count < 10:
         raise ValueError("probe_count must be >= 10")
     starts = sample_initial_states(model, probe_count, rng_seed, Region.WORKSPACE)
-    t_hor = model.t_max
-    if warmstart_source is None:
-        warms = [np.zeros((t_hor, model.m)) for _ in starts]
-    else:
-        warms = [warmstart_source(s) for s in starts]
+    warms = ([np.zeros((model.t_max, model.m)) for _ in starts]
+             if warmstart_source is None else warmstart_source(starts))
     results = solve_batch(model, field, starts, warms, cap, reg, tol)
     return nearest_rank([r.iters_used if r.converged else cap for r in results],
                         percentile)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .buffer import SampleBatch
 from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
-from .ilqr import Trajectory, _cost_trajectory
+from .ilqr import Trajectory, _roll
 
 
 # -- activations (value; first and second derivative as one pair) -------------
@@ -175,7 +175,12 @@ def _head(mlp: Mlp, o):
 
 
 def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
-    """Network output for a single input (d,) or a batch (B, d)."""
+    """Network output for a single input (d,) or a stack (..., d).
+
+    A (B, 1, d) stack rounds each row exactly as a single input does; a
+    (B, d) batch runs one matrix product per layer, whose rows may differ
+    from it in the last bits.
+    """
     xa = np.asarray(xa, dtype=float)
     single = xa.ndim == 1
     if xa.shape[-1] != mlp.in_dim:
@@ -385,27 +390,30 @@ def polyak(target: Mlp, online: Mlp, tau: float) -> Mlp:
 
 # -- policy rollout -------------------------------------------------------------
 
-def actor_rollout(actor: Mlp, model: ModelSpec, x0: TimeState, t_hor: int,
-                  field: Optional[CostField] = None) -> Trajectory:
-    """Closed-loop rollout u_k = mu(x_k, t_k); bounded by the actor's head.
+def actor_rollout(actor: Mlp, model: ModelSpec, field: CostField,
+                  starts: list[TimeState]) -> list[Trajectory]:
+    """Closed-loop rollouts u_k = mu(x_k, t_k) of every start to the horizon.
 
-    Step costs are filled when a cost field is given, else zero.
+    Starts that share a start time roll as one stack through the solver's
+    loop (`ilqr._roll`), so a rollout that leaves the finite numbers is
+    marked with inf step costs and never stepped again.  The actor sees the
+    rows as a (B, 1, d) stack, so each rolls out bit for bit as it would alone.
     """
-    if t_hor > model.t_max - x0.t:
-        raise ValueError(f"rollout of {t_hor} steps exceeds horizon from t={x0.t}")
-    system = system_for(model)
-    X = np.empty((t_hor + 1, model.n))
-    U = np.empty((t_hor, model.m))
-    X[0] = x0.x
-    for k in range(t_hor):
-        xa = np.concatenate([X[k], [float(x0.t + k)]])
-        U[k] = mlp_forward(actor, xa)
-        X[k + 1] = system.step_x(X[k], U[k])
-    if field is not None:
-        sc = _cost_trajectory(cost_for(model, field), X, U)
-    else:
-        sc = np.zeros(t_hor + 1)
-    return Trajectory(X=X, U=U, step_costs=sc, t0=x0.t)
+    system, cost = system_for(model), cost_for(model, field)
+    out: list = [None] * len(starts)
+    for t0 in {s.t for s in starts}:
+        ids = [i for i, s in enumerate(starts) if s.t == t0]
+        def policy(k, x):
+            xa = np.column_stack([x, np.full(len(x), float(t0 + k))])
+            return mlp_forward(actor, xa[:, None])[:, 0]
+
+        X, U, sc = _roll(system, cost, model.u_bound,
+                         np.stack([starts[i].x for i in ids]), model.t_max - t0,
+                         policy)
+        for r, i in enumerate(ids):
+            out[i] = Trajectory(X=X[:, r].copy(), U=U[:, r].copy(),
+                                step_costs=sc[r].copy(), t0=t0)
+    return out
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +69,17 @@ class TrainConfig:
             raise ValueError("k_lookahead and m_updates must be >= 1")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
+        caps = (self.calibration_cap, self.eval_max_iter, self.max_iter_first, self.max_iter_later)
+        if min(self.eval_count, self.minibatch, *(c for c in caps if c is not None)) < 1:
+            raise ValueError("eval_count, minibatch and the iteration caps must be >= 1")
+        if self.activation not in nets._ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.calibration_probes < 10:
+            raise ValueError("calibration_probes must be >= 10")
+        if not (0.0 < self.p_first <= 100.0 and 0.0 < self.p_later <= 100.0):
+            raise ValueError("p_first and p_later must be in (0, 100]")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
     @property
     def later_batch(self) -> int:
@@ -164,36 +176,41 @@ def _assign_start_times(starts, model, cfg, iter_idx):
     return [TimeState(s.x, int(t)) for s, t in zip(starts, ts)]
 
 
+def _actor_warmstarts(actor, model, fld, starts) -> list[np.ndarray]:
+    return [r.U for r in nets.actor_rollout(actor, model, fld, starts)]
+
+
 def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, IterationReport]:
     cfg = state.config
     model, fld = cfg.model, cfg.field
+    first = iter_idx == 1
+    max_iter = state.max_iter_first if first else state.max_iter_later
+    if max_iter is None:
+        # each cap is calibrated when first needed, the later one with the
+        # actor trained in iteration 1
+        max_iter = calibrate_max_iter(
+            model, fld, cfg.calibration_probes, cfg.calibration_cap,
+            cfg.p_first if first else cfg.p_later,
+            warmstart_source=None if first else partial(
+                _actor_warmstarts, state.actor, model, fld),
+            rng_seed=_seed_int(cfg.seed, 2 if first else 4), reg=state.reg,
+            tol=cfg.tol)
+        if first:
+            state.max_iter_first = max_iter
+        else:
+            state.max_iter_later = max_iter
 
     t0 = time.perf_counter()
-    if iter_idx == 1:
-        starts = sample_initial_states(model, cfg.n_episodes,
-                                       _seed_int(cfg.seed, 1, iter_idx),
-                                       Region.WORKSPACE)
-        starts = _assign_start_times(starts, model, cfg, iter_idx)
-        warms = [_naive_warmstart(model, s) for s in starts]
-        max_iter = state.max_iter_first
-    else:
-        n_sel = cfg.later_batch
-        if cfg.bic:
-            cands = sample_initial_states(
-                model, cfg.candidate_multiplier * n_sel,
-                _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE)
-            starts = select_initial_states_bic(cands, state.std, n_sel)
-        else:
-            starts = sample_initial_states(model, n_sel,
-                                           _seed_int(cfg.seed, 1, iter_idx),
-                                           Region.WORKSPACE)
-        starts = _assign_start_times(starts, model, cfg, iter_idx)
-        warms = [nets.actor_rollout(state.actor, model, s,
-                                    model.t_max - s.t).U for s in starts]
-        max_iter = state.max_iter_later
-    if max_iter is None:
-        raise RuntimeError("iteration cap not resolved; run via train()")
-
+    n_sel = cfg.n_episodes if first else cfg.later_batch
+    bic = cfg.bic and not first
+    # candidates carry their start times, so BIC ranks the (x, t) it solves
+    starts = _assign_start_times(sample_initial_states(
+        model, cfg.candidate_multiplier * n_sel if bic else n_sel,
+        _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE), model, cfg, iter_idx)
+    if bic:
+        starts = select_initial_states_bic(starts, state.std, n_sel)
+    warms = ([_naive_warmstart(model, s) for s in starts] if first
+             else _actor_warmstarts(state.actor, model, fld, starts))
     results = solve_batch(model, fld, starts, warms, max_iter,
                           state.reg, cfg.tol)
     for res in results:
@@ -263,8 +280,7 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
     full-convergence solve warm-started from the rollout."""
     if not eval_starts:
         raise ValueError("eval_starts must be non-empty")
-    rollouts = [nets.actor_rollout(actor, model, s, model.t_max - s.t, fld)
-                for s in eval_starts]
+    rollouts = nets.actor_rollout(actor, model, fld, eval_starts)
     if not use_to:
         return np.array([r.cost for r in rollouts])
     results = solve_batch(model, fld, eval_starts, [r.U for r in rollouts],
@@ -281,16 +297,7 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
     results survive.
     """
     state = TrainerState(config)
-    model, fld = config.model, config.field
     reports: list[IterationReport] = []
-
-    if state.max_iter_first is None:
-        state.max_iter_first = calibrate_max_iter(
-            model, fld, config.calibration_probes, config.calibration_cap,
-            config.p_first, warmstart_source=None,
-            rng_seed=_seed_int(config.seed, 2), reg=state.reg,
-            tol=config.tol)
-
     try:
         for j in range(1, config.iterations + 1):
             state, rep = run_iteration(state, j)
@@ -299,15 +306,6 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
                 checkpoint_cb(state)
             if report_cb is not None:
                 report_cb(rep)
-            if j == 1 and state.max_iter_later is None:
-                actor = state.actor
-                state.max_iter_later = calibrate_max_iter(
-                    model, fld, config.calibration_probes,
-                    config.calibration_cap, config.p_later,
-                    warmstart_source=lambda s: nets.actor_rollout(
-                        actor, model, s, model.t_max - s.t).U,
-                    rng_seed=_seed_int(config.seed, 4), reg=state.reg,
-                    tol=config.tol)
     except Exception:
         if checkpoint_cb is not None:
             checkpoint_cb(state)

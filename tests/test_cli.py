@@ -137,6 +137,25 @@ MALFORMED = {
     "manipulator-param": (TINY_POINTMASS.replace("name = pointmass", "name = manipulator3")
                           .replace("t_max = 10", "t_max = 10\nparam_l4 = 1.0"),
                           "param_l4 = 1.0", "unknown key [model] param_l4"),
+    "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
+                 "bad value for [model] dt: empty value"),
+    "empty-hidden": (TINY_TOY1D.replace("hidden = 8", "hidden ="), "hidden =",
+                     "bad value for [nets] hidden: empty value"),
+    "eval-count-zero": (TINY_TOY1D.replace("eval_count = 2", "eval_count = 0"), None,
+                        "eval_count, minibatch and the iteration caps must be >= 1"),
+    "minibatch-zero": (TINY_TOY1D.replace("minibatch = 8", "minibatch = 0"), None,
+                       "eval_count, minibatch and the iteration caps must be >= 1"),
+    "p-first-zero": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0.1\np_first = 0"),
+                     None, "p_first and p_later must be in (0, 100]"),
+    "few-probes": (TINY_TOY1D.replace("reg_eps = 0.1",
+                                      "reg_eps = 0.1\ncalibration_probes = 5"),
+                   None, "calibration_probes must be >= 10"),
+    "tau-two": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\ntau = 2"), None,
+                "tau must be in (0, 1], got 2.0"),
+    "cap-zero": (TINY_TOY1D.replace("max_iter_first = 5", "max_iter_first = 0"), None,
+                 "eval_count, minibatch and the iteration caps must be >= 1"),
+    "activation-relu": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nactivation = relu"),
+                        None, "unknown activation 'relu'"),
 }
 
 

@@ -74,9 +74,11 @@ def _backward(spec, field, traj):
 
 def _closed_loop(spec, field, traj, gains, alpha):
     """u = clamp(u_nom + alpha*k + K(x - x_nom)) around traj."""
+    g = gains.take(np.newaxis)
     X, U, sc = ilqr._roll(envs.system_for(spec), envs.cost_for(spec, field),
-                          spec.u_bound, traj.X[:1], traj.U[:, None],
-                          traj.X[:, None], gains.take(np.newaxis), alpha)
+                          spec.u_bound, traj.X[:1], traj.horizon,
+                          lambda k, x: (traj.U[k, None] + alpha * g.k_ff[k]
+                                        + ilqr._mv(g.K_fb[k], x - traj.X[k, None])))
     return ilqr.Trajectory(X=X[:, 0], U=U[:, 0], step_costs=sc[0], t0=traj.t0)
 
 

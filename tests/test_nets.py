@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trajrl import envs, nets
+from trajrl import envs, ilqr, nets
 from trajrl.buffer import SampleBatch
 from trajrl.envs import TimeState
 from trajrl.nets import (AdamState, Mlp, actor_loss, actor_rollout, adam_step,
@@ -355,13 +355,13 @@ def test_adam_rejects_shape_mismatch():
 
 # -- rollout / polyak / checkpoints ------------------------------------------------
 
-def test_zero_actor_rollout_equals_naive_warm_start():
+def test_zero_actor_rollout_equals_naive_warm_start(pointmass_rc):
     rng = np.random.default_rng(19)
-    model = envs.default_model("pointmass")
+    model = pointmass_rc.model
     actor = _with_zero_output_layer(
         init_mlp([5, 8, 2], rng, head="tanh", out_scale=model.u_bound), bias_too=True)
     start = TimeState(np.array([3.0, -2.0, 1.0, 0.5]), 0)
-    traj = actor_rollout(actor, model, start, model.t_max)
+    traj = actor_rollout(actor, model, pointmass_rc.field, [start])[0]
     np.testing.assert_array_equal(traj.U, np.zeros((model.t_max, 2)))
     system = envs.system_for(model)
     x = start.x
@@ -370,14 +370,14 @@ def test_zero_actor_rollout_equals_naive_warm_start():
         np.testing.assert_array_equal(traj.X[k + 1], x)
 
 
-def test_actor_rollout_is_dynamically_feasible():
+def test_actor_rollout_is_dynamically_feasible(dubins_rc):
     rng = np.random.default_rng(20)
-    model = envs.default_model("dubins")
+    model = dubins_rc.model
     actor = init_mlp([6, 12, 2], rng, head="tanh", out_scale=model.u_bound)
     start = TimeState(rng.uniform(-3, 3, 5), 10)
-    traj = actor_rollout(actor, model, start, model.t_max - 10)
+    traj = actor_rollout(actor, model, dubins_rc.field, [start])[0]
     system = envs.system_for(model)
-    assert traj.t0 == 10
+    assert traj.t0 == 10 and traj.horizon == model.t_max - 10
     for k in range(traj.horizon):
         np.testing.assert_allclose(traj.X[k + 1],
                                    system.step_x(traj.X[k], traj.U[k]),
@@ -385,12 +385,84 @@ def test_actor_rollout_is_dynamically_feasible():
     assert np.all(np.abs(traj.U) <= model.u_bound)
 
 
-def test_actor_rollout_rejects_horizon_overflow():
-    model = envs.default_model("pointmass")
-    actor = init_mlp([5, 8, 2], np.random.default_rng(0), head="tanh",
-                     out_scale=model.u_bound)
-    with pytest.raises(ValueError):
-        actor_rollout(actor, model, TimeState(np.zeros(4), 30), 31)
+def _per_start_rollout_reference(actor, model, x0):
+    """One start stepped alone with a single-input forward pass per step: the
+    loop actor_rollout must reproduce bit for bit."""
+    system = envs.system_for(model)
+    t_hor = model.t_max - x0.t
+    X = np.empty((t_hor + 1, model.n))
+    U = np.empty((t_hor, model.m))
+    X[0] = x0.x
+    for k in range(t_hor):
+        U[k] = mlp_forward(actor, np.concatenate([X[k], [float(x0.t + k)]]))
+        X[k + 1] = system.step_x(X[k], U[k])
+    return X, U
+
+
+def _big_actor(model, seed):
+    """A 64x3 ELU actor with its parameters scaled x3, so its controls vary."""
+    actor = init_mlp([model.n + 1, 64, 64, 64, model.m], np.random.default_rng(seed),
+                     head="tanh", out_scale=model.u_bound)
+    return actor.with_params(3.0 * actor.flat_params())
+
+
+@pytest.mark.parametrize("rc_name", ["toy_rc", "pointmass_rc", "dubins_rc",
+                                     "manipulator_rc"])
+def test_actor_rollout_matches_per_start_reference_bitwise(request, rc_name):
+    rc = request.getfixturevalue(rc_name)
+    model = rc.model
+    actor = _big_actor(model, 31)
+    times = (0, 7, model.t_max - 1)
+    starts = [TimeState(s.x, times[i % 3]) for i, s in enumerate(
+        envs.sample_initial_states(model, 12, 5, envs.Region.WORKSPACE))]
+    trajs = actor_rollout(actor, model, rc.field, starts)
+    cost = envs.cost_for(model, rc.field)
+    finite = 0
+    for start, traj in zip(starts, trajs):
+        X, U = _per_start_rollout_reference(actor, model, start)
+        assert traj.t0 == start.t
+        fin = np.isfinite(X).all(axis=1)
+        if fin.all():
+            finite += 1
+            _assert_bitwise(traj.X, X)
+            _assert_bitwise(traj.U, U)
+            _assert_bitwise(traj.step_costs,
+                            ilqr._cost_trajectory(cost, X[:, None], U[:, None])[:, 0])
+        else:
+            # the same bits up to the first state that overflowed; the row is
+            # then not stepped again and costs inf
+            k = int(np.argmin(fin))
+            _assert_bitwise(traj.X[:k + 1], X[:k + 1])
+            _assert_bitwise(traj.U[:k], U[:k])
+            assert np.isnan(traj.X[k + 1:]).all()
+            assert np.isposinf(traj.step_costs).all()
+    assert finite >= 8
+
+
+def test_actor_rollout_contains_non_finite_rows(manipulator_rc, monkeypatch):
+    model, field = manipulator_rc.model, manipulator_rc.field
+    actor = init_mlp([model.n + 1, 64, 64, 64, model.m], np.random.default_rng(32),
+                     head="tanh", out_scale=model.u_bound)
+    starts = envs.sample_initial_states(model, 4, 9, envs.Region.WORKSPACE)
+    x_bad = starts[1].x.copy()
+    x_bad[4] = 1e200                     # a joint velocity
+    starts[1] = TimeState(x_bad, 0)
+    system_cls = type(envs.system_for(model))
+    step_x = system_cls.step_x
+
+    def finite_only(self, x, u):
+        assert np.isfinite(x).all() and np.isfinite(u).all()
+        return step_x(self, x, u)
+
+    monkeypatch.setattr(system_cls, "step_x", finite_only)
+    trajs = actor_rollout(actor, model, field, starts)
+    assert not np.isfinite(trajs[1].X).all()
+    assert np.isposinf(trajs[1].step_costs).all()
+    for i in (0, 2, 3):
+        alone = actor_rollout(actor, model, field, [starts[i]])[0]
+        assert np.isfinite(alone.cost)
+        for name in ("X", "U", "step_costs"):
+            _assert_bitwise(getattr(trajs[i], name), getattr(alone, name))
 
 
 def test_polyak_moves_target_toward_online():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from trajrl import envs, nets
+from trajrl import envs, nets, trainer
 from trajrl.envs import Region, TimeState
-from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
-                            evaluate_policy_costs,
-                            run_iteration, select_initial_states_bic,
+from trajrl.ilqr import calibrate_max_iter, solve_batch
+from trajrl.trainer import (IterationReport, TrainConfig,
+                            evaluate_policy_costs, select_initial_states_bic,
                             toy1d_diagnostic, train)
 
 
@@ -148,8 +148,7 @@ def _trained_tiny():
 def test_evaluate_single_start_equals_trajectory_cost():
     cfg, actor = _trained_tiny()
     start = TimeState(np.array([1.0]), 0)
-    traj = nets.actor_rollout(actor, cfg.model, start, cfg.model.t_max,
-                              cfg.field)
+    traj = nets.actor_rollout(actor, cfg.model, cfg.field, [start])[0]
     costs = evaluate_policy_costs(actor, cfg.model, cfg.field, [start],
                                   use_to=False)
     assert costs.mean() == pytest.approx(traj.cost, abs=1e-12)
@@ -193,11 +192,40 @@ def test_checkpoint_callback_fires_every_iteration():
     assert len(seen) == 3
 
 
-def test_run_iteration_requires_resolved_cap():
-    cfg = _tiny_toy_config(max_iter_first=None)
-    state = TrainerState(cfg)
-    with pytest.raises(RuntimeError):
-        run_iteration(state, 1)
+def test_train_calibrates_each_cap_when_first_needed(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["warmstart_source"])
+        return calibrate_max_iter(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "calibrate_max_iter", counting)
+    train(_tiny_toy_config(iterations=1, max_iter_first=None, max_iter_later=None))
+    assert calls == [None]          # the later cap is never needed
+    train(_tiny_toy_config(iterations=2, max_iter_first=None, max_iter_later=None))
+    assert len(calls) == 3 and calls[1] is None and calls[2] is not None
+
+
+def test_bic_keeps_top_scored_start_times(monkeypatch):
+    seen = {}
+
+    def select(cands, std_net, keep):
+        seen["cands"], seen["std"] = cands, std_net
+        return select_initial_states_bic(cands, std_net, keep)
+
+    def solve(model, field, starts, *args):
+        seen["solved"] = list(starts)
+        return solve_batch(model, field, starts, *args)
+
+    monkeypatch.setattr(trainer, "select_initial_states_bic", select)
+    monkeypatch.setattr(trainer, "solve_batch", solve)
+    train(_tiny_toy_config(n_episodes=8, m_updates=5, randomize_initial_time=True))
+    cands = seen["cands"]
+    assert len({c.t for c in cands}) > 1
+    scores = nets.mlp_forward(seen["std"], np.stack([c.augmented for c in cands]))[:, 0]
+    top = np.argsort(-scores, kind="stable")[:len(seen["solved"])]
+    assert [(s.x.tolist(), s.t) for s in seen["solved"]] == \
+        [(cands[i].x.tolist(), cands[i].t) for i in top]
 
 
 # -- 1D diagnostic (small grid smoke; the full version runs in acceptance) ------------
