@@ -2,7 +2,9 @@
 
 Samples are kept columnar (one array per field) so loss evaluation over a
 minibatch is a handful of vectorized ops; `SampleBatch` carries the same
-columns in and out of the buffer.
+four columns in and out of the buffer: the augmented state `xa` = [x, t], the
+K-step partial cost-to-go `v_bar`, its state gradient `v_bar_x`, and the
+augmented state `xa_plus_k` at the end of the window.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import numpy as np
 class SampleBatch:
     """Columnar view of a set of samples (augmented states include time)."""
 
-    def __init__(self, xa, u, v_bar, v_bar_x, xa_plus_k, t_max: int):
+    def __init__(self, xa, v_bar, v_bar_x, xa_plus_k, t_max: int):
         self.xa = np.asarray(xa, dtype=float)
-        self.u = np.asarray(u, dtype=float)
         self.v_bar = np.asarray(v_bar, dtype=float)
         self.v_bar_x = np.asarray(v_bar_x, dtype=float)
         self.xa_plus_k = np.asarray(xa_plus_k, dtype=float)
@@ -32,14 +33,13 @@ class SampleBatch:
 class ReplayBuffer:
     """FIFO ring buffer with uniform with-replacement minibatch sampling."""
 
-    def __init__(self, n: int, m: int, t_max: int, capacity: int = 2**20):
+    def __init__(self, n: int, t_max: int, capacity: int = 2**20):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.n, self.m = n, m
+        self.n = n
         self.t_max = t_max
         self.capacity = capacity
         self._xa = np.empty((capacity, n + 1))
-        self._u = np.empty((capacity, m))
         self._v = np.empty(capacity)
         self._vx = np.empty((capacity, n))
         self._xk = np.empty((capacity, n + 1))
@@ -64,7 +64,6 @@ class ReplayBuffer:
         kept = count - start
         idx = (self._cursor + np.arange(kept)) % self.capacity
         self._xa[idx] = batch.xa[start:]
-        self._u[idx] = batch.u[start:]
         self._v[idx] = batch.v_bar[start:]
         self._vx[idx] = batch.v_bar_x[start:]
         self._xk[idx] = batch.xa_plus_k[start:]
@@ -77,5 +76,5 @@ class ReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
-        return SampleBatch(self._xa[idx], self._u[idx], self._v[idx],
-                           self._vx[idx], self._xk[idx], self.t_max)
+        return SampleBatch(self._xa[idx], self._v[idx], self._vx[idx],
+                           self._xk[idx], self.t_max)

@@ -36,7 +36,7 @@ EXIT_MODEL_MISMATCH = 4
 
 REPORT_COLUMNS = ["iter", "episodes_cum", "eval_mean_cost", "to_mean_cost",
                   "converged_frac", "critic_loss", "std_loss", "t_to_s",
-                  "t_nets_s"]
+                  "t_nets_s", "t_calibrate_s", "t_eval_s"]
 
 VARIANTS = {
     "bic": dict(bic=True),
@@ -114,7 +114,8 @@ def cmd_train(args) -> int:
         writer.writerow([_fmt(v) for v in (
             rep.iteration, rep.episodes_cum, rep.eval_mean_cost,
             rep.to_cost_mean, rep.converged_frac, rep.critic_loss_mean,
-            rep.std_loss_mean, round(rep.t_to_s, 3), round(rep.t_nets_s, 3))])
+            rep.std_loss_mean, *(round(t, 3) for t in (
+                rep.t_to_s, rep.t_nets_s, rep.t_calibrate_s, rep.t_eval_s)))])
         report_file.flush()
 
     def on_checkpoint(state):
@@ -133,9 +134,11 @@ def cmd_train(args) -> int:
         "total_s": time.perf_counter() - t0,
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
+        "calibrate_s": sum(r.t_calibrate_s for r in reports),
+        "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "
-          f"({reports[-1].episodes_cum if reports else 0} episodes); "
+          f"({reports[-1].episodes_cum} episodes); "
           f"outputs in {out}")
     return EXIT_OK
 

@@ -156,7 +156,7 @@ def load_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid trainer settings: {err}", path=path) from None
 
-    out_dir = get("cli", "out_dir")
+    out_dir = take("cli", "out_dir", str.strip, "runs")
     for sec in parser.sections():
         for key in parser[sec]:
             if (sec, key) not in used:
@@ -164,7 +164,7 @@ def load_config(path) -> RunConfig:
                                   line=_find_line(text, sec.lower(), key))
     raw_snapshot = {sec: dict(parser[sec]) for sec in parser.sections()}
     return RunConfig(model=model, field=field, train=train,
-                     out_dir="runs" if out_dir is None else out_dir,
+                     out_dir=out_dir,
                      config_hash=config_hash(text), raw=raw_snapshot)
 
 

@@ -38,8 +38,6 @@ def sample_initial_states(model: ModelSpec, count: int, rng_seed,
     """Uniform i.i.d. starts over the requested box, all at t = 0."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(region, str):
-        region = Region(region)
     lo, hi = model.region_box(region)
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(size=(count, model.n)) * (hi - lo) + lo

@@ -1,8 +1,9 @@
 """Lockstep-batched iLQR with eigenvalue-clip regularization.
 
-Gauss-Newton backward recursion (no second-order dynamics terms), backtracking
-line search with control clamping, and extraction of the cost-to-go
-values/gradients used as training targets.
+Gauss-Newton backward recursion (no second-order dynamics terms) and
+backtracking line search with control clamping.  Each solve returns its
+trajectory with the realized cost-to-go values and their gradients; how
+problems are posed and what becomes of a solve is the trainer's business.
 
 A batch of problems is solved in lockstep: trajectories, gains and value
 gradients carry a problem axis next to the time axis (time-major, `(T, B, ...)`),
@@ -17,16 +18,12 @@ where `einsum` and `(a * b).sum(-1)` do not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .buffer import SampleBatch
-from .envs import (CostField, ModelSpec, Region, TimeState, cost_for,
-                   sample_initial_states, system_for)
+from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
 
 LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
 
@@ -117,7 +114,6 @@ class SolveResult:
     V_bar_x: np.ndarray            # cost-to-go gradient per step, (T+1, n)
     iters_used: int
     converged: bool
-    model: ModelSpec
 
 
 class BackwardPassResult(NamedTuple):
@@ -314,7 +310,7 @@ class _Lockstep:
         for name in ("ids", "t0", "sc", "cost", "iters", "converged", "done"):
             setattr(self, name, getattr(self, name)[rows])
 
-    def result(self, r, V_x, model) -> SolveResult:
+    def result(self, r, V_x) -> SolveResult:
         sc = self.sc[r].copy()
         traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
                           step_costs=sc, t0=int(self.t0[r]))
@@ -322,17 +318,16 @@ class _Lockstep:
                            V_bar=np.cumsum(sc[::-1])[::-1].copy(),
                            V_bar_x=V_x[:, r].copy(),
                            iters_used=int(self.iters[r]),
-                           converged=bool(self.converged[r]), model=model)
+                           converged=bool(self.converged[r]))
 
 
-def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
+def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
                     tol, results, errors):
     """Solve problems of one horizon in lockstep; fill results and errors.
 
     ids index results/errors; starts are their TimeStates; u_nom (T, B, m)
     are the clamped warm starts.
     """
-    u_bound = model.u_bound
     X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
                      len(u_nom), lambda k, x: u_nom[k])
     st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc)
@@ -355,7 +350,7 @@ def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
             continue
         if st.done.any():
             for r in np.flatnonzero(st.done):
-                results[st.ids[r]] = st.result(r, gains.V_x, model)
+                results[st.ids[r]] = st.result(r, gains.V_x)
             keep = ~st.done
             st.take(keep)
             gains = gains.take(keep)
@@ -394,7 +389,7 @@ def _solve_lockstep(system, cost, model, ids, starts, u_nom, max_iter, eps,
         st.done = st.converged | (it == max_iter)
         no_step = np.flatnonzero(searching)
         for r in no_step:
-            results[st.ids[r]] = st.result(r, gains.V_x, model)
+            results[st.ids[r]] = st.result(r, gains.V_x)
         del gains
         if no_step.size:
             st.take(~searching)
@@ -469,9 +464,9 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
         size = max(1, BLOCK_ROWS // t_hor)
         for lo in range(0, len(members), size):
             ids, u_nom = zip(*members[lo:lo + size])
-            _solve_lockstep(system, cost, model, ids, [starts[i] for i in ids],
-                            np.stack(u_nom, axis=1), max_iter, reg.eps, tol,
-                            results, errors)
+            _solve_lockstep(system, cost, model.u_bound, ids,
+                            [starts[i] for i in ids], np.stack(u_nom, axis=1),
+                            max_iter, reg.eps, tol, results, errors)
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results
@@ -486,62 +481,3 @@ def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
         return solve_batch(model, field, [x0], [U_init], max_iter, reg, tol)[0]
     except BatchSolveError as err:
         raise err.errors[0] from None
-
-
-def kstep_targets(result: SolveResult, K: int) -> SampleBatch:
-    """Replay rows of one solved trajectory, one per step k = 0..T.
-
-    Row k holds the augmented state [x_k, t_k], the control u_k (zero at the
-    horizon), the raw K'-step partial cost-to-go with K' = min(K, T-k), its
-    state gradient, and the augmented state K' steps later.  A window that
-    reaches the horizon takes the solver's own tail sum, terminal cost
-    included; a shorter one sums its K step costs.  The gradient targets are
-    the solver's cost-to-go gradients.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    traj = result.traj
-    t_hor = traj.horizon
-    steps = np.arange(t_hor + 1)
-    xa = np.column_stack([traj.X, traj.t0 + steps])
-    v_bar = result.V_bar.copy()
-    if K < t_hor:
-        # one sum per window, not cumsum differences, so that each target
-        # rounds exactly as step_costs[k:k+K].sum() does
-        windows = sliding_window_view(traj.step_costs[:t_hor], K)
-        v_bar[:t_hor - K] = windows[:t_hor - K].sum(axis=1)
-    u = np.vstack([traj.U, np.zeros((1, traj.U.shape[1]))])
-    return SampleBatch(xa, u, v_bar, result.V_bar_x,
-                       xa[np.minimum(steps + K, t_hor)], result.model.t_max)
-
-
-def nearest_rank(counts, percentile: float) -> int:
-    """Nearest-rank percentile: the ceil(p/100 * N)-th smallest value."""
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError("percentile must be in (0, 100]")
-    ordered = sorted(counts)
-    if not ordered:
-        raise ValueError("empty count set")
-    idx = max(0, math.ceil(percentile / 100.0 * len(ordered)) - 1)
-    return ordered[idx]
-
-
-def calibrate_max_iter(model: ModelSpec, field: CostField, probe_count: int,
-                       cap: int, percentile: float,
-                       warmstart_source: Optional[Callable] = None,
-                       rng_seed=0, reg: RegularizerConfig = RegularizerConfig(),
-                       tol: float = 1e-6) -> int:
-    """Pick the shared iteration cap as a percentile of probe convergence counts.
-
-    Probes start uniformly in the workspace; warmstart_source maps the list of
-    probe starts to their control sequences in one call (naive zeros when
-    absent).  Non-converged probes count as the cap.
-    """
-    if probe_count < 10:
-        raise ValueError("probe_count must be >= 10")
-    starts = sample_initial_states(model, probe_count, rng_seed, Region.WORKSPACE)
-    warms = ([np.zeros((model.t_max, model.m)) for _ in starts]
-             if warmstart_source is None else warmstart_source(starts))
-    results = solve_batch(model, field, starts, warms, cap, reg, tol)
-    return nearest_rank([r.iters_used if r.converged else cap for r in results],
-                        percentile)

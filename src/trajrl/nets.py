@@ -23,6 +23,7 @@ import numpy as np
 
 from .buffer import SampleBatch
 from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
+from .envs.costs import sigmoid, softplus
 from .ilqr import Trajectory, _roll
 
 
@@ -50,14 +51,6 @@ _ACTIVATIONS = {
     "elu": (_elu, _elu_derivs),
     "tanh": (np.tanh, _tanh_derivs),
 }
-
-
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
-def _sigmoid(z):
-    return np.exp(z - np.logaddexp(0.0, z))
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ def _head(mlp: Mlp, o):
         t = np.tanh(o)
         return mlp.out_scale * t, mlp.out_scale * (1.0 - t**2)
     if mlp.head == "std":
-        return mlp.sigma_min + _softplus(o), _sigmoid(o)
+        return mlp.sigma_min + softplus(o), sigmoid(o)
     raise ValueError(f"unknown head '{mlp.head}'")
 
 

@@ -1,27 +1,29 @@
 """Outer training loop: TO batch -> replay buffer -> network updates ->
 uncertainty-ranked selection of the next batch's initial states.
 
-Iteration 1 samples starts uniformly and warm-starts the solver naively; from
-iteration 2 on, a pool of candidate starts is ranked by the std-critic and the
-top fraction is kept, warm-started by actor rollouts.  All randomness is
-derived from the run seed, so fixed-seed runs repeat exactly.
+The trainer poses every solve and decides what it becomes: it calibrates each
+iteration cap from probe solves, warm-starts the solver (zeros in iteration 1,
+actor rollouts later; probes as their batch), and turns solved trajectories
+into K-step replay rows.  From iteration 2 on, the std-critic ranks a pool of
+candidate starts and the top fraction is kept.  All randomness is derived from
+the run seed, so fixed-seed runs repeat exactly.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nets
-from .buffer import ReplayBuffer
+from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
-from .ilqr import (RegularizerConfig, calibrate_max_iter, kstep_targets,
-                   solve_batch)
+from .ilqr import RegularizerConfig, SolveResult, solve_batch
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,17 @@ class TrainConfig:
             raise ValueError("n_episodes and candidate_multiplier must be >= 1")
         if not 0.0 < self.episode_fraction <= 1.0:
             raise ValueError("episode_fraction must be in (0, 1]")
-        if self.k_lookahead < 1 or self.m_updates < 1:
-            raise ValueError("k_lookahead and m_updates must be >= 1")
+        if min(self.k_lookahead, self.m_updates, self.iterations,
+               self.buffer_capacity) < 1:
+            raise ValueError("k_lookahead, m_updates, iterations and "
+                             "buffer_capacity must be >= 1")
+        # written so that a NaN fails them too
+        if not all(v > 0.0 for v in (self.lr_actor, self.lr_critic, self.lr_std,
+                                     self.reg_eps, self.sigma_min)):
+            raise ValueError("lr_actor, lr_critic, lr_std, reg_eps and "
+                             "sigma_min must be positive")
+        if not (self.tol >= 0.0 and self.k_s >= 0.0):
+            raise ValueError("tol and k_s must be >= 0")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
         caps = (self.calibration_cap, self.eval_max_iter, self.max_iter_first, self.max_iter_later)
@@ -96,8 +107,10 @@ class IterationReport:
     critic_loss_mean: float
     std_loss_mean: float
     eval_mean_cost: float
-    t_to_s: float
+    t_calibrate_s: float    # cap calibration, in the iterations that need it
+    t_to_s: float           # sampling, BIC, warm starts, solve and targets
     t_nets_s: float
+    t_eval_s: float
 
 
 class TrainerState:
@@ -129,15 +142,15 @@ class TrainerState:
                                               lr=config.lr_actor)
         self.adam_std = nets.AdamState.init(self.std.flat_params(),
                                             lr=config.lr_std)
-        self.buffer = ReplayBuffer(model.n, model.m, model.t_max,
+        self.buffer = ReplayBuffer(model.n, model.t_max,
                                    capacity=config.buffer_capacity)
         self.rng_batches = np.random.default_rng(_seed_seq(config.seed, 5))
         self.eval_starts = sample_initial_states(
             model, config.eval_count, _seed_int(config.seed, 3),
             Region.HARD_REGION)
         self.reg = RegularizerConfig(eps=config.reg_eps)
-        self.max_iter_first: Optional[int] = config.max_iter_first
-        self.max_iter_later: Optional[int] = config.max_iter_later
+        # iteration caps by first (iteration 1) or not; None until calibrated
+        self.max_iter = {True: config.max_iter_first, False: config.max_iter_later}
         self.episodes_cum = 0
 
 
@@ -164,10 +177,6 @@ def select_initial_states_bic(candidates: list[TimeState], std_net: nets.Mlp,
     return [candidates[i] for i in order]
 
 
-def _naive_warmstart(model: ModelSpec, start: TimeState) -> np.ndarray:
-    return np.zeros((model.t_max - start.t, model.m))
-
-
 def _assign_start_times(starts, model, cfg, iter_idx):
     if not cfg.randomize_initial_time:
         return starts
@@ -176,29 +185,81 @@ def _assign_start_times(starts, model, cfg, iter_idx):
     return [TimeState(s.x, int(t)) for s, t in zip(starts, ts)]
 
 
-def _actor_warmstarts(actor, model, fld, starts) -> list[np.ndarray]:
-    return [r.U for r in nets.actor_rollout(actor, model, fld, starts)]
+def _warmstarts(state: TrainerState, starts, first: bool) -> list[np.ndarray]:
+    """Zeros in iteration 1 (first), else the actor's rollouts, in one call."""
+    model = state.config.model
+    if first:
+        return [np.zeros((model.t_max - s.t, model.m)) for s in starts]
+    return [r.U for r in nets.actor_rollout(state.actor, model,
+                                            state.config.field, starts)]
+
+
+def nearest_rank(counts, percentile: float) -> int:
+    """Nearest-rank percentile: the ceil(p/100 * N)-th smallest value."""
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError("percentile must be in (0, 100]")
+    ordered = sorted(counts)
+    if not ordered:
+        raise ValueError("empty count set")
+    idx = max(0, math.ceil(percentile / 100.0 * len(ordered)) - 1)
+    return ordered[idx]
+
+
+def calibrate_max_iter(state: TrainerState, first: bool) -> int:
+    """The iteration cap of iteration 1 (first) or of the later ones: the
+    p_first (p_later) nearest-rank percentile of the iteration counts of
+    calibration_probes workspace starts, warm-started as that batch is and
+    solved at calibration_cap; a probe that does not converge counts as the cap.
+    """
+    cfg = state.config
+    starts = sample_initial_states(cfg.model, cfg.calibration_probes,
+                                   _seed_int(cfg.seed, 2 if first else 4),
+                                   Region.WORKSPACE)
+    cap = cfg.calibration_cap
+    results = solve_batch(cfg.model, cfg.field, starts,
+                          _warmstarts(state, starts, first), cap, state.reg,
+                          cfg.tol)
+    return nearest_rank([r.iters_used if r.converged else cap for r in results],
+                        cfg.p_first if first else cfg.p_later)
+
+
+def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
+    """Replay rows of one solved trajectory, one per step k = 0..T.
+
+    Row k holds the augmented state [x_k, t_k], the raw K'-step partial
+    cost-to-go with K' = min(K, T-k), its state gradient, and the augmented
+    state K' steps later.  A window that reaches the horizon takes the
+    solver's own tail sum, terminal cost included; a shorter one sums its K
+    step costs.  The gradient targets are the solver's cost-to-go gradients.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    traj = result.traj
+    t_hor = traj.horizon
+    steps = np.arange(t_hor + 1)
+    xa = np.column_stack([traj.X, traj.t0 + steps])
+    v_bar = result.V_bar.copy()
+    if K < t_hor:
+        # one sum per window, not cumsum differences, so that each target
+        # rounds exactly as step_costs[k:k+K].sum() does
+        windows = sliding_window_view(traj.step_costs[:t_hor], K)
+        v_bar[:t_hor - K] = windows[:t_hor - K].sum(axis=1)
+    return SampleBatch(xa, v_bar, result.V_bar_x,
+                       xa[np.minimum(steps + K, t_hor)], t_max)
 
 
 def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, IterationReport]:
     cfg = state.config
     model, fld = cfg.model, cfg.field
     first = iter_idx == 1
-    max_iter = state.max_iter_first if first else state.max_iter_later
+    max_iter = state.max_iter[first]
+    t_cal = 0.0
     if max_iter is None:
         # each cap is calibrated when first needed, the later one with the
         # actor trained in iteration 1
-        max_iter = calibrate_max_iter(
-            model, fld, cfg.calibration_probes, cfg.calibration_cap,
-            cfg.p_first if first else cfg.p_later,
-            warmstart_source=None if first else partial(
-                _actor_warmstarts, state.actor, model, fld),
-            rng_seed=_seed_int(cfg.seed, 2 if first else 4), reg=state.reg,
-            tol=cfg.tol)
-        if first:
-            state.max_iter_first = max_iter
-        else:
-            state.max_iter_later = max_iter
+        t0 = time.perf_counter()
+        max_iter = state.max_iter[first] = calibrate_max_iter(state, first)
+        t_cal = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     n_sel = cfg.n_episodes if first else cfg.later_batch
@@ -209,12 +270,10 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE), model, cfg, iter_idx)
     if bic:
         starts = select_initial_states_bic(starts, state.std, n_sel)
-    warms = ([_naive_warmstart(model, s) for s in starts] if first
-             else _actor_warmstarts(state.actor, model, fld, starts))
-    results = solve_batch(model, fld, starts, warms, max_iter,
-                          state.reg, cfg.tol)
+    results = solve_batch(model, fld, starts, _warmstarts(state, starts, first),
+                          max_iter, state.reg, cfg.tol)
     for res in results:
-        state.buffer.push_many(kstep_targets(res, cfg.k_lookahead))
+        state.buffer.push_many(kstep_targets(res, cfg.k_lookahead, model.t_max))
     state.episodes_cum += len(results)
 
     costs = np.array([r.cost for r in results])
@@ -254,7 +313,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
                                       state.eval_starts, cfg.eval_use_to,
                                       max_iter=cfg.eval_max_iter,
                                       reg=state.reg, tol=cfg.tol).mean()
-    t_to += time.perf_counter() - t2
+    t_eval = time.perf_counter() - t2
 
     report = IterationReport(
         iteration=iter_idx,
@@ -265,8 +324,10 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         critic_loss_mean=float(critic_losses.mean()),
         std_loss_mean=float(std_losses.mean()),
         eval_mean_cost=float(eval_mean),
+        t_calibrate_s=t_cal,
         t_to_s=t_to,
         t_nets_s=t_nets,
+        t_eval_s=t_eval,
     )
     return state, report
 
@@ -328,7 +389,7 @@ def toy1d_diagnostic(config: TrainConfig, grid: int = 400,
     lo, hi = model.region_box(Region.WORKSPACE)
     xs = np.linspace(lo[0], hi[0], grid)
     starts = [TimeState(np.array([x]), 0) for x in xs]
-    warms = [_naive_warmstart(model, s) for s in starts]
+    warms = [np.zeros((model.t_max, model.m)) for _ in starts]
     results = solve_batch(model, config.field, starts, warms, naive_max_iter,
                           RegularizerConfig(config.reg_eps), config.tol)
     v_bar = np.array([r.cost for r in results])

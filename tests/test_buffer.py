@@ -5,19 +5,19 @@ from hypothesis import given, settings, strategies as st
 from trajrl.buffer import ReplayBuffer, SampleBatch
 
 
-def _batch(tags, n=3, m=2):
+def _batch(tags, n=3):
     """One row per tag, every field filled with the tag."""
     tags = np.asarray(tags, dtype=float)
     xa = np.repeat(tags[:, None], n + 1, axis=1)
     xa[:, -1] = 0.0
     xk = xa.copy()
     xk[:, -1] = 1.0
-    return SampleBatch(xa, np.repeat(tags[:, None], m, axis=1), tags,
-                       np.repeat(tags[:, None], n, axis=1), xk, t_max=60)
+    return SampleBatch(xa, tags, np.repeat(tags[:, None], n, axis=1), xk,
+                       t_max=60)
 
 
 def _make(capacity=10):
-    return ReplayBuffer(n=3, m=2, t_max=60, capacity=capacity)
+    return ReplayBuffer(n=3, t_max=60, capacity=capacity)
 
 
 def test_push_partial_fill():
@@ -123,6 +123,5 @@ def test_ring_invariants_under_random_push_sizes(capacity, sizes):
         # oldest to newest, starting at the cursor once the ring is full
         order = (buf._cursor - len(buf) + np.arange(len(buf))) % capacity
         newest = np.arange(pushed - len(buf), pushed, dtype=float)
-        for column in (buf._v, buf._xa[:, 0], buf._u[:, 0], buf._vx[:, 0],
-                       buf._xk[:, 0]):
+        for column in (buf._v, buf._xa[:, 0], buf._vx[:, 0], buf._xk[:, 0]):
             np.testing.assert_array_equal(column[order], newest)

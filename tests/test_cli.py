@@ -65,10 +65,13 @@ def test_train_exit_ok_writes_outputs(toy_config, tmp_path, monkeypatch):
     monkeypatch.delenv("CACTO_SEED", raising=False)
     out = tmp_path / "run"
     assert _train(toy_config, out) == EXIT_OK
-    for name in ("manifest.json", "reports.csv", "actor.json"):
+    for name in ("manifest.json", "reports.csv", "actor.json", "timings.json"):
         assert (out / name).is_file(), name
     rows = (out / "reports.csv").read_text().splitlines()
     assert len(rows) == 1 + 2                      # header + two iterations
+    assert rows[0].endswith(",t_calibrate_s,t_eval_s")
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"total_s", "to_s", "nets_s", "calibrate_s", "eval_s"}
     manifest = _manifest(out)
     assert manifest["command"] == "train"
     assert manifest["seeds"] == [11] and manifest["seed_source"] == "config"
@@ -156,6 +159,30 @@ MALFORMED = {
                  "eval_count, minibatch and the iteration caps must be >= 1"),
     "activation-relu": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nactivation = relu"),
                         None, "unknown activation 'relu'"),
+    "lr-actor-negative": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nlr_actor = -1"),
+                          None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
+                          "must be positive"),
+    "lr-critic-nan": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nlr_critic = nan"),
+                      None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
+                      "must be positive"),
+    "sigma-min-zero": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nsigma_min = 0"),
+                       None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
+                       "must be positive"),
+    "reg-eps-zero": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0"), None,
+                     "lr_actor, lr_critic, lr_std, reg_eps and sigma_min must be positive"),
+    "k-s-negative": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nk_s = -1"), None,
+                     "tol and k_s must be >= 0"),
+    "tol-negative": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0.1\ntol = -1"),
+                     None, "tol and k_s must be >= 0"),
+    "iterations-zero": (TINY_TOY1D.replace("iterations = 2", "iterations = 0"), None,
+                        "k_lookahead, m_updates, iterations and buffer_capacity "
+                        "must be >= 1"),
+    "buffer-capacity-zero": (TINY_TOY1D.replace("eval_count = 2",
+                                                "eval_count = 2\nbuffer_capacity = 0"),
+                             None, "k_lookahead, m_updates, iterations and "
+                             "buffer_capacity must be >= 1"),
+    "empty-out-dir": (TINY_TOY1D + "\n[cli]\nout_dir =\n", "out_dir =",
+                      "bad value for [cli] out_dir: empty value"),
 }
 
 

@@ -1,12 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trajrl
 from trajrl import envs, ilqr
 from trajrl.envs import Region, TimeState, toy1d_cost
 from trajrl.ilqr import (BatchSolveError, RegularizerConfig, SolverError,
-                         calibrate_max_iter, kstep_targets, nearest_rank,
                          regularize_psd, solve, solve_batch)
+from trajrl.trainer import kstep_targets, nearest_rank
 
 from lqr_utils import random_lqr, riccati_gains, riccati_value_matrices
 
@@ -486,7 +491,7 @@ def test_solve_batch_invariant_under_permutation_and_split(name, seed, times,
         _assert_same_result(res, want)
 
 
-# -- K-step targets -----------------------------------------------------------------
+# -- K-step targets of solved trajectories (trainer.kstep_targets) ------------------
 
 def _lqr_solved(rng, **kw):
     spec, field, mats = random_lqr(rng, **kw)
@@ -499,7 +504,7 @@ def _lqr_solved(rng, **kw):
 def test_kstep_full_horizon_reproduces_solver_values():
     rng = np.random.default_rng(8)
     spec, field, _, res = _lqr_solved(rng, n=3, m=1, horizon=20)
-    batch = kstep_targets(res, K=spec.t_max)
+    batch = kstep_targets(res, spec.t_max, spec.t_max)
     assert batch.v_bar[0] == res.V_bar[0] == res.cost
     np.testing.assert_array_equal(batch.v_bar_x[0], res.V_bar_x[0])
     assert len(batch) == spec.t_max + 1
@@ -508,7 +513,7 @@ def test_kstep_full_horizon_reproduces_solver_values():
 def test_kstep_one_step_values_are_step_costs():
     rng = np.random.default_rng(9)
     spec, field, _, res = _lqr_solved(rng, n=3, m=2, horizon=15)
-    batch = kstep_targets(res, K=1)
+    batch = kstep_targets(res, 1, spec.t_max)
     t_hor = spec.t_max
     for k in range(t_hor - 1):
         assert batch.v_bar[k] == res.traj.step_costs[k]
@@ -522,7 +527,7 @@ def test_kstep_five_step_plus_riccati_value_telescopes():
     rng = np.random.default_rng(10)
     spec, field, (A, B, Q, R, QF), res = _lqr_solved(rng, n=4, m=2, horizon=30)
     P = riccati_value_matrices(A, B, Q, R, QF, 30)
-    batch = kstep_targets(res, K=5)
+    batch = kstep_targets(res, 5, spec.t_max)
     for k in range(30 - 5):
         x_plus = batch.xa_plus_k[k, :-1]
         v_tail = x_plus @ P[k + 5] @ x_plus
@@ -531,9 +536,9 @@ def test_kstep_five_step_plus_riccati_value_telescopes():
 
 def test_kstep_rejects_bad_lookahead():
     rng = np.random.default_rng(11)
-    _, _, _, res = _lqr_solved(rng, n=2, m=1, horizon=8)
+    spec, _, _, res = _lqr_solved(rng, n=2, m=1, horizon=8)
     with pytest.raises(ValueError):
-        kstep_targets(res, K=0)
+        kstep_targets(res, 0, spec.t_max)
 
 
 def _kstep_reference(res, K):
@@ -544,26 +549,25 @@ def _kstep_reference(res, K):
     for k in range(t_hor + 1):
         j = k + min(K, t_hor - k)
         v_bar = res.V_bar[k] if j == t_hor else float(traj.step_costs[k:j].sum())
-        u = traj.U[k] if k < t_hor else np.zeros(traj.U.shape[1])
-        rows.append((np.append(traj.X[k], float(traj.t0 + k)), u, v_bar,
+        rows.append((np.append(traj.X[k], float(traj.t0 + k)), v_bar,
                      res.V_bar_x[k], np.append(traj.X[j], float(traj.t0 + j))))
     return [np.array(col) for col in zip(*rows)]
 
 
 def test_kstep_matches_per_window_reference_bitwise(pointmass_rc):
     rng = np.random.default_rng(12)
-    _, _, _, lqr = _lqr_solved(rng, n=3, m=2, horizon=40)
+    spec, _, _, lqr = _lqr_solved(rng, n=3, m=2, horizon=40)
     model, field = pointmass_rc.model, pointmass_rc.field
     t0 = 5
     pm = solve(model, field, TimeState(np.array([8.0, 2.0, 0.0, 0.0]), t0),
                np.zeros((model.t_max - t0, 2)), max_iter=30,
                reg=RegularizerConfig(eps=pointmass_rc.train.reg_eps))
-    for res in (lqr, pm):
+    for res, t_max in ((lqr, spec.t_max), (pm, model.t_max)):
         t_hor = res.traj.horizon
         for K in (1, 3, 10, t_hor - 1, t_hor, t_hor + 5):
-            batch = kstep_targets(res, K)
-            fields = (batch.xa, batch.u, batch.v_bar, batch.v_bar_x,
-                      batch.xa_plus_k)
+            batch = kstep_targets(res, K, t_max)
+            assert batch.t_max == t_max
+            fields = (batch.xa, batch.v_bar, batch.v_bar_x, batch.xa_plus_k)
             for got, want in zip(fields, _kstep_reference(res, K)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), K
@@ -579,7 +583,7 @@ def test_telescoping_value_identity(pointmass_rc):
     assert res.V_bar[-1] == res.traj.step_costs[-1]
 
 
-# -- calibration -----------------------------------------------------------------
+# -- calibration percentile (trainer.nearest_rank) ---------------------------------
 
 def test_nearest_rank_constant_counts():
     assert nearest_rank([7] * 25, 99.0) == 7
@@ -595,18 +599,14 @@ def test_nearest_rank_on_one_to_hundred():
         nearest_rank(counts, 0.0)
 
 
-def test_calibrate_matches_sort_oracle(pointmass_rc):
-    model, field = pointmass_rc.model, pointmass_rc.field
-    reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
-    # the probes calibrate_max_iter draws, solved here to read their counts
-    probes = envs.sample_initial_states(model, 10, 5, Region.WORKSPACE)
-    results = solve_batch(model, field, probes,
-                          [np.zeros((model.t_max, model.m)) for _ in probes],
-                          60, reg, 1e-6)
-    ordered = sorted(r.iters_used if r.converged else 60 for r in results)
-    value = calibrate_max_iter(model, field, probe_count=10, cap=60,
-                               percentile=99.0, rng_seed=5, reg=reg)
-    assert value == ordered[int(np.ceil(0.99 * len(ordered))) - 1]
-    value50 = calibrate_max_iter(model, field, probe_count=10, cap=60,
-                                 percentile=50.0, rng_seed=5, reg=reg)
-    assert value50 == ordered[int(np.ceil(0.5 * len(ordered))) - 1]
+# -- layering ----------------------------------------------------------------------
+
+def test_solver_imports_no_training_module():
+    src = str(Path(trajrl.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import trajrl.ilqr; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True,
+                         timeout=120).stdout.split()
+    assert "trajrl.ilqr" in out
+    assert not {"trajrl.buffer", "trajrl.nets", "trajrl.trainer"} & set(out)

@@ -19,8 +19,7 @@ def _rand_batch(rng, n, bsz, t_max=50):
     xa[:, -1] = rng.integers(0, t_max, bsz)
     xk = rng.normal(0.0, 1.0, (bsz, n + 1))
     xk[:, -1] = rng.integers(1, t_max + 1, bsz)
-    return SampleBatch(xa, rng.normal(0.0, 1.0, (bsz, 2)),
-                       rng.normal(0.0, 1.0, bsz),
+    return SampleBatch(xa, rng.normal(0.0, 1.0, bsz),
                        rng.normal(0.0, 1.0, (bsz, n)), xk, t_max=t_max)
 
 
@@ -123,7 +122,7 @@ def test_critic_loss_zero_for_perfect_critic():
     xa = rng.normal(0.0, 1.0, (6, 4))
     xa[:, -1] = 3.0
     v, g = nets.value_and_state_grad(critic, xa)
-    batch = SampleBatch(xa, np.zeros((6, 1)), v, g[:, :-1], xa, t_max=50)
+    batch = SampleBatch(xa, v, g[:, :-1], xa, t_max=50)
     loss, grads = critic_loss(critic, None, batch, k_s=0.7,
                               gamma_bootstrap=False)
     assert loss < 1e-24
@@ -160,8 +159,7 @@ def test_critic_loss_bootstrap_gated_at_horizon():
     xa = rng.normal(0.0, 1.0, (4, 3))
     xk = rng.normal(0.0, 1.0, (4, 3))
     xk[:, -1] = [10, 9, 10, 5]            # two window ends exactly at horizon
-    batch = SampleBatch(xa, np.zeros((4, 1)), np.zeros(4),
-                        np.zeros((4, 2)), xk, t_max=t_max)
+    batch = SampleBatch(xa, np.zeros(4), np.zeros((4, 2)), xk, t_max=t_max)
     v_target = mlp_forward(target, xk)[:, 0]
     v = mlp_forward(critic, xa)[:, 0]
     expect_y = np.where(xk[:, -1] < t_max, v_target, 0.0)
@@ -171,8 +169,8 @@ def test_critic_loss_bootstrap_gated_at_horizon():
 
 def test_critic_loss_rejects_empty_batch():
     critic = init_mlp([3, 8, 1], np.random.default_rng(0))
-    empty = SampleBatch(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0),
-                        np.zeros((0, 2)), np.zeros((0, 3)), t_max=5)
+    empty = SampleBatch(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2)),
+                        np.zeros((0, 3)), t_max=5)
     with pytest.raises(ValueError):
         critic_loss(critic, None, empty, 1.0, False)
 
@@ -264,8 +262,7 @@ def test_std_loss_stationary_at_absolute_error():
     xa = rng.normal(0.0, 1.0, (8, 4))
     err = 0.7
     v = mlp_forward(critic, xa)[:, 0]
-    batch = SampleBatch(xa, np.zeros((8, 1)), v + err, np.zeros((8, 3)), xa,
-                        t_max=50)
+    batch = SampleBatch(xa, v + err, np.zeros((8, 3)), xa, t_max=50)
 
     def loss_at_sigma(sigma):
         raw = np.log(np.expm1(sigma - 1e-3))   # invert softplus + floor
@@ -283,7 +280,7 @@ def test_std_loss_zero_error_at_floor():
     critic = init_mlp([4, 8, 1], rng)
     xa = rng.normal(0.0, 1.0, (5, 4))
     v = mlp_forward(critic, xa)[:, 0]
-    batch = SampleBatch(xa, np.zeros((5, 1)), v, np.zeros((5, 3)), xa, t_max=9)
+    batch = SampleBatch(xa, v, np.zeros((5, 3)), xa, t_max=9)
     net = _const_sigma_net(-40.0)          # softplus(-40) ~ 0 -> sigma ~ floor
     loss, _ = std_critic_loss(net, critic, batch)
     assert loss == pytest.approx(np.log(1e-3), abs=1e-9)

@@ -1,13 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from trajrl import envs, nets, trainer
 from trajrl.envs import Region, TimeState
-from trajrl.ilqr import calibrate_max_iter, solve_batch
-from trajrl.trainer import (IterationReport, TrainConfig,
-                            evaluate_policy_costs, select_initial_states_bic,
-                            toy1d_diagnostic, train)
+from trajrl.ilqr import solve_batch
+from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
+                            calibrate_max_iter, evaluate_policy_costs,
+                            select_initial_states_bic, toy1d_diagnostic, train)
 
 
 def _tiny_toy_config(**overrides):
@@ -108,11 +110,9 @@ def test_baseline_variant_schedule_is_full_batches():
     assert [r.episodes_cum for r in reports] == [16, 32, 48]
 
 
-def test_zero_iterations_returns_initialized_networks():
-    cfg = _tiny_toy_config(iterations=0)
-    actor, critic, std, reports = train(cfg)
-    assert reports == []
-    assert actor.out_dim == 1 and critic.out_dim == 1 and std.out_dim == 1
+def test_zero_iterations_rejected():
+    with pytest.raises(ValueError, match="iterations"):
+        _tiny_toy_config(iterations=0)
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -182,7 +182,8 @@ def test_report_fields_populated():
         assert 0.0 <= rep.converged_frac <= 1.0
         assert np.isfinite(rep.critic_loss_mean)
         assert np.isfinite(rep.std_loss_mean)
-        assert rep.t_to_s >= 0.0 and rep.t_nets_s >= 0.0
+        assert min(rep.t_calibrate_s, rep.t_to_s, rep.t_nets_s,
+                   rep.t_eval_s) >= 0.0
 
 
 def test_checkpoint_callback_fires_every_iteration():
@@ -192,18 +193,66 @@ def test_checkpoint_callback_fires_every_iteration():
     assert len(seen) == 3
 
 
+def test_phase_times_split_eval_from_to(monkeypatch):
+    def slow_eval(*args, **kwargs):
+        time.sleep(0.2)
+        return evaluate_policy_costs(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate_policy_costs", slow_eval)
+    t0 = time.perf_counter()
+    reports = train(_tiny_toy_config(max_iter_first=None, max_iter_later=None))[3]
+    total = time.perf_counter() - t0
+    for rep in reports:
+        assert rep.t_eval_s >= 0.2 and rep.t_to_s < 0.2
+        assert rep.t_calibrate_s > 0.0          # both caps are calibrated
+    assert sum(rep.t_calibrate_s + rep.t_to_s + rep.t_nets_s + rep.t_eval_s
+               for rep in reports) <= total
+
+
 def test_train_calibrates_each_cap_when_first_needed(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["warmstart_source"])
-        return calibrate_max_iter(*args, **kwargs)
+    def counting(state, first):
+        calls.append(first)
+        return calibrate_max_iter(state, first)
 
     monkeypatch.setattr(trainer, "calibrate_max_iter", counting)
     train(_tiny_toy_config(iterations=1, max_iter_first=None, max_iter_later=None))
-    assert calls == [None]          # the later cap is never needed
+    assert calls == [True]          # the later cap is never needed
     train(_tiny_toy_config(iterations=2, max_iter_first=None, max_iter_later=None))
-    assert len(calls) == 3 and calls[1] is None and calls[2] is not None
+    assert calls == [True, True, False]
+
+
+def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
+    cfg = replace(pointmass_rc.train, seed=5, calibration_probes=10,
+                  calibration_cap=60, p_first=99.0, p_later=50.0)
+    state = TrainerState(cfg)
+    model, field = cfg.model, cfg.field
+    solved = []
+
+    def recording(*args):
+        solved.append(args[3])
+        return solve_batch(*args)
+
+    monkeypatch.setattr(trainer, "solve_batch", recording)
+    for first, tag, pct in ((True, 2, 99.0), (False, 4, 50.0)):
+        # the probes calibrate_max_iter draws, solved here to read their counts
+        seed = np.random.SeedSequence([5, tag]).generate_state(1)[0]
+        probes = envs.sample_initial_states(model, 10, int(seed),
+                                            Region.WORKSPACE)
+        warms = ([np.zeros((model.t_max, model.m)) for _ in probes] if first
+                 else [r.U for r in nets.actor_rollout(state.actor, model,
+                                                       field, probes)])
+        results = solve_batch(model, field, probes, warms, 60, state.reg,
+                              cfg.tol)
+        ordered = sorted(r.iters_used if r.converged else 60 for r in results)
+        assert calibrate_max_iter(state, first) == \
+            ordered[int(np.ceil(pct / 100.0 * len(ordered))) - 1]
+        # zero warm starts for the first cap, actor rollouts for the later one
+        assert len(solved[-1]) == len(warms)
+        for got, want in zip(solved[-1], warms):
+            assert got.tobytes() == want.tobytes()
+    assert np.any(solved[-1][0] != 0.0)
 
 
 def test_bic_keeps_top_scored_start_times(monkeypatch):
