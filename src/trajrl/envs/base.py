@@ -52,7 +52,7 @@ class Ellipse:
     angle: float = 0.0
 
     def __post_init__(self):
-        if min(self.semi_axes) <= 0.0:
+        if not all(a > 0.0 for a in self.semi_axes):
             raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
 
     def quadratic_form(self) -> np.ndarray:
@@ -78,9 +78,9 @@ class CostField:
     def __post_init__(self):
         for w in (self.obstacle_weight, self.target_reward_weight,
                   self.control_weight, self.distance_weight):
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError("cost weights must be non-negative")
-        if self.target_reward_radius <= 0.0:
+        if not self.target_reward_radius > 0.0:
             raise ValueError("target_reward_radius must be positive")
         if len(self.target) != 2:
             raise ValueError(f"target must have 2 entries, got {len(self.target)}")
@@ -101,9 +101,9 @@ class ModelSpec:
     extra: tuple[tuple[str, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_max < 1:
+        if not self.dt > 0.0 or self.t_max < 1:
             raise ValueError("need dt > 0 and t_max >= 1")
-        if len(self.u_max) != self.m or any(b <= 0.0 for b in self.u_max):
+        if len(self.u_max) != self.m or not all(b > 0.0 for b in self.u_max):
             raise ValueError("u_max must have m positive components")
         for bounds, label in ((self.workspace, "workspace"),
                               (self.hard_region, "hard_region")):

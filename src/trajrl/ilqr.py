@@ -1,7 +1,9 @@
 """Lockstep-batched iLQR with eigenvalue-clip regularization.
 
 Gauss-Newton backward recursion (no second-order dynamics terms) and
-backtracking line search with control clamping.  Each solve returns its
+backtracking line search with control clamping, run as two rollouts an
+iteration: alpha = 1, then all smaller step sizes in one stack (the parallel
+line search of GPU DDP, Plancher & Kuindersma 2018).  Each solve returns its
 trajectory with the realized cost-to-go values and their gradients; how
 problems are posed and what becomes of a solve is the trainer's business.
 
@@ -19,6 +21,7 @@ where `einsum` and `(a * b).sum(-1)` do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,8 +33,9 @@ LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
 # (problem, time step) rows of one lockstep block, and of one derivative
 # evaluation in the backward pass.  Both bound the working set: a block's
 # trajectories, gains and line-search candidates grow with its rows (32
-# manipulator problems of 100 steps), and the Jacobian temporaries with the
-# rows of one evaluation (about 2.7 KB a row on the manipulator).
+# manipulator problems of 100 steps; the candidates up to ten times the rows),
+# and the Jacobian temporaries with the rows of one evaluation (about 2.7 KB a
+# row on the manipulator).
 BLOCK_ROWS = 3200
 DERIV_ROWS = 256
 
@@ -151,18 +155,31 @@ def _check_finite(step0: int, **arrays):
             for r in np.flatnonzero(~fin.all(axis=0))})
 
 
-def _regularize_rows(q, eps, k, rows=None):
-    """regularize_psd on a stack; a non-finite stack, which regularize_psd
-    rejects before the eigensolver, fails the rows holding the non-finite
-    matrices (q's rows, or rows[i] for q[i])."""
+def _per_row(fn, k, *stacks, rows=None):
+    """fn(*stacks) for stacks of matrices.  When the stacked call fails --
+    regularize_psd rejects a non-finite matrix before the eigensolver, or
+    LAPACK meets a singular one, which fails the whole stack -- each row is
+    tried alone, and the rows that fail alone (row i, or rows[i] when rows
+    is given) raise _RowsFailed."""
     try:
-        return regularize_psd(q, eps)
-    except SolverError as err:
-        bad = np.flatnonzero(~np.isfinite(q).all(axis=(-2, -1)))
-        raise _RowsFailed({
-            int(r if rows is None else rows[r]):
-                SolverError(f"backward pass failed at step {k}: {err}")
-            for r in bad}) from None
+        return fn(*stacks)
+    except (SolverError, np.linalg.LinAlgError) as stacked:
+        errors = {}
+        for i in range(len(stacks[0])):
+            try:
+                fn(*(s[i] for s in stacks))
+            except (SolverError, np.linalg.LinAlgError) as err:
+                errors[int(i if rows is None else rows[i])] = SolverError(
+                    f"backward pass failed at step {k}: {err}")
+        if not errors:
+            raise stacked
+        raise _RowsFailed(errors) from None
+
+
+def _gains(q, qu, qux):
+    """Feedforward and feedback gains -q^-1 qu, -q^-1 qux of stacked rows."""
+    return (-np.linalg.solve(q, qu[..., None])[..., 0],
+            -np.linalg.solve(q, qux))
 
 
 def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
@@ -185,12 +202,12 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
     quu = luu + fu_t_vxx @ fu
     qux = lux + fu_t_vxx @ fx
 
+    clip = partial(regularize_psd, eps=eps)
     free = ~(((u >= u_bound - 1e-9) & (qu < 0.0)) |
              ((u <= -u_bound + 1e-9) & (qu > 0.0)))
     if free.all():
-        quu_r = _regularize_rows(quu, eps, k)
-        k_ff = -np.linalg.solve(quu_r, qu[..., None])[..., 0]
-        k_fb = -np.linalg.solve(quu_r, qux)
+        quu_r = _per_row(clip, k, quu)
+        k_ff, k_fb = _per_row(_gains, k, quu_r, qu, qux)
     else:
         k_ff = np.zeros(qu.shape)
         k_fb = np.zeros(qux.shape)
@@ -202,9 +219,9 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
             f = np.nonzero(free[rows])[1].reshape(len(rows), nf)
             sub = (rows[:, None], f)
             block = (rows[:, None, None], f[:, :, None], f[:, None, :])
-            q_r = _regularize_rows(quu[block], eps, k, rows)
-            k_ff[sub] = -np.linalg.solve(q_r, qu[sub][..., None])[..., 0]
-            k_fb[sub] = -np.linalg.solve(q_r, qux[sub])
+            q_r = _per_row(clip, k, quu[block], rows=rows)
+            k_ff[sub], k_fb[sub] = _per_row(_gains, k, q_r, qu[sub], qux[sub],
+                                            rows=rows)
             quu_r[block] = q_r
         qu = np.where(free, qu, 0.0)
         qux = np.where(free[..., None], qux, 0.0)
@@ -218,7 +235,7 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
         vx_new[all_clamped] = qx[all_clamped]
         vxx_new[all_clamped] = qxx[all_clamped]
         dec[all_clamped] = 0.0
-    vxx_new = _regularize_rows(vxx_new, eps, k)
+    vxx_new = _per_row(clip, k, vxx_new)
     return k_ff, k_fb, vx_new, vxx_new, dec
 
 
@@ -228,7 +245,8 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     Derivatives are evaluated about DERIV_ROWS rows at a time while walking
     backward, and only the current V_xx is kept.  Raises _RowsFailed at the
     first step where any row meets a non-finite derivative or matrix, before
-    that row's values reach a stacked LAPACK call.
+    that row's values reach a stacked LAPACK call, or a matrix that LAPACK
+    rejects on its own.
     """
     t_hor, b, m = U.shape
     k_ff = np.empty((t_hor, b, m))
@@ -237,7 +255,7 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     _, lt_x, lt_xx = cost.terminal_derivs(X[t_hor])
     _check_finite(t_hor, lt_x=lt_x[None], lt_xx=lt_xx[None])
     V_x[t_hor] = lt_x
-    vxx = regularize_psd(lt_xx, eps)
+    vxx = _per_row(partial(regularize_psd, eps=eps), t_hor, lt_xx)
     expected = np.zeros(b)
     steps = max(1, DERIV_ROWS // b)
     for k1 in range(t_hor, 0, -steps):
@@ -257,9 +275,18 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
 
 
 def _cost_trajectory(cost, X, U) -> np.ndarray:
-    """Step costs (T+1, ...) of X (T+1, ..., n) under U (T, ..., m)."""
+    """Step costs (T+1, ...) of X (T+1, ..., n) under U (T, ..., m).
+
+    The stage costs are evaluated about BLOCK_ROWS (step, row) pairs at a
+    time, which bounds the cost's temporaries on the line search's candidate
+    stack (ten times a block's rows); each pair's cost is its own, so the
+    split does not change a bit.
+    """
     sc = np.empty(X.shape[:-1])
-    sc[:-1] = cost.stage(X[:-1], U)
+    steps = max(1, BLOCK_ROWS // max(1, X[0, ..., 0].size))
+    for k0 in range(0, len(U), steps):
+        k1 = min(k0 + steps, len(U))
+        sc[k0:k1] = cost.stage(X[k0:k1], U[k0:k1])
     sc[-1] = cost.terminal(X[-1])
     return sc
 
@@ -321,6 +348,42 @@ class _Lockstep:
                            converged=bool(self.converged[r]))
 
 
+def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
+    """Move each row of st to its first step size in LINE_SEARCH_ALPHAS whose
+    rollout has a finite cost below prev; return the rows that found none.
+
+    Two rollouts: alpha = 1 for every row, then the other step sizes of the
+    rows still searching as one alpha-major stack, from which each row takes
+    its first accepting alpha -- the step a one-alpha-at-a-time search would
+    accept, with the same bits, since rows are rolled independently.
+    """
+    def roll(rows, alpha):
+        return _roll(system, cost, u_bound, st.X[0, rows], len(st.U),
+                     lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
+                                   + _mv(gains.K_fb[k, rows], x - st.X[k, rows])))
+
+    def accept(acc, X, U, sc, c):
+        st.X[:, acc], st.U[:, acc], st.sc[acc], st.cost[acc] = X, U, sc, c
+
+    X, U, sc = roll(slice(None), LINE_SEARCH_ALPHAS[0])
+    c = sc.sum(axis=1)
+    ok = np.isfinite(c) & (c < prev)
+    accept(ok, X[:, ok], U[:, ok], sc[ok], c[ok])
+    del X, U, sc
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        alphas = LINE_SEARCH_ALPHAS[1:]
+        stack = np.tile(rows, len(alphas))
+        X, U, sc = roll(stack, np.repeat(alphas, rows.size)[:, None])
+        c = sc.sum(axis=1)
+        ok_at = (np.isfinite(c) & (c < prev[stack])).reshape(len(alphas), -1)
+        found = ok_at.any(axis=0)
+        pick = (ok_at.argmax(axis=0) * rows.size + np.arange(rows.size))[found]
+        accept(rows[found], X[:, pick], U[:, pick], sc[pick], c[pick])
+        ok[rows[found]] = True
+    return ~ok
+
+
 def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
                     tol, results, errors):
     """Solve problems of one horizon in lockstep; fill results and errors.
@@ -359,25 +422,7 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
 
         it += 1
         prev = st.cost.copy()
-        searching = np.ones(prev.shape, dtype=bool)
-        for alpha in LINE_SEARCH_ALPHAS:
-            rows = np.flatnonzero(searching)
-            if rows.size == searching.size:
-                rows = slice(None)
-            cX, cU, csc = _roll(
-                system, cost, u_bound, st.X[0, rows], len(st.U),
-                lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
-                              + _mv(gains.K_fb[k, rows], x - st.X[k, rows])))
-            c = csc.sum(axis=1)
-            better = np.isfinite(c) & (c < prev[rows])
-            if better.any():
-                acc = np.flatnonzero(searching)[better]
-                st.X[:, acc], st.U[:, acc] = cX[:, better], cU[:, better]
-                st.sc[acc], st.cost[acc] = csc[better], c[better]
-                searching[acc] = False
-            del cX, cU, csc
-            if not searching.any():
-                break
+        searching = _line_search(system, cost, u_bound, st, gains, prev)
         st.iters[:] = it
         # no descent step: converged if the quadratic model agrees there is
         # (almost) nothing left to gain, otherwise stalled
@@ -424,22 +469,27 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
 
     Lockstep: problems of equal horizon T are solved together in blocks of
     BLOCK_ROWS // T, in one process.  Each iteration runs one backward pass
-    over all unfinished problems of a block; each line-search round then
-    rolls out only the problems still searching, every one at its own step
-    size, and a problem that converges, stalls or hits the cap leaves the
-    block.  Every operation acts on each problem's own rows, so results are
-    bit-identical to solving each problem alone (a batch of one) and do not
-    depend on the batch's order or size.
+    over all unfinished problems of a block and two line-search rollouts:
+    every problem at alpha = 1, then the problems still searching at all ten
+    smaller step sizes in one stack, of which each takes its first that
+    decreases the cost -- the step a one-alpha-at-a-time search accepts.  A
+    problem that converges, stalls or hits the cap leaves the block.  Every
+    operation acts on each problem's own rows, so results are bit-identical
+    to solving each problem alone (a batch of one) and do not depend on the
+    batch's order or size.
 
     Failures are isolated: a problem whose start or warm start is invalid,
     whose initial rollout is not finite, or whose backward pass meets a
     non-finite derivative or matrix fails alone and leaves its block, before
-    its values reach a stacked LAPACK call.  Failures are raised together
-    with their indices in a BatchSolveError once the rest of the batch has
-    finished; results are returned in input order.
+    its values reach a stacked LAPACK call; so does one whose finite matrix
+    LAPACK rejects (a singular Quu), found by solving that stack row by row.
+    Failures are raised together with their indices in a BatchSolveError once
+    the rest of the batch has finished; results are returned in input order.
 
     Memory: one block holds its trajectories, one set of gains (about
-    BLOCK_ROWS x m x n values for K_fb) and the line-search candidates;
+    BLOCK_ROWS x m x n values for K_fb) and the line-search candidates, at
+    most 10 x BLOCK_ROWS (problem, step) rows of states, controls and step
+    costs (about 2.5 MB on the manipulator);
     derivatives are evaluated about DERIV_ROWS (problem, step) rows at a
     time.  The block sizes trade Python overhead per step against peak
     memory; a failed or finished problem's rows are dropped at once.

@@ -142,6 +142,11 @@ MALFORMED = {
                           "param_l4 = 1.0", "unknown key [model] param_l4"),
     "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
                  "bad value for [model] dt: empty value"),
+    "dt-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = nan"), None,
+               "need dt > 0 and t_max >= 1"),
+    "control-weight-nan": (TINY_TOY1D.replace("control_weight = 0.01",
+                                              "control_weight = nan"),
+                           None, "cost weights must be non-negative"),
     "empty-hidden": (TINY_TOY1D.replace("hidden = 8", "hidden ="), "hidden =",
                      "bad value for [nets] hidden: empty value"),
     "eval-count-zero": (TINY_TOY1D.replace("eval_count = 2", "eval_count = 0"), None,

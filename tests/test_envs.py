@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,17 @@ def test_hard_region_sampling_is_inside_box_with_zero_velocity():
     for s in states:
         assert np.all(s.x >= lo) and np.all(s.x <= hi)
         assert s.x[2] == 0.0 and s.x[3] == 0.0
+
+
+# -- validation ------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda m: dataclasses.replace(m, dt=np.nan),
+    lambda m: dataclasses.replace(m, u_max=(np.nan,)),
+    lambda m: envs.CostField(control_weight=np.nan),
+    lambda m: envs.CostField(target_reward_radius=np.nan),
+    lambda m: envs.Ellipse((0.0, 0.0), (1.0, np.nan)),
+], ids=["dt", "u_max", "weight", "radius", "semi_axes"])
+def test_nan_model_and_cost_values_rejected(make):
+    with pytest.raises(ValueError):
+        make(envs.default_model("toy1d"))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import trajrl
 from trajrl import envs, ilqr
+from trajrl.envs import base as envs_base
+from trajrl.envs.costs import TaskCost
+from trajrl.envs.systems import PointMass
 from trajrl.envs import Region, TimeState, toy1d_cost
 from trajrl.ilqr import (BatchSolveError, RegularizerConfig, SolverError,
                          regularize_psd, solve, solve_batch)
@@ -225,6 +230,86 @@ def test_rollout_alpha_one_reaches_riccati_cost():
     out = _closed_loop(spec, field, traj, bp, alpha=1.0)
     P = riccati_value_matrices(A, B, Q, R, QF, 25)
     assert abs(out.cost - x0 @ P[0] @ x0) < 1e-8 * max(1.0, abs(x0 @ P[0] @ x0))
+
+
+# -- line search -------------------------------------------------------------------
+
+def _line_search_reference(system, cost, u_bound, st, gains, prev):
+    """The backtracking search one step size at a time, each round rolling out
+    only the rows still searching: what ilqr._line_search must reproduce.
+    Returns each row's accepted index into LINE_SEARCH_ALPHAS (their count
+    when none accepts) and the rows with a non-finite candidate."""
+    n_alpha = len(ilqr.LINE_SEARCH_ALPHAS)
+    accepted = np.full(prev.shape, n_alpha)
+    overflow = np.zeros(prev.shape, dtype=bool)
+    for i, alpha in enumerate(ilqr.LINE_SEARCH_ALPHAS):
+        rows = np.flatnonzero(accepted == n_alpha)
+        if not rows.size:
+            break
+        X, U, sc = ilqr._roll(
+            system, cost, u_bound, st.X[0, rows], len(st.U),
+            lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
+                          + ilqr._mv(gains.K_fb[k, rows], x - st.X[k, rows])))
+        c = sc.sum(axis=1)
+        overflow[rows[~np.isfinite(c)]] = True
+        better = np.isfinite(c) & (c < prev[rows])
+        acc = rows[better]
+        st.X[:, acc], st.U[:, acc] = X[:, better], U[:, better]
+        st.sc[acc], st.cost[acc] = sc[better], c[better]
+        accepted[acc] = i
+    return accepted, overflow
+
+
+@pytest.mark.parametrize("name, region, seed", [
+    ("toy1d", Region.WORKSPACE, 3), ("pointmass", Region.WORKSPACE, 3),
+    ("dubins", Region.WORKSPACE, 3), ("manipulator", Region.HARD_REGION, 4)])
+def test_line_search_matches_sequential_reference_bitwise(request, name, region,
+                                                          seed):
+    # the first iterations of a lockstep solve from zero warm starts, where
+    # rows accept at alpha = 1 or at a smaller alpha, and from the
+    # manipulator's hard region some candidates overflow; one extra row has
+    # inert (zero) gains, as with every control clamped, and accepts none
+    rc = request.getfixturevalue(f"{'toy' if name == 'toy1d' else name}_rc")
+    model = rc.model
+    system, cost = envs.system_for(model), envs.cost_for(model, rc.field)
+    starts = envs.sample_initial_states(model, 6, seed, region)
+    x0 = np.stack([s.x for s in starts] + [starts[0].x])
+    X, U, sc = ilqr._roll(system, cost, model.u_bound, x0, model.t_max,
+                          lambda k, x: np.zeros((len(x0), model.m)))
+    st = ilqr._Lockstep(np.arange(len(x0)), np.zeros(len(x0), dtype=int), X, U, sc)
+    n_alpha = len(ilqr.LINE_SEARCH_ALPHAS)
+    seen, overflow = set(), False
+    for it in range(8):
+        gains = ilqr._backward(system, cost, st.X, st.U, rc.train.reg_eps,
+                               model.u_bound)
+        if it == 0:
+            gains.k_ff[:, -1], gains.K_fb[:, -1] = 0.0, 0.0
+        prev = st.cost.copy()
+        want = copy.deepcopy(st)
+        accepted, over = _line_search_reference(system, cost, model.u_bound, want,
+                                                gains, prev)
+        searching = ilqr._line_search(system, cost, model.u_bound, st, gains, prev)
+        assert searching.tobytes() == (accepted == n_alpha).tobytes()
+        for a in ("X", "U", "sc", "cost"):
+            assert getattr(st, a).tobytes() == getattr(want, a).tobytes()
+        seen.update(np.select([accepted == 0, accepted < n_alpha],
+                              ["alpha=1", "smaller"], "none"))
+        overflow |= over.any()
+        st.take(~searching)
+    assert seen == {"alpha=1", "smaller", "none"}
+    assert overflow == (name == "manipulator")
+
+
+def test_line_search_rolls_out_twice_per_iteration(pointmass_rc, monkeypatch):
+    model, field = pointmass_rc.model, pointmass_rc.field
+    calls = []
+    real = ilqr._roll
+    monkeypatch.setattr(ilqr, "_roll", lambda *args: calls.append(1) or real(*args))
+    starts = envs.sample_initial_states(model, 8, 3, Region.WORKSPACE)
+    reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
+    res = solve_batch(model, field, starts, [np.zeros((model.t_max, 2))] * 8,
+                      max_iter=25, reg=reg)
+    assert len(calls) <= 1 + 2 * max(r.iters_used for r in res)
 
 
 # -- solve -----------------------------------------------------------------------
@@ -457,6 +542,64 @@ def test_failing_problems_never_reach_lapack_with_non_finite_input(
                     reg=RegularizerConfig(eps=manipulator_rc.train.reg_eps))
     assert set(exc.value.errors) == {4, 5}
     assert non_finite == []
+
+@envs_base.register_system("pointmass-spike")
+class _SpikedPointMass(PointMass):
+    """The point mass whose control Hessian gains a finite rank-one block of
+    1e120 at x_0 > 50.  After the eigen-clip the block is singular to working
+    precision, and LAPACK rejects the whole stack that holds it."""
+
+    def cost(self, field):
+        return _SpikedCost(self, field)
+
+
+class _SpikedCost(TaskCost):
+    def stage_derivs(self, x, u):
+        *derivs, luu, lux = super().stage_derivs(x, u)
+        spike = np.zeros(luu.shape)
+        spike[x[..., 0] > 50.0] = 1e120 * np.ones((2, 2))
+        return (*derivs, luu + spike, lux)
+
+
+def test_singular_quu_fails_its_problem_alone(pointmass_rc):
+    model = dataclasses.replace(pointmass_rc.model, name="pointmass-spike")
+    field = pointmass_rc.field
+    starts = envs.sample_initial_states(model, 4, 5, Region.WORKSPACE)
+    starts[2] = TimeState(np.array([60.0, 0.0, 0.0, 0.0]), 0)
+    warms = [np.zeros((model.t_max, 2))] * len(starts)
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=10, reg=REG)
+    assert set(exc.value.errors) == {2}
+    assert "Singular matrix" in str(exc.value.errors[2])
+    for i in (0, 1, 3):
+        _assert_same_result(exc.value.results[i],
+                            solve(model, field, starts[i], warms[i], max_iter=10,
+                                  reg=REG))
+
+
+def test_backward_step_fails_singular_free_block_by_problem_row():
+    # rows 3 and 5 have their last control clamped (u at the bound, qu < 0),
+    # and row 5's free 2x2 block of Quu is the singular spike; its group's
+    # stacked solve raises, and the failure is reported as row 5
+    rng = np.random.default_rng(9)
+    b, n, m = 8, 4, 3
+    u_bound = np.ones(m)
+    u = np.zeros((b, m))
+    lu = rng.normal(size=(b, m))
+    u[[3, 5], 2], lu[[3, 5], 2] = 1.0, -1.0
+    luu = np.broadcast_to(np.eye(m), (b, m, m)).copy()
+    luu[5, :2, :2] += 1e120
+    with pytest.raises(ilqr._RowsFailed) as exc:
+        ilqr._backward_step(rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
+                            rng.normal(size=(b, n)), lu,
+                            np.broadcast_to(np.eye(n), (b, n, n)), luu,
+                            np.zeros((b, m, n)), np.zeros((b, n)),
+                            np.broadcast_to(np.eye(n), (b, n, n)), 1e-6, u,
+                            u_bound, 7)
+    assert list(exc.value.errors) == [5]
+    assert str(exc.value.errors[5]) == \
+        "backward pass failed at step 7: Singular matrix"
+
 
 @settings(max_examples=10, deadline=None)
 @given(name=st.sampled_from(["toy1d", "pointmass"]),
