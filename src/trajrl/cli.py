@@ -81,15 +81,18 @@ def _write_timings(out: Path, phases: dict[str, float]):
 def _resolve_seed(args, rc: RunConfig) -> tuple[int, str]:
     """The run seed and where it came from: --seed, CACTO_SEED, config."""
     if args.seed is not None:
-        return args.seed, "cli"
-    env = os.environ.get("CACTO_SEED")
-    if env is not None:
+        seed, source, label = args.seed, "cli", "--seed"
+    elif (env := os.environ.get("CACTO_SEED")) is not None:
         try:
-            return int(env), "env"
+            seed, source, label = int(env), "env", "CACTO_SEED"
         except ValueError:
             raise ConfigError(f"CACTO_SEED must be an integer, got {env!r}") \
                 from None
-    return rc.train.seed, "config"
+    else:
+        return rc.train.seed, "config"      # TrainConfig rejects seed < 0
+    if seed < 0:
+        raise ConfigError(f"{label} must be a non-negative integer, got {seed}")
+    return seed, source
 
 
 def _fmt(value) -> str:

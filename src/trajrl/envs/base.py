@@ -13,6 +13,7 @@ dynamics, and the cost it builds for a `CostField` (`cost`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,14 +102,19 @@ class ModelSpec:
     extra: tuple[tuple[str, float], ...] = field(default=())
 
     def __post_init__(self):
-        if not self.dt > 0.0 or self.t_max < 1:
-            raise ValueError("need dt > 0 and t_max >= 1")
-        if len(self.u_max) != self.m or not all(b > 0.0 for b in self.u_max):
-            raise ValueError("u_max must have m positive components")
+        # every check is a negated test, so that a NaN fails it too
+        if not 0.0 < self.dt < math.inf or self.t_max < 1:
+            raise ValueError("need dt > 0 and t_max >= 1, with dt finite")
+        if len(self.u_max) != self.m or not all(0 < b < math.inf for b in self.u_max):
+            raise ValueError("u_max must have m finite positive components")
         for bounds, label in ((self.workspace, "workspace"),
                               (self.hard_region, "hard_region")):
             if len(bounds) != self.n:
                 raise ValueError(f"{label} must cover all {self.n} state dims")
+            for lo, hi in bounds:
+                if not -math.inf < lo <= hi < math.inf:
+                    raise ValueError(f"{label} bounds must be finite with "
+                                     f"lo <= hi, got ({lo}, {hi})")
 
     @property
     def u_bound(self) -> np.ndarray:
@@ -116,11 +122,8 @@ class ModelSpec:
 
     def region_box(self, region: Region) -> tuple[np.ndarray, np.ndarray]:
         bounds = self.workspace if region is Region.WORKSPACE else self.hard_region
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        if np.any(lo > hi):
-            raise ValueError(f"empty {region.value} box: lo > hi")
-        return lo, hi
+        return (np.array([b[0] for b in bounds]),
+                np.array([b[1] for b in bounds]))
 
     def extra_params(self) -> dict[str, float]:
         return dict(self.extra)

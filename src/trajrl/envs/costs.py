@@ -1,9 +1,10 @@
 """Stage/terminal costs with exact derivatives.
 
-The 2D systems share a task-space cost acting on a point p(x): quadratic
-distance to the target, a Gaussian bonus in the target neighborhood, a
-softplus barrier around each elliptic obstacle, and quadratic control effort.
-The 1D toy system uses its own double-well cost.
+A stage cost is a state term plus the control effort w_u*|u|^2; the terminal
+cost is the state term alone.  The 2D systems share a state term acting on a
+task-space point p(x): quadratic distance to the target, a Gaussian bonus in
+the target neighborhood and a softplus barrier around each elliptic obstacle.
+The 1D toy system uses its own double well.
 """
 
 from __future__ import annotations
@@ -35,50 +36,52 @@ def toy1d_cost(x):
 
 
 class Cost:
-    """Derivative interface used by the solver; broadcasts over a batch axis."""
+    """Derivative interface used by the solver; broadcasts over a batch axis.
 
-    def stage(self, x, u):
-        raise NotImplementedError
-
-    def stage_derivs(self, x, u):
-        raise NotImplementedError
-
-    def terminal(self, x):
-        raise NotImplementedError
-
-    def terminal_derivs(self, x):
-        raise NotImplementedError
-
-
-class Toy1DCost(Cost):
+    The effort term and the four entry points are written here once; a
+    subclass supplies only its state term, as `value(x)` and `derivs(x)` ->
+    (value, d/dx, d2/dx2).  The effort weight w_u is the field's control_weight.
+    """
 
     def __init__(self, field: CostField):
+        self.field = field
         self.w_u = field.control_weight
 
-    def _base(self, x):
-        s = x[..., 0]
-        val = toy1d_cost(s)
-        grad = (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None]
-        hess = (12.0 * s**2 - 4.0)[..., None, None]
-        return val, grad, hess
+    def value(self, x):
+        raise NotImplementedError
+
+    def derivs(self, x):
+        raise NotImplementedError
 
     def stage(self, x, u):
-        return self._base(x)[0] + self.w_u * (u[..., 0] ** 2)
+        return self.value(x) + self.w_u * (u**2).sum(axis=-1)
 
     def stage_derivs(self, x, u):
-        batch = x.shape[:-1]
-        val, lx, lxx = self._base(x)
-        l = val + self.w_u * (u[..., 0] ** 2)
+        batch, n, m = x.shape[:-1], x.shape[-1], u.shape[-1]
+        val, lx, lxx = self.derivs(x)
+        l = val + self.w_u * (u**2).sum(axis=-1)
         lu = 2.0 * self.w_u * u
-        luu = np.broadcast_to(2.0 * self.w_u * np.eye(1), batch + (1, 1)).copy()
-        lux = np.zeros(batch + (1, 1))
+        luu = np.broadcast_to(2.0 * self.w_u * np.eye(m), batch + (m, m)).copy()
+        lux = np.zeros(batch + (m, n))
         return l, lx, lu, lxx, luu, lux
 
     def terminal(self, x):
-        return self._base(x)[0]
+        return self.value(x)
 
     def terminal_derivs(self, x):
-        return self._base(x)
+        return self.derivs(x)
+
+
+class Toy1DCost(Cost):
+    """The double well of the single state coordinate."""
+
+    def value(self, x):
+        return toy1d_cost(x[..., 0])
+
+    def derivs(self, x):
+        s = x[..., 0]
+        return (toy1d_cost(s), (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
+                (12.0 * s**2 - 4.0)[..., None, None])
 
 
 class TaskCost(Cost):
@@ -88,8 +91,8 @@ class TaskCost(Cost):
         if len(field.obstacles) != 3:
             raise ValueError(f"{system.spec.name} expects exactly 3 obstacles, "
                              f"got {len(field.obstacles)}")
+        super().__init__(field)
         self.system = system
-        self.field = field
         self.target = np.asarray(field.target, dtype=float)
         self.forms = [ob.quadratic_form() for ob in field.obstacles]
         self.centers = [np.asarray(ob.center, dtype=float) for ob in field.obstacles]
@@ -146,11 +149,10 @@ class TaskCost(Cost):
 
     # -- chained to the state -------------------------------------------------
 
-    def stage(self, x, u):
-        w_u = self.field.control_weight
-        return self.point_value(self.system.position(x)) + w_u * (u**2).sum(axis=-1)
+    def value(self, x):
+        return self.point_value(self.system.position(x))
 
-    def _chained_derivs(self, x):
+    def derivs(self, x):
         """(value, d/dx, d2/dx2) of the point field through p(x)."""
         p, jp, hp = self.system.position_derivs(x)
         val, g, h = self.point_derivs(p)
@@ -158,20 +160,3 @@ class TaskCost(Cost):
         lxx = (np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
                + np.einsum("...c,...cij->...ij", g, hp))
         return val, lx, lxx
-
-    def stage_derivs(self, x, u):
-        batch = x.shape[:-1]
-        n, m = self.system.n, self.system.m
-        val, lx, lxx = self._chained_derivs(x)
-        w_u = self.field.control_weight
-        l = val + w_u * (u**2).sum(axis=-1)
-        lu = 2.0 * w_u * u
-        luu = np.broadcast_to(2.0 * w_u * np.eye(m), batch + (m, m)).copy()
-        lux = np.zeros(batch + (m, n))
-        return l, lx, lu, lxx, luu, lux
-
-    def terminal(self, x):
-        return self.point_value(self.system.position(x))
-
-    def terminal_derivs(self, x):
-        return self._chained_derivs(x)

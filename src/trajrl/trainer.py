@@ -23,7 +23,7 @@ from . import nets
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
-from .ilqr import RegularizerConfig, SolveResult, solve_batch
+from .ilqr import BatchSolveError, RegularizerConfig, SolveResult, solve_batch
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class TrainConfig:
     randomize_initial_time: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_episodes < 1 or self.candidate_multiplier < 1:
             raise ValueError("n_episodes and candidate_multiplier must be >= 1")
         if not 0.0 < self.episode_fraction <= 1.0:
@@ -209,17 +211,22 @@ def calibrate_max_iter(state: TrainerState, first: bool) -> int:
     """The iteration cap of iteration 1 (first) or of the later ones: the
     p_first (p_later) nearest-rank percentile of the iteration counts of
     calibration_probes workspace starts, warm-started as that batch is and
-    solved at calibration_cap; a probe that does not converge counts as the cap.
+    solved at calibration_cap; a probe that fails or does not converge counts
+    as the cap.
     """
     cfg = state.config
     starts = sample_initial_states(cfg.model, cfg.calibration_probes,
                                    _seed_int(cfg.seed, 2 if first else 4),
                                    Region.WORKSPACE)
     cap = cfg.calibration_cap
-    results = solve_batch(cfg.model, cfg.field, starts,
-                          _warmstarts(state, starts, first), cap, state.reg,
-                          cfg.tol)
-    return nearest_rank([r.iters_used if r.converged else cap for r in results],
+    warms = _warmstarts(state, starts, first)
+    try:
+        results = solve_batch(cfg.model, cfg.field, starts, warms, cap,
+                              state.reg, cfg.tol)
+    except BatchSolveError as err:
+        results = err.results           # a failed probe's result is None
+    return nearest_rank([r.iters_used if r is not None and r.converged else cap
+                         for r in results],
                         cfg.p_first if first else cfg.p_later)
 
 

@@ -21,7 +21,8 @@ class LinearSystem(envs_base.System):
         self.B = _unpack(spec, "b", spec.n, spec.m)
 
     def step_x(self, x, u):
-        return x @ self.A.T + u @ self.B.T
+        # stacked matrix-vector products round alike for any batch shape
+        return _mv(self.A, x) + _mv(self.B, u)
 
     def jacobians(self, x, u):
         batch = x.shape[:-1]
@@ -45,7 +46,7 @@ class QuadraticCost(envs_costs.Cost):
     def stage_derivs(self, x, u):
         batch = x.shape[:-1]
         n, m = self.Q.shape[0], self.R.shape[0]
-        return (self.stage(x, u), 2 * x @ self.Q.T, 2 * u @ self.R.T,
+        return (self.stage(x, u), 2 * _mv(self.Q, x), 2 * _mv(self.R, u),
                 np.broadcast_to(2 * self.Q, batch + (n, n)).copy(),
                 np.broadcast_to(2 * self.R, batch + (m, m)).copy(),
                 np.zeros(batch + (m, n)))
@@ -56,8 +57,13 @@ class QuadraticCost(envs_costs.Cost):
     def terminal_derivs(self, x):
         batch = x.shape[:-1]
         n = self.QF.shape[0]
-        return (self.terminal(x), 2 * x @ self.QF.T,
+        return (self.terminal(x), 2 * _mv(self.QF, x),
                 np.broadcast_to(2 * self.QF, batch + (n, n)).copy())
+
+
+def _mv(mat, v):
+    """mat @ v over the trailing axis of v, as one stacked matmul."""
+    return (mat @ v[..., None])[..., 0]
 
 
 def _unpack(spec, tag, rows, cols):

@@ -113,6 +113,27 @@ def test_non_integer_cacto_seed_exits_config_error(toy_config, tmp_path,
     assert "CACTO_SEED" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("command, env_seed, label", [
+    (["train", "--seed", "-1"], None, "--seed"),
+    (["train"], "-5", "CACTO_SEED"),
+    (["eval", "--seed", "-2"], None, "--seed"),
+], ids=["train-flag", "train-env", "eval-flag"])
+def test_negative_seed_exits_config_error_before_writing(
+        toy_config, tmp_path, monkeypatch, capsys, command, env_seed, label):
+    if env_seed is None:
+        monkeypatch.delenv("CACTO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CACTO_SEED", env_seed)
+    out = tmp_path / "run"
+    args = [command[0], str(toy_config), "--out", str(out), *command[1:]]
+    if command[0] == "eval":
+        args.insert(1, str(tmp_path / "actor.json"))     # never read
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{label} must be a non-negative integer" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_removed_workers_key_exits_config_error_with_line(tmp_path, capsys):
     path = tmp_path / "workers.ini"
     path.write_text(TINY_TOY1D.replace("reg_eps = 0.1",
@@ -188,6 +209,18 @@ MALFORMED = {
                              "buffer_capacity must be >= 1"),
     "empty-out-dir": (TINY_TOY1D + "\n[cli]\nout_dir =\n", "out_dir =",
                       "bad value for [cli] out_dir: empty value"),
+    "workspace-inverted": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nworkspace = 2 -2"),
+                           None, "workspace bounds must be finite with lo <= hi, "
+                           "got (2.0, -2.0)"),
+    "hard-region-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nhard_region = nan 1"),
+                        None, "hard_region bounds must be finite with lo <= hi, "
+                        "got (nan, 1.0)"),
+    "dt-inf": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = inf"), None,
+               "need dt > 0 and t_max >= 1, with dt finite"),
+    "u-max-inf": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nu_max = inf"), None,
+                  "u_max must have m finite positive components"),
+    "seed-negative": (TINY_TOY1D.replace("seed = 11", "seed = -3"), None,
+                      "seed must be >= 0, got -3"),
 }
 
 
@@ -251,3 +284,27 @@ def test_demo1d_on_pointmass_exits_model_mismatch(tmp_path, capsys):
                  "--out", str(tmp_path / "demo")])
     assert code == EXIT_MODEL_MISMATCH
     assert "model mismatch" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    return path.read_text().splitlines()
+
+
+def test_eval_and_demo1d_success_paths(toy_config, tmp_path, monkeypatch):
+    monkeypatch.delenv("CACTO_SEED", raising=False)
+    run = tmp_path / "run"
+    assert _train(toy_config, run) == EXIT_OK
+    for name, extra in (("rollout", []),
+                        ("to", ["--with-to", "--region", "workspace"])):
+        out = tmp_path / f"eval-{name}"
+        assert main(["eval", str(run / "actor.json"), str(toy_config),
+                     "--out", str(out), *extra]) == EXIT_OK
+        rows = _csv_rows(out / "eval_costs.csv")
+        assert rows[0] == "start_index,cost,x0" and len(rows) == 1 + 2
+        assert _manifest(out)["command"] == "eval"
+    out = tmp_path / "demo"
+    assert main(["demo1d", str(toy_config), "--grid", "20",
+                 "--out", str(out)]) == EXIT_OK
+    for name in ("demo1d_curves.csv", "cost_curve.csv"):
+        assert len(_csv_rows(out / name)) == 1 + 20, name
+    assert _manifest(out)["command"] == "demo1d"

@@ -5,6 +5,7 @@ import pytest
 
 from trajrl import envs
 from trajrl.envs import Region, toy1d_cost
+from trajrl.envs.costs import TOY_TILT, TaskCost, Toy1DCost
 
 SYSTEMS = ["toy1d", "pointmass", "dubins", "manipulator3"]
 
@@ -193,6 +194,67 @@ def test_terminal_cost_is_running_cost_without_control_terms(
             cost.stage(x, np.zeros(rc.model.m)), abs=1e-13)
 
 
+# The four entry points as Toy1DCost and TaskCost each wrote them out before
+# `Cost` wrote them once over the state term: the bit-for-bit reference.
+
+def _per_class_entry_points(cost, field, x, u):
+    w_u = field.control_weight
+    batch = x.shape[:-1]
+    if isinstance(cost, Toy1DCost):
+        s = x[..., 0]
+        base = (toy1d_cost(s), (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
+                (12.0 * s**2 - 4.0)[..., None, None])
+        stage = l = base[0] + w_u * (u[..., 0] ** 2)
+        n = m = 1
+        terminal = base[0]
+    else:
+        p, jp, hp = cost.system.position_derivs(x)
+        val, g, h = cost.point_derivs(p)
+        base = (val, np.einsum("...ci,...c->...i", jp, g),
+                np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
+                + np.einsum("...c,...cij->...ij", g, hp))
+        stage = cost.point_value(cost.system.position(x)) + w_u * (u**2).sum(axis=-1)
+        l = base[0] + w_u * (u**2).sum(axis=-1)
+        n, m = cost.system.n, cost.system.m
+        terminal = cost.point_value(cost.system.position(x))
+    luu = np.broadcast_to(2.0 * w_u * np.eye(m), batch + (m, m)).copy()
+    derivs = (l, base[1], 2.0 * w_u * u, base[2], luu, np.zeros(batch + (m, n)))
+    return stage, derivs, terminal, base
+
+
+def test_subclasses_supply_only_their_state_term():
+    for cls in (Toy1DCost, TaskCost):
+        assert not {"stage", "stage_derivs", "terminal",
+                    "terminal_derivs"} & set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_shared_entry_points_match_per_class_ones_bitwise(
+        name, pointmass_rc, toy_rc, dubins_rc, manipulator_rc):
+    rc = {"toy1d": toy_rc, "pointmass": pointmass_rc, "dubins": dubins_rc,
+          "manipulator3": manipulator_rc}[name]
+    model, field = rc.model, rc.field
+    cost = envs.cost_for(model, field)
+    rng = np.random.default_rng(13)
+    rows = [_random_state_control(rng, model) for _ in range(9)]
+    xs = np.stack([x for x, _ in rows])
+    us = np.stack([u for _, u in rows])
+    us[0] = 0.0
+    us[1] = -0.0
+    us[2, 0] = -0.0
+    cases = [(xs, us), (xs.reshape(3, 3, model.n), us.reshape(3, 3, model.m))]
+    cases += [(xs[i], us[i]) for i in range(3)]       # single 1-D states
+    for x, u in cases:
+        got = (cost.stage(x, u), cost.stage_derivs(x, u), cost.terminal(x),
+               cost.terminal_derivs(x))
+        want = _per_class_entry_points(cost, field, x, u)
+        for g, w in zip((got[0], *got[1], got[2], *got[3]),
+                        (want[0], *want[1], want[2], *want[3])):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 # -- toy double well -------------------------------------------------------------
 
 TOY_GLOBAL_MIN = -1.0355787140888542   # roots of 4x^3 - 4x + 0.3
@@ -268,7 +330,12 @@ def test_hard_region_sampling_is_inside_box_with_zero_velocity():
     lambda m: envs.CostField(control_weight=np.nan),
     lambda m: envs.CostField(target_reward_radius=np.nan),
     lambda m: envs.Ellipse((0.0, 0.0), (1.0, np.nan)),
-], ids=["dt", "u_max", "weight", "radius", "semi_axes"])
+    lambda m: dataclasses.replace(m, workspace=((2.0, -2.0),)),
+    lambda m: dataclasses.replace(m, hard_region=((np.nan, 1.0),)),
+    lambda m: dataclasses.replace(m, dt=np.inf),
+    lambda m: dataclasses.replace(m, u_max=(np.inf,)),
+], ids=["dt", "u_max", "weight", "radius", "semi_axes", "workspace-inverted",
+        "hard-region-nan", "dt-inf", "u-max-inf"])
 def test_nan_model_and_cost_values_rejected(make):
     with pytest.raises(ValueError):
         make(envs.default_model("toy1d"))

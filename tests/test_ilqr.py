@@ -602,19 +602,24 @@ def test_backward_step_fails_singular_free_block_by_problem_row():
 
 
 @settings(max_examples=10, deadline=None)
-@given(name=st.sampled_from(["toy1d", "pointmass"]),
+@given(name=st.sampled_from(["toy1d", "pointmass", "lintest"]),
        seed=st.integers(0, 2**16),
        times=st.lists(st.sampled_from([0, 0, 0, 7, 30]), min_size=1,
                       max_size=6),
        data=st.data())
 def test_solve_batch_invariant_under_permutation_and_split(name, seed, times,
                                                            data):
-    model = envs.default_model(name)
-    field = envs.CostField(control_weight=0.01) if name == "toy1d" else \
-        envs.CostField(obstacles=(envs.Ellipse((0.0, 3.5), (1.8, 3.2)),
-                                  envs.Ellipse((0.0, -3.5), (1.8, 3.2)),
-                                  envs.Ellipse((1.2, 0.0), (2.2, 1.4))),
-                       obstacle_weight=10.0, control_weight=0.005)
+    if name == "lintest":
+        model, field, _ = random_lqr(np.random.default_rng(seed), horizon=40)
+    elif name == "toy1d":
+        model = envs.default_model(name)
+        field = envs.CostField(control_weight=0.01)
+    else:
+        model = envs.default_model(name)
+        field = envs.CostField(obstacles=(envs.Ellipse((0.0, 3.5), (1.8, 3.2)),
+                                          envs.Ellipse((0.0, -3.5), (1.8, 3.2)),
+                                          envs.Ellipse((1.2, 0.0), (2.2, 1.4))),
+                               obstacle_weight=10.0, control_weight=0.005)
     reg = RegularizerConfig(eps=0.1)
     base = envs.sample_initial_states(model, len(times), seed, Region.WORKSPACE)
     starts = [TimeState(s.x, t) for s, t in zip(base, times)]

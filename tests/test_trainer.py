@@ -6,10 +6,11 @@ from dataclasses import replace
 
 from trajrl import envs, nets, trainer
 from trajrl.envs import Region, TimeState
-from trajrl.ilqr import solve_batch
+from trajrl.ilqr import BatchSolveError, SolverError, solve_batch
 from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
                             calibrate_max_iter, evaluate_policy_costs,
-                            select_initial_states_bic, toy1d_diagnostic, train)
+                            nearest_rank, select_initial_states_bic,
+                            toy1d_diagnostic, train)
 
 
 def _tiny_toy_config(**overrides):
@@ -253,6 +254,25 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
         for got, want in zip(solved[-1], warms):
             assert got.tobytes() == want.tobytes()
     assert np.any(solved[-1][0] != 0.0)
+
+
+def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
+    cfg = _tiny_toy_config(max_iter_first=None, p_first=50.0)
+    state = TrainerState(cfg)
+    counts = []
+
+    def probe_3_fails(*args):
+        results = solve_batch(*args)
+        counts.extend(r.iters_used if r.converged else cfg.calibration_cap
+                      for r in results)
+        results[3] = None
+        raise BatchSolveError({3: SolverError("probe 3 failed")}, results)
+
+    monkeypatch.setattr(trainer, "solve_batch", probe_3_fails)
+    cap = calibrate_max_iter(state, True)
+    counts[3] = cfg.calibration_cap
+    assert len(counts) == cfg.calibration_probes
+    assert cap == nearest_rank(counts, 50.0)
 
 
 def test_bic_keeps_top_scored_start_times(monkeypatch):
