@@ -2,7 +2,9 @@
 
 Subcommands: train, eval, demo1d.  Every command writes its outputs
 plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
-3 checkpoint error, 4 model mismatch, 1 runtime failure.
+3 checkpoint error, 4 model mismatch, 1 runtime failure.  `eval` writes nan
+for a start whose rollout or solve failed, and exits 1 only when every start
+failed.
 
 The run seed is taken from --seed when given, else from the CACTO_SEED
 environment variable when set, else from the config's trainer seed;
@@ -34,9 +36,9 @@ EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_MODEL_MISMATCH = 4
 
-REPORT_COLUMNS = ["iter", "episodes_cum", "eval_mean_cost", "to_mean_cost",
-                  "converged_frac", "critic_loss", "std_loss", "t_to_s",
-                  "t_nets_s", "t_calibrate_s", "t_eval_s"]
+REPORT_COLUMNS = ["iter", "episodes_cum", "eval_mean_cost", "eval_failed",
+                  "to_mean_cost", "converged_frac", "critic_loss", "std_loss",
+                  "t_to_s", "t_nets_s", "t_calibrate_s", "t_eval_s"]
 
 VARIANTS = {
     "bic": dict(bic=True),
@@ -116,8 +118,8 @@ def cmd_train(args) -> int:
     def on_report(rep):
         writer.writerow([_fmt(v) for v in (
             rep.iteration, rep.episodes_cum, rep.eval_mean_cost,
-            rep.to_cost_mean, rep.converged_frac, rep.critic_loss_mean,
-            rep.std_loss_mean, *(round(t, 3) for t in (
+            rep.eval_failed, rep.to_cost_mean, rep.converged_frac,
+            rep.critic_loss_mean, rep.std_loss_mean, *(round(t, 3) for t in (
                 rep.t_to_s, rep.t_nets_s, rep.t_calibrate_s, rep.t_eval_s)))])
         report_file.flush()
 
@@ -185,9 +187,10 @@ def cmd_eval(args) -> int:
                     [f"x{i}" for i in range(rc.model.n)])
         for i, (s, c) in enumerate(zip(starts, costs)):
             wr.writerow([i, _fmt(float(c))] + [_fmt(float(v)) for v in s.x])
-    print(f"mean cost over {len(costs)} {args.region} starts "
+    ok = np.isfinite(costs)
+    print(f"mean cost over {ok.sum()} of {len(costs)} {args.region} starts "
           f"({'TO-refined' if args.with_to else 'rollout'}): "
-          f"{float(np.mean(costs)):.6f}")
+          f"{float(costs[ok].mean()):.6f}; {np.count_nonzero(~ok)} failed")
     return EXIT_OK
 
 

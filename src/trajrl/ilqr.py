@@ -7,9 +7,9 @@ line search of GPU DDP, Plancher & Kuindersma 2018).  Each solve returns its
 trajectory with the realized cost-to-go values and their gradients; how
 problems are posed and what becomes of a solve is the trainer's business.
 
-A batch of problems is solved in lockstep: trajectories, gains and value
-gradients carry a problem axis next to the time axis (time-major, `(T, B, ...)`),
-and Python loops only over time steps and line-search rounds.  Every
+All problems of one horizon are solved in one lockstep: trajectories, gains
+and value gradients carry a problem axis next to the time axis (time-major,
+`(T, B, ...)`), and Python loops only over time steps and stack pieces.  Every
 operation acts on each problem's own rows -- elementwise arithmetic, stacked
 `matmul`/`eigh`/`solve`, and the batched methods of the systems and costs --
 so a problem's result does not depend on which problems share its batch.
@@ -30,12 +30,10 @@ from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
 
 LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
 
-# (problem, time step) rows of one lockstep block, and of one derivative
-# evaluation in the backward pass.  Both bound the working set: a block's
-# trajectories, gains and line-search candidates grow with its rows (32
-# manipulator problems of 100 steps; the candidates up to ten times the rows),
-# and the Jacobian temporaries with the rows of one evaluation (about 2.7 KB a
-# row on the manipulator).
+# (problem, time step) rows of one piece of the line search's candidate stack
+# (rolled at ten step sizes) and of one stage-cost evaluation; and of one
+# derivative evaluation in the backward pass (about 2.7 KB a row on the
+# manipulator), which takes one step per call for more than DERIV_ROWS problems.
 BLOCK_ROWS = 3200
 DERIV_ROWS = 256
 
@@ -274,20 +272,20 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     return BackwardPassResult(k_ff, K_fb, V_x, expected)
 
 
-def _cost_trajectory(cost, X, U) -> np.ndarray:
-    """Step costs (T+1, ...) of X (T+1, ..., n) under U (T, ..., m).
+def _cost_trajectory(cost, X, U, rows=slice(None)) -> np.ndarray:
+    """Step costs (T+1, ...) of X[:, rows] (T+1, ..., n) under U[:, rows].
 
-    The stage costs are evaluated about BLOCK_ROWS (step, row) pairs at a
-    time, which bounds the cost's temporaries on the line search's candidate
-    stack (ten times a block's rows); each pair's cost is its own, so the
-    split does not change a bit.
+    The rows are gathered and their stage costs evaluated about BLOCK_ROWS
+    (step, row) pairs at a time, which bounds the copies and the cost's
+    temporaries on a stack of line-search candidates or a large lockstep;
+    each pair's cost is its own, so the split does not change a bit.
     """
-    sc = np.empty(X.shape[:-1])
-    steps = max(1, BLOCK_ROWS // max(1, X[0, ..., 0].size))
+    sc = np.empty((len(X),) + X[0, rows, ..., 0].shape)
+    steps = max(1, BLOCK_ROWS // max(1, sc[0].size))
     for k0 in range(0, len(U), steps):
         k1 = min(k0 + steps, len(U))
-        sc[k0:k1] = cost.stage(X[k0:k1], U[k0:k1])
-    sc[-1] = cost.terminal(X[-1])
+        sc[k0:k1] = cost.stage(X[k0:k1, rows], U[k0:k1, rows])
+    sc[-1] = cost.terminal(X[-1, rows])
     return sc
 
 
@@ -315,15 +313,13 @@ def _roll(system, cost, u_bound, x0, t_hor: int, control):
                 X[k + 1, ok] = system.step_x(X[k, ok], U[k, ok])
         sc = np.full((len(x0), t_hor + 1), np.inf)
         fin = np.isfinite(X).all(axis=(0, 2))
-        if fin.all():
-            sc[:] = _cost_trajectory(cost, X, U).T
-        elif fin.any():
-            sc[fin] = _cost_trajectory(cost, X[:, fin], U[:, fin]).T
+        if fin.any():
+            sc[fin] = _cost_trajectory(cost, X, U, fin).T
     return X, U, sc
 
 
 class _Lockstep:
-    """Per-problem state of a block solved in lockstep; X and U time-major."""
+    """Per-problem state of a lockstep; X and U time-major."""
 
     def __init__(self, ids, t0, X, U, sc):
         self.ids, self.t0, self.X, self.U, self.sc = ids, t0, X, U, sc
@@ -353,9 +349,9 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
     rollout has a finite cost below prev; return the rows that found none.
 
     Two rollouts: alpha = 1 for every row, then the other step sizes of the
-    rows still searching as one alpha-major stack, from which each row takes
-    its first accepting alpha -- the step a one-alpha-at-a-time search would
-    accept, with the same bits, since rows are rolled independently.
+    rows still searching, at most BLOCK_ROWS // T to an alpha-major stack, from
+    which each row takes its first accepting alpha -- the step a
+    one-alpha-at-a-time search would accept, with the same bits.
     """
     def roll(rows, alpha):
         return _roll(system, cost, u_bound, st.X[0, rows], len(st.U),
@@ -371,16 +367,19 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
     accept(ok, X[:, ok], U[:, ok], sc[ok], c[ok])
     del X, U, sc
     rows = np.flatnonzero(~ok)
-    if rows.size:
-        alphas = LINE_SEARCH_ALPHAS[1:]
-        stack = np.tile(rows, len(alphas))
-        X, U, sc = roll(stack, np.repeat(alphas, rows.size)[:, None])
+    alphas = LINE_SEARCH_ALPHAS[1:]
+    size = max(1, BLOCK_ROWS // len(st.U))
+    for lo in range(0, rows.size, size):
+        part = rows[lo:lo + size]
+        stack = np.tile(part, len(alphas))
+        X, U, sc = roll(stack, np.repeat(alphas, part.size)[:, None])
         c = sc.sum(axis=1)
         ok_at = (np.isfinite(c) & (c < prev[stack])).reshape(len(alphas), -1)
         found = ok_at.any(axis=0)
-        pick = (ok_at.argmax(axis=0) * rows.size + np.arange(rows.size))[found]
-        accept(rows[found], X[:, pick], U[:, pick], sc[pick], c[pick])
-        ok[rows[found]] = True
+        pick = (ok_at.argmax(axis=0) * part.size + np.arange(part.size))[found]
+        accept(part[found], X[:, pick], U[:, pick], sc[pick], c[pick])
+        ok[part[found]] = True
+        del X, U, sc
     return ~ok
 
 
@@ -467,32 +466,31 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     the realized sums of step costs; their gradients are the V_x of a
     backward pass along the returned trajectory.
 
-    Lockstep: problems of equal horizon T are solved together in blocks of
-    BLOCK_ROWS // T, in one process.  Each iteration runs one backward pass
-    over all unfinished problems of a block and two line-search rollouts:
-    every problem at alpha = 1, then the problems still searching at all ten
-    smaller step sizes in one stack, of which each takes its first that
-    decreases the cost -- the step a one-alpha-at-a-time search accepts.  A
-    problem that converges, stalls or hits the cap leaves the block.  Every
+    Lockstep: all problems of equal horizon T are solved together, in one
+    process.  Each iteration runs one backward pass over all of them that are
+    unfinished and two line-search rollouts: every problem at alpha = 1, then
+    those still searching at the ten smaller step sizes, BLOCK_ROWS // T
+    problems to a stack, each taking its first that decreases the cost -- the
+    step a one-alpha-at-a-time search accepts.  A problem that converges,
+    stalls or hits the cap leaves the lockstep.  Every
     operation acts on each problem's own rows, so results are bit-identical
     to solving each problem alone (a batch of one) and do not depend on the
     batch's order or size.
 
     Failures are isolated: a problem whose start or warm start is invalid,
     whose initial rollout is not finite, or whose backward pass meets a
-    non-finite derivative or matrix fails alone and leaves its block, before
+    non-finite derivative or matrix fails alone and leaves the lockstep, before
     its values reach a stacked LAPACK call; so does one whose finite matrix
     LAPACK rejects (a singular Quu), found by solving that stack row by row.
     Failures are raised together with their indices in a BatchSolveError once
     the rest of the batch has finished; results are returned in input order.
 
-    Memory: one block holds its trajectories, one set of gains (about
-    BLOCK_ROWS x m x n values for K_fb) and the line-search candidates, at
-    most 10 x BLOCK_ROWS (problem, step) rows of states, controls and step
-    costs (about 2.5 MB on the manipulator);
-    derivatives are evaluated about DERIV_ROWS (problem, step) rows at a
-    time.  The block sizes trade Python overhead per step against peak
-    memory; a failed or finished problem's rows are dropped at once.
+    Memory: the lockstep holds each problem's trajectories and gains, about
+    30 KB per manipulator problem, mostly K_fb (T x m x n values).  A stack of
+    line-search candidates holds at most 10 x BLOCK_ROWS (problem, step) rows
+    (about 2.5 MB on the manipulator); derivatives are evaluated about
+    DERIV_ROWS rows at a time.  Both trade Python overhead per call against
+    peak memory; a failed or finished problem's rows are dropped at once.
     """
     if len(starts) != len(warmstarts):
         raise ValueError("starts and warmstarts must have equal length")
@@ -510,13 +508,11 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
             errors[i] = err
         else:
             by_horizon.setdefault(len(u_nom), []).append((i, u_nom))
-    for t_hor, members in by_horizon.items():
-        size = max(1, BLOCK_ROWS // t_hor)
-        for lo in range(0, len(members), size):
-            ids, u_nom = zip(*members[lo:lo + size])
-            _solve_lockstep(system, cost, model.u_bound, ids,
-                            [starts[i] for i in ids], np.stack(u_nom, axis=1),
-                            max_iter, reg.eps, tol, results, errors)
+    for members in by_horizon.values():
+        ids, u_nom = zip(*members)
+        _solve_lockstep(system, cost, model.u_bound, ids,
+                        [starts[i] for i in ids], np.stack(u_nom, axis=1),
+                        max_iter, reg.eps, tol, results, errors)
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results

@@ -23,7 +23,8 @@ from . import nets
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
-from .ilqr import BatchSolveError, RegularizerConfig, SolveResult, solve_batch
+from .ilqr import (BatchSolveError, RegularizerConfig, SolveResult,
+                   SolverError, solve_batch)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ class IterationReport:
     converged_frac: float
     critic_loss_mean: float
     std_loss_mean: float
-    eval_mean_cost: float
+    eval_mean_cost: float   # over the eval starts that did not fail
+    eval_failed: int
     t_calibrate_s: float    # cap calibration, in the iterations that need it
     t_to_s: float           # sampling, BIC, warm starts, solve and targets
     t_nets_s: float
@@ -316,10 +318,11 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     t_nets = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    eval_mean = evaluate_policy_costs(state.actor, model, fld,
-                                      state.eval_starts, cfg.eval_use_to,
-                                      max_iter=cfg.eval_max_iter,
-                                      reg=state.reg, tol=cfg.tol).mean()
+    eval_costs = evaluate_policy_costs(state.actor, model, fld,
+                                       state.eval_starts, cfg.eval_use_to,
+                                       max_iter=cfg.eval_max_iter,
+                                       reg=state.reg, tol=cfg.tol)
+    eval_ok = np.isfinite(eval_costs)
     t_eval = time.perf_counter() - t2
 
     report = IterationReport(
@@ -330,7 +333,8 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         converged_frac=conv,
         critic_loss_mean=float(critic_losses.mean()),
         std_loss_mean=float(std_losses.mean()),
-        eval_mean_cost=float(eval_mean),
+        eval_mean_cost=float(eval_costs[eval_ok].mean()),
+        eval_failed=int(np.count_nonzero(~eval_ok)),
         t_calibrate_s=t_cal,
         t_to_s=t_to,
         t_nets_s=t_nets,
@@ -345,15 +349,30 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
                           reg: RegularizerConfig = RegularizerConfig(),
                           tol: float = 1e-6) -> np.ndarray:
     """Per-start cost of actor rollouts, optionally refined by a
-    full-convergence solve warm-started from the rollout."""
+    full-convergence solve warm-started from the rollout.
+
+    A start fails alone: its cost is nan when its solve fails, or when its
+    rollout cost is not finite and use_to is off.  Only when every start
+    fails is a BatchSolveError raised.
+    """
     if not eval_starts:
         raise ValueError("eval_starts must be non-empty")
-    rollouts = nets.actor_rollout(actor, model, fld, eval_starts)
-    if not use_to:
-        return np.array([r.cost for r in rollouts])
-    results = solve_batch(model, fld, eval_starts, [r.U for r in rollouts],
-                          max_iter, reg, tol)
-    return np.array([r.cost for r in results])
+    results = nets.actor_rollout(actor, model, fld, eval_starts)
+    if use_to:
+        try:
+            results = solve_batch(model, fld, eval_starts,
+                                  [r.U for r in results], max_iter, reg, tol)
+        except BatchSolveError as err:
+            if len(err.errors) == len(eval_starts):
+                raise
+            results = err.results           # a failed start's result is None
+    costs = np.array([np.nan if r is None else r.cost for r in results])
+    costs[~np.isfinite(costs)] = np.nan
+    if np.isnan(costs).all():
+        raise BatchSolveError(
+            {i: SolverError("non-finite cost under the actor's controls")
+             for i in range(len(costs))}, [None] * len(costs))
+    return costs
 
 
 def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,

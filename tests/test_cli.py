@@ -70,6 +70,9 @@ def test_train_exit_ok_writes_outputs(toy_config, tmp_path, monkeypatch):
     rows = (out / "reports.csv").read_text().splitlines()
     assert len(rows) == 1 + 2                      # header + two iterations
     assert rows[0].endswith(",t_calibrate_s,t_eval_s")
+    header = rows[0].split(",")
+    assert header[2:4] == ["eval_mean_cost", "eval_failed"]
+    assert [row.split(",")[3] for row in rows[1:]] == ["0", "0"]
     timings = json.loads((out / "timings.json").read_text())
     assert set(timings) == {"total_s", "to_s", "nets_s", "calibrate_s", "eval_s"}
     manifest = _manifest(out)
@@ -308,3 +311,35 @@ def test_eval_and_demo1d_success_paths(toy_config, tmp_path, monkeypatch):
     for name in ("demo1d_curves.csv", "cost_curve.csv"):
         assert len(_csv_rows(out / name)) == 1 + 20, name
     assert _manifest(out)["command"] == "demo1d"
+
+
+def test_eval_writes_nan_for_a_failed_start(toy_config, tmp_path, monkeypatch,
+                                            capsys):
+    # start 1's rollout overflows; exit 0 while any start succeeds
+    monkeypatch.delenv("CACTO_SEED", raising=False)
+    run = tmp_path / "run"
+    assert _train(toy_config, run) == EXIT_OK
+    real = nets.actor_rollout
+
+    def overflowing(bad):
+        def rollout(*args):
+            trajs = real(*args)
+            for i in bad:
+                trajs[i].step_costs[-1] = np.inf
+            return trajs
+        return rollout
+
+    def run_eval(name):
+        return main(["eval", str(run / "actor.json"), str(toy_config),
+                     "--out", str(tmp_path / name)])
+
+    capsys.readouterr()
+    monkeypatch.setattr(nets, "actor_rollout", overflowing({1}))
+    assert run_eval("one") == EXIT_OK
+    rows = _csv_rows(tmp_path / "one" / "eval_costs.csv")
+    assert rows[2].startswith("1,nan,") and rows[1].split(",")[1] != "nan"
+    out = capsys.readouterr().out
+    assert "mean cost over 1 of 2 hard starts" in out and "; 1 failed" in out
+    monkeypatch.setattr(nets, "actor_rollout", overflowing({0, 1}))
+    assert run_eval("all") == EXIT_RUNTIME
+    assert "2 of 2 problems failed" in capsys.readouterr().err

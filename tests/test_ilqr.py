@@ -260,16 +260,12 @@ def _line_search_reference(system, cost, u_bound, st, gains, prev):
     return accepted, overflow
 
 
-@pytest.mark.parametrize("name, region, seed", [
-    ("toy1d", Region.WORKSPACE, 3), ("pointmass", Region.WORKSPACE, 3),
-    ("dubins", Region.WORKSPACE, 3), ("manipulator", Region.HARD_REGION, 4)])
-def test_line_search_matches_sequential_reference_bitwise(request, name, region,
-                                                          seed):
-    # the first iterations of a lockstep solve from zero warm starts, where
-    # rows accept at alpha = 1 or at a smaller alpha, and from the
-    # manipulator's hard region some candidates overflow; one extra row has
-    # inert (zero) gains, as with every control clamped, and accepts none
-    rc = request.getfixturevalue(f"{'toy' if name == 'toy1d' else name}_rc")
+def _check_line_search_against_reference(rc, name, region, seed):
+    """The first iterations of a lockstep solve from zero warm starts, where
+    rows accept at alpha = 1 or at a smaller alpha, and from the
+    manipulator's hard region some candidates overflow; one extra row has
+    inert (zero) gains, as with every control clamped, and accepts none.
+    Returns the most rows that searched past alpha = 1 in one iteration."""
     model = rc.model
     system, cost = envs.system_for(model), envs.cost_for(model, rc.field)
     starts = envs.sample_initial_states(model, 6, seed, region)
@@ -278,7 +274,7 @@ def test_line_search_matches_sequential_reference_bitwise(request, name, region,
                           lambda k, x: np.zeros((len(x0), model.m)))
     st = ilqr._Lockstep(np.arange(len(x0)), np.zeros(len(x0), dtype=int), X, U, sc)
     n_alpha = len(ilqr.LINE_SEARCH_ALPHAS)
-    seen, overflow = set(), False
+    seen, overflow, most = set(), False, 0
     for it in range(8):
         gains = ilqr._backward(system, cost, st.X, st.U, rc.train.reg_eps,
                                model.u_bound)
@@ -295,9 +291,32 @@ def test_line_search_matches_sequential_reference_bitwise(request, name, region,
         seen.update(np.select([accepted == 0, accepted < n_alpha],
                               ["alpha=1", "smaller"], "none"))
         overflow |= over.any()
+        most = max(most, int((accepted > 0).sum()))
         st.take(~searching)
     assert seen == {"alpha=1", "smaller", "none"}
     assert overflow == (name == "manipulator")
+    return most
+
+
+@pytest.mark.parametrize("name, region, seed", [
+    ("toy1d", Region.WORKSPACE, 3), ("pointmass", Region.WORKSPACE, 3),
+    ("dubins", Region.WORKSPACE, 3), ("manipulator", Region.HARD_REGION, 4)])
+def test_line_search_matches_sequential_reference_bitwise(request, name, region,
+                                                          seed):
+    rc = request.getfixturevalue(f"{'toy' if name == 'toy1d' else name}_rc")
+    _check_line_search_against_reference(rc, name, region, seed)
+
+
+@pytest.mark.parametrize("name, region, seed", [
+    ("toy1d", Region.WORKSPACE, 6), ("pointmass", Region.WORKSPACE, 3),
+    ("dubins", Region.WORKSPACE, 3), ("manipulator", Region.HARD_REGION, 4)])
+def test_line_search_in_pieces_matches_sequential_reference_bitwise(
+        request, monkeypatch, name, region, seed):
+    # candidate stacks of at most two searching rows: in some iteration at
+    # least five of the 7 rows search, and are rolled in three pieces or more
+    rc = request.getfixturevalue(f"{'toy' if name == 'toy1d' else name}_rc")
+    monkeypatch.setattr(ilqr, "BLOCK_ROWS", 2 * rc.model.t_max)
+    assert _check_line_search_against_reference(rc, name, region, seed) >= 5
 
 
 def test_line_search_rolls_out_twice_per_iteration(pointmass_rc, monkeypatch):
@@ -310,6 +329,36 @@ def test_line_search_rolls_out_twice_per_iteration(pointmass_rc, monkeypatch):
     res = solve_batch(model, field, starts, [np.zeros((model.t_max, 2))] * 8,
                       max_iter=25, reg=reg)
     assert len(calls) <= 1 + 2 * max(r.iters_used for r in res)
+
+
+def test_one_lockstep_per_horizon_with_bounded_candidate_stack(toy_rc,
+                                                               monkeypatch):
+    # BLOCK_ROWS bounds the line search's candidate stack to 4 searching
+    # problems, not the group: all 12 problems share each backward pass, and
+    # the 8 that search in the first iteration are rolled in two pieces
+    model, field = toy_rc.model, toy_rc.field
+    reg = RegularizerConfig(eps=toy_rc.train.reg_eps)
+    monkeypatch.setattr(ilqr, "BLOCK_ROWS", 4 * model.t_max)
+    backward_rows, roll_rows, searches = [], [], []
+    real_backward, real_roll = ilqr._backward, ilqr._roll
+    real_search = ilqr._line_search
+    monkeypatch.setattr(ilqr, "_backward", lambda system, cost, X, *args: (
+        backward_rows.append(X.shape[1]) or real_backward(system, cost, X, *args)))
+    monkeypatch.setattr(ilqr, "_roll", lambda system, cost, u_bound, x0, *args: (
+        roll_rows.append(len(x0)) or real_roll(system, cost, u_bound, x0, *args)))
+    monkeypatch.setattr(ilqr, "_line_search", lambda *args: (
+        searches.append(len(roll_rows)) or real_search(*args)))
+    starts = envs.sample_initial_states(model, 12, 6, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    batch = solve_batch(model, field, starts, warms, max_iter=3, reg=reg)
+    assert backward_rows[0] == 12
+    assert len(backward_rows) <= 1 + max(r.iters_used for r in batch)
+    assert max(roll_rows) <= 10 * 4
+    bounds = searches + [len(roll_rows)]
+    assert max(b - a for a, b in zip(bounds, bounds[1:])) >= 3
+    monkeypatch.undo()
+    for res, s, w in zip(batch, starts, warms):
+        _assert_same_result(res, solve(model, field, s, w, max_iter=3, reg=reg))
 
 
 # -- solve -----------------------------------------------------------------------

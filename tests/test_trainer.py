@@ -171,6 +171,69 @@ def test_evaluate_requires_starts():
         evaluate_policy_costs(actor, cfg.model, cfg.field, [], use_to=False)
 
 
+def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
+    cfg, actor = _trained_tiny()
+    starts = envs.sample_initial_states(cfg.model, 4, 11, Region.HARD_REGION)
+    want = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
+                                 use_to=False)
+    real = nets.actor_rollout
+
+    def overflowing(bad):
+        def rollout(*args):
+            trajs = real(*args)
+            for i in bad:
+                trajs[i].step_costs[-1] = np.inf
+            return trajs
+        return rollout
+
+    monkeypatch.setattr(nets, "actor_rollout", overflowing({1}))
+    got = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
+                                use_to=False)
+    assert np.isnan(got[1])
+    assert np.delete(got, 1).tobytes() == np.delete(want, 1).tobytes()
+    monkeypatch.setattr(nets, "actor_rollout", overflowing(range(4)))
+    with pytest.raises(BatchSolveError, match="4 of 4 problems failed"):
+        evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
+                              use_to=False)
+
+
+def _failing_eval_solves(monkeypatch, cfg, failing):
+    """Make the eval solves (the only ones at eval_max_iter) fail the problems
+    failing(count) names; returns the costs of the others, per eval."""
+    others = []
+
+    def solve(model, field, starts, warms, max_iter, *args):
+        results = solve_batch(model, field, starts, warms, max_iter, *args)
+        if max_iter != cfg.eval_max_iter:
+            return results
+        bad = set(failing(len(results)))
+        others.append([r.cost for i, r in enumerate(results) if i not in bad])
+        for i in bad:
+            results[i] = None
+        raise BatchSolveError({i: SolverError(f"eval problem {i} failed")
+                               for i in bad}, results)
+
+    monkeypatch.setattr(trainer, "solve_batch", solve)
+    return others
+
+
+def test_failed_eval_problem_counts_and_leaves_the_mean(monkeypatch):
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
+    others = _failing_eval_solves(monkeypatch, cfg, lambda n: {1})
+    reports = train(cfg)[3]
+    assert len(reports) == cfg.iterations == len(others)
+    for rep, costs in zip(reports, others):
+        assert rep.eval_failed == 1 and len(costs) == cfg.eval_count - 1
+        assert rep.eval_mean_cost == np.array(costs).mean()
+
+
+def test_run_ends_when_every_eval_problem_fails(monkeypatch):
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
+    _failing_eval_solves(monkeypatch, cfg, range)
+    with pytest.raises(BatchSolveError, match="4 of 4 problems failed"):
+        train(cfg)
+
+
 # -- reports ---------------------------------------------------------------------------
 
 def test_report_fields_populated():
@@ -183,6 +246,7 @@ def test_report_fields_populated():
         assert 0.0 <= rep.converged_frac <= 1.0
         assert np.isfinite(rep.critic_loss_mean)
         assert np.isfinite(rep.std_loss_mean)
+        assert np.isfinite(rep.eval_mean_cost) and rep.eval_failed == 0
         assert min(rep.t_calibrate_s, rep.t_to_s, rep.t_nets_s,
                    rep.t_eval_s) >= 0.0
 
