@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +28,14 @@ from . import __version__, nets
 from .config import ConfigError, RunConfig, load_config
 from .envs import Region, sample_initial_states, toy1d_cost
 from .ilqr import RegularizerConfig
-from .trainer import evaluate_policy_costs, toy1d_diagnostic, train
+from .trainer import (IterationReport, evaluate_policy_costs,
+                      toy1d_diagnostic, train)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_MODEL_MISMATCH = 4
-
-REPORT_COLUMNS = ["iter", "episodes_cum", "eval_mean_cost", "eval_failed",
-                  "to_mean_cost", "converged_frac", "critic_loss", "std_loss",
-                  "t_to_s", "t_nets_s", "t_calibrate_s", "t_eval_s"]
 
 VARIANTS = {
     "bic": dict(bic=True),
@@ -113,14 +110,12 @@ def cmd_train(args) -> int:
 
     report_file = open(out / "reports.csv", "w", newline="")
     writer = csv.writer(report_file)
-    writer.writerow(REPORT_COLUMNS)
+    writer.writerow([f.name for f in fields(IterationReport)])
 
     def on_report(rep):
-        writer.writerow([_fmt(v) for v in (
-            rep.iteration, rep.episodes_cum, rep.eval_mean_cost,
-            rep.eval_failed, rep.to_cost_mean, rep.converged_frac,
-            rep.critic_loss_mean, rep.std_loss_mean, *(round(t, 3) for t in (
-                rep.t_to_s, rep.t_nets_s, rep.t_calibrate_s, rep.t_eval_s)))])
+        # phase times (the *_s columns) to the millisecond
+        writer.writerow([_fmt(round(v, 3) if name.endswith("_s") else v)
+                         for name, v in asdict(rep).items()])
         report_file.flush()
 
     def on_checkpoint(state):

@@ -1,10 +1,9 @@
-"""Planar 3-link manipulator with torque control, horizontal plane (no gravity).
+"""Planar chain of N uniform rods with torque control, horizontal plane (no
+gravity); `manipulator3` registers it with N = 3.  State (q_1..q_N, dq_1..dq_N),
+control (tau_1..tau_N).  M(q) depends on q only through the angles between
+the links of each pair a < b (0-indexed), so it decomposes as
 
-State (q1, q2, q3, dq1, dq2, dq3), control (tau1, tau2, tau3).  The mass
-matrix of a 3R chain depends on q only through cos(q2), cos(q3), cos(q2+q3),
-so it decomposes as
-
-    M(q) = A0 + B12 cos(q2) + B13 cos(q2+q3) + B23 cos(q3)
+    M(q) = A0 + sum_{a<b} B_ab cos(q_{a+1} + ... + q_b)
 
 with constant symmetric matrices; Coriolis terms and all dynamics derivatives
 follow from the analytic dM/dq and d2M/dq2 via Christoffel symbols.
@@ -23,9 +22,9 @@ def _outer(scalar, mat):
 
 
 @register_system("manipulator3")
-class Manipulator3(TaskSpaceSystem):
+class PlanarChain(TaskSpaceSystem):
 
-    # extra: link lengths l1..l3 and masses m1..m3, each set by a config's
+    # extra: link lengths l1..lN and masses m1..mN, each set by a config's
     # param_<name> key
     defaults = dict(
         n=6, m=3, dt=0.05, t_max=100, u_max=(100.0, 60.0, 25.0),
@@ -39,80 +38,79 @@ class Manipulator3(TaskSpaceSystem):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         p = spec.extra_params()
-        l1, l2, l3 = p["l1"], p["l2"], p["l3"]
-        m1, m2, m3 = p["m1"], p["m2"], p["m3"]
-        self.lengths = np.array([l1, l2, l3])
-        r1, r2, r3 = l1 / 2, l2 / 2, l3 / 2          # rod center of mass
-        i1, i2, i3 = (m1 * l1**2 / 12, m2 * l2**2 / 12, m3 * l3**2 / 12)
+        self.links = links = spec.n // 2
+        ls = [p[f"l{k}"] for k in range(1, links + 1)]
+        ms = [p[f"m{k}"] for k in range(1, links + 1)]
+        self.lengths = np.array(ls)
+        rs = [lk / 2 for lk in ls]                          # rod center of mass
+        beyond = [sum(ms[k + 1:]) for k in range(links)]    # mass past link k
 
-        a1 = i1 + m1 * r1**2 + (m2 + m3) * l1**2
-        a2 = i2 + m2 * r2**2 + m3 * l2**2
-        a3 = i3 + m3 * r3**2
-        b12 = (m2 * r2 + m3 * l2) * l1
-        b13 = m3 * r3 * l1
-        b23 = m3 * r3 * l2
-
-        self._a0 = np.array([[a1 + a2 + a3, a2 + a3, a3],
-                             [a2 + a3, a2 + a3, a3],
-                             [a3, a3, a3]])
-        self._b12 = b12 * np.array([[2.0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        self._b13 = b13 * np.array([[2.0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        self._b23 = b23 * np.array([[2.0, 2, 1], [2, 2, 1], [1, 1, 0]])
+        # a_k = I_k + m_k r_k^2 + (mass past k) l_k^2 enters M[i, j] for i, j <= k
+        self._a0 = np.zeros((links, links))
+        for k, (lk, mk, rk, bk) in enumerate(zip(ls, ms, rs, beyond)):
+            self._a0[:k + 1, :k + 1] += mk * lk**2 / 12 + mk * rk**2 + bk * lk**2
+        idx = np.arange(links)
+        self._pairs = [(a, b) for a in range(links) for b in range(a + 1, links)]
+        self._b = []
+        for a, b in self._pairs:
+            pattern = np.outer(idx <= a, idx <= b).astype(float)
+            self._b.append(ls[a] * (ms[b] * rs[b] + beyond[b] * ls[b])
+                           * (pattern + pattern.T))
 
     # -- rigid-body terms ---------------------------------------------------
 
-    def _mass_terms(self, q):
-        """M and dM/dq (lead index = derivative)."""
-        c2, s2 = np.cos(q[..., 1]), np.sin(q[..., 1])
-        c3, s3 = np.cos(q[..., 2]), np.sin(q[..., 2])
-        q23 = q[..., 1] + q[..., 2]
-        c23, s23 = np.cos(q23), np.sin(q23)
-        m = (self._a0 + _outer(c2, self._b12) + _outer(c23, self._b13)
-             + _outer(c3, self._b23))
-        dm = np.zeros(q.shape[:-1] + (3, 3, 3))
-        dm[..., 1, :, :] = -_outer(s2, self._b12) - _outer(s23, self._b13)
-        dm[..., 2, :, :] = -_outer(s23, self._b13) - _outer(s3, self._b23)
-        return m, dm
+    def _mass_terms(self, q, second=False):
+        """M, dM/dq and, when second, d2M/dq2 (lead indices = derivatives).
 
-    def _mass_hessian(self, q):
-        """d2M/dq2 (two lead indices); only the Jacobians need it."""
-        c2, c3 = np.cos(q[..., 1]), np.cos(q[..., 2])
-        c23 = np.cos(q[..., 1] + q[..., 2])
-        ddm = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
-        ddm[..., 1, 1, :, :] = -_outer(c2, self._b12) - _outer(c23, self._b13)
-        ddm[..., 1, 2, :, :] = -_outer(c23, self._b13)
-        ddm[..., 2, 1, :, :] = ddm[..., 1, 2, :, :]
-        ddm[..., 2, 2, :, :] = -_outer(c23, self._b13) - _outer(c3, self._b23)
-        return ddm
+        Pair (a, b) adds B_ab cos(angle) to M, and its derivatives to the
+        slots of q_{a+1}..q_b (M does not depend on q_1).  A slot negates its
+        first term rather than subtract it from 0.0, whose sign of zero differs.
+        """
+        links, batch = self.links, q.shape[:-1]
+        m, d1, d2 = self._a0, {}, {}
+        for (a, b), tab in zip(self._pairs, self._b):
+            angle = q[..., b] if b == a + 1 else angle + q[..., b]
+            cos_tab = _outer(np.cos(angle), tab)
+            m = m + cos_tab
+            sin_tab = _outer(np.sin(angle), tab)
+            span = range(a + 1, b + 1)
+            for k in span:
+                d1[k] = d1[k] - sin_tab if k in d1 else -sin_tab
+                for l in (span if second else ()):
+                    d2[k, l] = d2[k, l] - cos_tab if (k, l) in d2 else -cos_tab
+        dm = np.zeros(batch + (links,) * 3)
+        for k, term in d1.items():
+            dm[..., k, :, :] = term
+        if not second:
+            return m, dm, None
+        ddm = np.zeros(batch + (links,) * 4)
+        for (k, l), term in d2.items():
+            ddm[..., k, l, :, :] = term
+        return m, dm, ddm
 
-    @staticmethod
-    def _christoffel(dm):
+    def _dynamics(self, q, dq, tau, second=False):
+        """(qdd, M, dM, d2M, Christoffel symbols); d2M only when second."""
+        m, dm, ddm = self._mass_terms(q, second)
         # dm layout (..., deriv, row, col); c[i,j,k] = 0.5*(dM_k[i,j] + dM_j[i,k] - dM_i[j,k])
         d_kij = np.moveaxis(dm, -3, -1)
-        d_jik = np.swapaxes(d_kij, -2, -1)
-        return 0.5 * (d_kij + d_jik - dm)
+        c = 0.5 * (d_kij + np.swapaxes(d_kij, -2, -1) - dm)
+        h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
+        return np.linalg.solve(m, (tau - h)[..., None])[..., 0], m, dm, ddm, c
 
     def forward_dynamics(self, q, dq, tau):
-        m, dm = self._mass_terms(q)
-        c = self._christoffel(dm)
-        h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
-        return np.linalg.solve(m, (tau - h)[..., None])[..., 0]
+        return self._dynamics(q, dq, tau)[0]
 
     # -- discrete map ---------------------------------------------------------
 
     def step_x(self, x, u):
-        q, dq = x[..., :3], x[..., 3:]
-        qdd = self.forward_dynamics(q, dq, u)
+        q, dq = x[..., :self.links], x[..., self.links:]
+        qdd = self._dynamics(q, dq, u)[0]
         return np.concatenate([q + self.dt * dq, dq + self.dt * qdd], axis=-1)
 
     def jacobians(self, x, u):
-        batch = x.shape[:-1]
-        q, dq = x[..., :3], x[..., 3:]
-        m, dm = self._mass_terms(q)
-        ddm = self._mass_hessian(q)
-        c = self._christoffel(dm)
-        h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
-        qdd = np.linalg.solve(m, (u - h)[..., None])[..., 0]
+        links, batch = self.links, x.shape[:-1]
+        q, dq = x[..., :links], x[..., links:]
+        qdd, m, dm, ddm, c = self._dynamics(q, dq, u, second=True)
 
         # dc[l,i,j,k] = d c[i,j,k] / d q_l, from the (symmetric) second derivative
         # of M with layout (..., a, b, row, col)
@@ -128,29 +126,25 @@ class Manipulator3(TaskSpaceSystem):
         dqdd_q = np.einsum("...ij,...jl->...il", minv, rhs_q)
         dqdd_dq = -np.einsum("...ij,...jl->...il", minv, dh_dq)
 
-        fx = np.zeros(batch + (6, 6))
-        eye3 = np.eye(3)
-        fx[..., :3, :3] = eye3
-        fx[..., :3, 3:] = self.dt * eye3
-        fx[..., 3:, :3] = self.dt * dqdd_q
-        fx[..., 3:, 3:] = eye3 + self.dt * dqdd_dq
-        fu = np.zeros(batch + (6, 3))
-        fu[..., 3:, :] = self.dt * minv
+        fx = np.zeros(batch + (self.n, self.n))
+        eye = np.eye(links)
+        fx[..., :links, :] = np.hstack([eye, self.dt * eye])
+        fx[..., links:, :links] = self.dt * dqdd_q
+        fx[..., links:, links:] = eye + self.dt * dqdd_dq
+        fu = np.zeros(batch + (self.n, links))
+        fu[..., links:, :] = self.dt * minv
         return fx, fu
 
     # -- end-effector ---------------------------------------------------------
 
-    def _angles(self, q):
-        return np.cumsum(q, axis=-1)
-
     def position(self, x):
-        al = self._angles(x[..., :3])
+        al = np.cumsum(x[..., :self.links], axis=-1)
         return np.stack([(self.lengths * np.cos(al)).sum(axis=-1),
                          (self.lengths * np.sin(al)).sum(axis=-1)], axis=-1)
 
     def position_derivs(self, x):
-        batch = x.shape[:-1]
-        al = self._angles(x[..., :3])
+        links, batch = self.links, x.shape[:-1]
+        al = np.cumsum(x[..., :links], axis=-1)
         sx = self.lengths * np.cos(al)
         sy = self.lengths * np.sin(al)
         # tail sums over links i >= j
@@ -158,11 +152,11 @@ class Manipulator3(TaskSpaceSystem):
         ty = np.flip(np.cumsum(np.flip(sy, axis=-1), axis=-1), axis=-1)
 
         p = np.stack([sx.sum(axis=-1), sy.sum(axis=-1)], axis=-1)
-        jp = np.zeros(batch + (2, 6))
-        jp[..., 0, :3] = -ty
-        jp[..., 1, :3] = tx
-        hp = np.zeros(batch + (2, 6, 6))
-        jk = np.maximum(np.arange(3)[:, None], np.arange(3)[None, :])
-        hp[..., 0, :3, :3] = -tx[..., jk]
-        hp[..., 1, :3, :3] = -ty[..., jk]
+        jp = np.zeros(batch + (2, self.n))
+        jp[..., 0, :links] = -ty
+        jp[..., 1, :links] = tx
+        hp = np.zeros(batch + (2, self.n, self.n))
+        jk = np.maximum(np.arange(links)[:, None], np.arange(links)[None, :])
+        hp[..., 0, :links, :links] = -tx[..., jk]
+        hp[..., 1, :links, :links] = -ty[..., jk]
         return p, jp, hp

@@ -225,13 +225,13 @@ def _backprop_from_output(mlp: Mlp, d1, a, delta, grads, zeta=None):
 
 
 def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
-                k_s: float, gamma_bootstrap: bool):
+                k_s: float):
     """Sobolev regression on values and state gradients.
 
     Per-sample value target: raw partial cost-to-go, plus the target critic at
-    the window-end state when bootstrapping is on and that state is not
-    terminal.  The gradient target excludes the partial w.r.t. time.
-    Returns (loss, flat parameter gradient).
+    the window-end state when a target critic is given (bootstrapping) and
+    that state is not terminal.  The gradient target excludes the partial
+    w.r.t. time.  Returns (loss, flat parameter gradient).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -240,7 +240,7 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     xa = batch.xa
 
     y = batch.v_bar.copy()
-    if gamma_bootstrap and critic_target is not None:
+    if critic_target is not None:
         v_next = mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
         gate = batch.xa_plus_k[:, -1] < batch.t_max
         y = y + np.where(gate, v_next, 0.0)

@@ -102,18 +102,21 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class IterationReport:
+    """One iteration's outcome; `reports.csv` has a column per field."""
+
     iteration: int
-    episodes_cum: int
-    to_cost_mean: float
-    to_cost_median: float
-    converged_frac: float
-    critic_loss_mean: float
-    std_loss_mean: float
+    episodes_cum: int       # TO problems posed so far, failed ones included
     eval_mean_cost: float   # over the eval starts that did not fail
     eval_failed: int
-    t_calibrate_s: float    # cap calibration, in the iterations that need it
+    to_cost_mean: float     # over the solved TO problems
+    to_cost_median: float
+    converged_frac: float
+    to_failed: int          # TO problems that failed and left no replay rows
+    critic_loss_mean: float
+    std_loss_mean: float
     t_to_s: float           # sampling, BIC, warm starts, solve and targets
     t_nets_s: float
+    t_calibrate_s: float    # cap calibration, in the iterations that need it
     t_eval_s: float
 
 
@@ -198,6 +201,18 @@ def _warmstarts(state: TrainerState, starts, first: bool) -> list[np.ndarray]:
                                             state.config.field, starts)]
 
 
+def _solve_each(model: ModelSpec, fld: CostField, starts, warms, max_iter: int,
+                reg: RegularizerConfig, tol: float) -> list[Optional[SolveResult]]:
+    """solve_batch where a problem fails alone: its result is None.  Only
+    when every problem fails is the BatchSolveError raised."""
+    try:
+        return solve_batch(model, fld, starts, warms, max_iter, reg, tol)
+    except BatchSolveError as err:
+        if len(err.errors) == len(starts):
+            raise
+        return err.results
+
+
 def nearest_rank(counts, percentile: float) -> int:
     """Nearest-rank percentile: the ceil(p/100 * N)-th smallest value."""
     if not 0.0 < percentile <= 100.0:
@@ -214,19 +229,16 @@ def calibrate_max_iter(state: TrainerState, first: bool) -> int:
     p_first (p_later) nearest-rank percentile of the iteration counts of
     calibration_probes workspace starts, warm-started as that batch is and
     solved at calibration_cap; a probe that fails or does not converge counts
-    as the cap.
+    as the cap.  Only when every probe fails does calibration raise.
     """
     cfg = state.config
     starts = sample_initial_states(cfg.model, cfg.calibration_probes,
                                    _seed_int(cfg.seed, 2 if first else 4),
                                    Region.WORKSPACE)
     cap = cfg.calibration_cap
-    warms = _warmstarts(state, starts, first)
-    try:
-        results = solve_batch(cfg.model, cfg.field, starts, warms, cap,
-                              state.reg, cfg.tol)
-    except BatchSolveError as err:
-        results = err.results           # a failed probe's result is None
+    results = _solve_each(cfg.model, cfg.field, starts,
+                          _warmstarts(state, starts, first), cap, state.reg,
+                          cfg.tol)
     return nearest_rank([r.iters_used if r is not None and r.converged else cap
                          for r in results],
                         cfg.p_first if first else cfg.p_later)
@@ -279,14 +291,15 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE), model, cfg, iter_idx)
     if bic:
         starts = select_initial_states_bic(starts, state.std, n_sel)
-    results = solve_batch(model, fld, starts, _warmstarts(state, starts, first),
+    results = _solve_each(model, fld, starts, _warmstarts(state, starts, first),
                           max_iter, state.reg, cfg.tol)
-    for res in results:
+    solved = [r for r in results if r is not None]
+    for res in solved:
         state.buffer.push_many(kstep_targets(res, cfg.k_lookahead, model.t_max))
     state.episodes_cum += len(results)
 
-    costs = np.array([r.cost for r in results])
-    conv = float(np.mean([r.converged for r in results]))
+    costs = np.array([r.cost for r in solved])
+    conv = float(np.mean([r.converged for r in solved]))
     t_to = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -296,7 +309,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
         closs, cgrads = nets.critic_loss(
             state.critic, state.critic_target if cfg.bootstrap else None,
-            batch, cfg.k_s, cfg.bootstrap)
+            batch, cfg.k_s)
         params, state.adam_critic = nets.adam_step(
             state.critic.flat_params(), state.adam_critic, cgrads)
         state.critic = state.critic.with_params(params)
@@ -331,6 +344,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         to_cost_mean=float(costs.mean()),
         to_cost_median=float(np.median(costs)),
         converged_frac=conv,
+        to_failed=len(results) - len(solved),
         critic_loss_mean=float(critic_losses.mean()),
         std_loss_mean=float(std_losses.mean()),
         eval_mean_cost=float(eval_costs[eval_ok].mean()),
@@ -359,13 +373,8 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
         raise ValueError("eval_starts must be non-empty")
     results = nets.actor_rollout(actor, model, fld, eval_starts)
     if use_to:
-        try:
-            results = solve_batch(model, fld, eval_starts,
-                                  [r.U for r in results], max_iter, reg, tol)
-        except BatchSolveError as err:
-            if len(err.errors) == len(eval_starts):
-                raise
-            results = err.results           # a failed start's result is None
+        results = _solve_each(model, fld, eval_starts, [r.U for r in results],
+                              max_iter, reg, tol)
     costs = np.array([np.nan if r is None else r.cost for r in results])
     costs[~np.isfinite(costs)] = np.nan
     if np.isnan(costs).all():

@@ -4,10 +4,32 @@ import numpy as np
 import pytest
 
 from trajrl import envs
-from trajrl.envs import Region, toy1d_cost
+from trajrl.envs import Region, register_system, toy1d_cost
 from trajrl.envs.costs import TOY_TILT, TaskCost, Toy1DCost
+from trajrl.envs.manipulator import PlanarChain
 
 SYSTEMS = ["toy1d", "pointmass", "dubins", "manipulator3"]
+CHAINS = ["chain2", "chain5"]
+
+
+def _chain_defaults(lengths, masses):
+    links = len(lengths)
+    return dict(
+        n=2 * links, m=links, dt=0.05, t_max=100, u_max=(20.0,) * links,
+        workspace=((-np.pi, np.pi),) * links + ((-2.0, 2.0),) * links,
+        hard_region=((-0.4, 0.4),) * links + ((0.0, 0.0),) * links,
+        extra=tuple((f"l{k + 1}", v) for k, v in enumerate(lengths))
+        + tuple((f"m{k + 1}", v) for k, v in enumerate(masses)))
+
+
+@register_system("chain2")
+class Chain2(PlanarChain):
+    defaults = _chain_defaults((1.0, 0.8), (1.2, 0.7))
+
+
+@register_system("chain5")
+class Chain5(PlanarChain):
+    defaults = _chain_defaults((1.0, 0.8, 0.7, 0.5, 0.4), (1.2, 1.0, 0.8, 0.5, 0.3))
 
 
 def _field(rc):
@@ -105,7 +127,7 @@ def test_toy1d_jacobians():
     np.testing.assert_array_equal(fu, [[model.dt]])
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS + CHAINS)
 def test_dynamics_jacobians_match_finite_differences(name):
     model = envs.default_model(name)
     system = envs.system_for(model)
@@ -120,6 +142,173 @@ def test_dynamics_jacobians_match_finite_differences(name):
                           / (2 * h) for e in np.eye(model.m)], axis=1)
         assert np.abs(fx - fx_fd).max() < 1e-6
         assert np.abs(fu - fu_fd).max() < 1e-6
+
+
+# -- planar chain --------------------------------------------------------------
+
+def _outer(scalar, mat):
+    return scalar[..., None, None] * mat
+
+
+class Manipulator3:
+    """The 3-link chain as written out by hand before `PlanarChain` derived
+    its tables for any link count: the bit-for-bit reference."""
+
+    def __init__(self, spec):
+        self.dt = spec.dt
+        p = spec.extra_params()
+        l1, l2, l3 = p["l1"], p["l2"], p["l3"]
+        m1, m2, m3 = p["m1"], p["m2"], p["m3"]
+        r1, r2, r3 = l1 / 2, l2 / 2, l3 / 2          # rod center of mass
+        i1, i2, i3 = (m1 * l1**2 / 12, m2 * l2**2 / 12, m3 * l3**2 / 12)
+
+        a1 = i1 + m1 * r1**2 + (m2 + m3) * l1**2
+        a2 = i2 + m2 * r2**2 + m3 * l2**2
+        a3 = i3 + m3 * r3**2
+        b12 = (m2 * r2 + m3 * l2) * l1
+        b13 = m3 * r3 * l1
+        b23 = m3 * r3 * l2
+
+        self._a0 = np.array([[a1 + a2 + a3, a2 + a3, a3],
+                             [a2 + a3, a2 + a3, a3],
+                             [a3, a3, a3]])
+        self._b12 = b12 * np.array([[2.0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        self._b13 = b13 * np.array([[2.0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        self._b23 = b23 * np.array([[2.0, 2, 1], [2, 2, 1], [1, 1, 0]])
+
+    def _mass_terms(self, q):
+        c2, s2 = np.cos(q[..., 1]), np.sin(q[..., 1])
+        c3, s3 = np.cos(q[..., 2]), np.sin(q[..., 2])
+        q23 = q[..., 1] + q[..., 2]
+        c23, s23 = np.cos(q23), np.sin(q23)
+        m = (self._a0 + _outer(c2, self._b12) + _outer(c23, self._b13)
+             + _outer(c3, self._b23))
+        dm = np.zeros(q.shape[:-1] + (3, 3, 3))
+        dm[..., 1, :, :] = -_outer(s2, self._b12) - _outer(s23, self._b13)
+        dm[..., 2, :, :] = -_outer(s23, self._b13) - _outer(s3, self._b23)
+        return m, dm
+
+    def _mass_hessian(self, q):
+        c2, c3 = np.cos(q[..., 1]), np.cos(q[..., 2])
+        c23 = np.cos(q[..., 1] + q[..., 2])
+        ddm = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
+        ddm[..., 1, 1, :, :] = -_outer(c2, self._b12) - _outer(c23, self._b13)
+        ddm[..., 1, 2, :, :] = -_outer(c23, self._b13)
+        ddm[..., 2, 1, :, :] = ddm[..., 1, 2, :, :]
+        ddm[..., 2, 2, :, :] = -_outer(c23, self._b13) - _outer(c3, self._b23)
+        return ddm
+
+    @staticmethod
+    def _christoffel(dm):
+        d_kij = np.moveaxis(dm, -3, -1)
+        d_jik = np.swapaxes(d_kij, -2, -1)
+        return 0.5 * (d_kij + d_jik - dm)
+
+    def forward_dynamics(self, q, dq, tau):
+        m, dm = self._mass_terms(q)
+        c = self._christoffel(dm)
+        h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
+        return np.linalg.solve(m, (tau - h)[..., None])[..., 0]
+
+    def step_x(self, x, u):
+        q, dq = x[..., :3], x[..., 3:]
+        qdd = self.forward_dynamics(q, dq, u)
+        return np.concatenate([q + self.dt * dq, dq + self.dt * qdd], axis=-1)
+
+    def jacobians(self, x, u):
+        batch = x.shape[:-1]
+        q, dq = x[..., :3], x[..., 3:]
+        m, dm = self._mass_terms(q)
+        ddm = self._mass_hessian(q)
+        c = self._christoffel(dm)
+        h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
+        qdd = np.linalg.solve(m, (u - h)[..., None])[..., 0]
+        dc = 0.5 * (np.moveaxis(ddm, -4, -1) + np.moveaxis(ddm, -4, -2)
+                    - np.swapaxes(ddm, -4, -3))
+        dh_q = np.einsum("...lijk,...j,...k->...il", dc, dq, dq)
+        dh_dq = np.einsum("...ilk,...k->...il", c + np.swapaxes(c, -2, -1), dq)
+        minv = np.linalg.inv(m)
+        rhs_q = -dh_q - np.einsum("...lij,...j->...il", dm, qdd)
+        dqdd_q = np.einsum("...ij,...jl->...il", minv, rhs_q)
+        dqdd_dq = -np.einsum("...ij,...jl->...il", minv, dh_dq)
+        fx = np.zeros(batch + (6, 6))
+        eye3 = np.eye(3)
+        fx[..., :3, :3] = eye3
+        fx[..., :3, 3:] = self.dt * eye3
+        fx[..., 3:, :3] = self.dt * dqdd_q
+        fx[..., 3:, 3:] = eye3 + self.dt * dqdd_dq
+        fu = np.zeros(batch + (6, 3))
+        fu[..., 3:, :] = self.dt * minv
+        return fx, fu
+
+
+def test_chain_matches_hand_written_manipulator3_bitwise():
+    model = envs.default_model("manipulator3")
+    chain, ref = envs.system_for(model), Manipulator3(model)
+    rng = np.random.default_rng(31)
+    lo, hi = model.region_box(Region.WORKSPACE)
+    x = 1.5 * rng.uniform(lo, hi, (1000, 6))         # past the box too
+    u = rng.uniform(-1.0, 1.0, (1000, 3)) * model.u_bound
+    x[0], x[1], x[2, :3] = 0.0, -0.0, 0.0            # exact zeros, both signs
+    u[0], u[1] = 0.0, -0.0
+
+    def outputs(system, x, u):
+        return (system.step_x(x, u), *system.jacobians(x, u),
+                system.forward_dynamics(x[..., :3], x[..., 3:], u))
+
+    cases = [(x, u), (x.reshape(10, 100, 6), u.reshape(10, 100, 3))]
+    cases += list(zip(x, u))                         # single 1-D states
+    for xc, uc in cases:
+        for got, want in zip(outputs(chain, xc, uc), outputs(ref, xc, uc)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # M, dM and d2M themselves, signs of zero included
+    q = x[:, :3]
+    for got, want in zip(chain._mass_terms(q, second=True),
+                         (*ref._mass_terms(q), ref._mass_hessian(q))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_two_link_chain_is_the_textbook_2r_arm():
+    model = envs.default_model("chain2")
+    system = envs.system_for(model)
+    p = model.extra_params()
+    l1, l2, m1, m2 = p["l1"], p["l2"], p["m1"], p["m2"]
+    r1, r2 = l1 / 2, l2 / 2
+    i1, i2 = m1 * l1**2 / 12, m2 * l2**2 / 12
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        q, dq = rng.uniform(-3.0, 3.0, 2), rng.uniform(-2.0, 2.0, 2)
+        tau = rng.uniform(-5.0, 5.0, 2)
+        c2, s2 = np.cos(q[1]), np.sin(q[1])
+        m12 = i2 + m2 * (r2**2 + l1 * r2 * c2)
+        mass = np.array([[i1 + i2 + m1 * r1**2
+                          + m2 * (l1**2 + r2**2 + 2 * l1 * r2 * c2), m12],
+                         [m12, i2 + m2 * r2**2]])
+        coriolis = m2 * l1 * r2 * s2 * np.array([-2 * dq[0] * dq[1] - dq[1]**2,
+                                                 dq[0]**2])
+        np.testing.assert_allclose(system._mass_terms(q)[0], mass, rtol=1e-14)
+        qdd = system.forward_dynamics(q, dq, tau)
+        np.testing.assert_allclose(mass @ qdd + coriolis, tau, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chain_position_derivs_match_finite_differences(name):
+    model = envs.default_model(name)
+    system = envs.system_for(model)
+    rng = np.random.default_rng(6)
+    h = 1e-6
+    for _ in range(10):
+        x, _ = _random_state_control(rng, model)
+        p, jp, hp = system.position_derivs(x)
+        np.testing.assert_allclose(p, system.position(x), rtol=1e-15)
+        eye = np.eye(model.n)
+        jp_fd = np.stack([(system.position(x + h * e) - system.position(x - h * e))
+                          / (2 * h) for e in eye], axis=-1)
+        hp_fd = np.stack([(system.position_derivs(x + h * e)[1]
+                           - system.position_derivs(x - h * e)[1]) / (2 * h)
+                          for e in eye], axis=-1)
+        assert np.abs(jp - jp_fd).max() < 1e-7
+        assert np.abs(hp - hp_fd).max() < 1e-6
 
 
 # -- costs ---------------------------------------------------------------------

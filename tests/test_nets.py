@@ -123,8 +123,7 @@ def test_critic_loss_zero_for_perfect_critic():
     xa[:, -1] = 3.0
     v, g = nets.value_and_state_grad(critic, xa)
     batch = SampleBatch(xa, v, g[:, :-1], xa, t_max=50)
-    loss, grads = critic_loss(critic, None, batch, k_s=0.7,
-                              gamma_bootstrap=False)
+    loss, grads = critic_loss(critic, None, batch, k_s=0.7)
     assert loss < 1e-24
     assert np.abs(grads).max() < 1e-11
 
@@ -133,7 +132,7 @@ def test_critic_loss_ks_zero_is_value_mse():
     rng = np.random.default_rng(6)
     critic = init_mlp([4, 16, 1], rng)
     batch = _rand_batch(rng, 3, 32)
-    loss, _ = critic_loss(critic, None, batch, k_s=0.0, gamma_bootstrap=False)
+    loss, _ = critic_loss(critic, None, batch, k_s=0.0)
     v = mlp_forward(critic, batch.xa)[:, 0]
     assert loss == pytest.approx(((batch.v_bar - v) ** 2).mean(), abs=1e-14)
 
@@ -144,9 +143,8 @@ def test_critic_loss_gradients_match_finite_differences():
                       in_center=np.zeros(4), in_half=np.array([2.0, 1.0, 3.0, 50.0]))
     target = init_mlp([4, 10, 8, 1], rng)
     batch = _rand_batch(rng, 3, 12)
-    loss, grads = critic_loss(critic, target, batch, k_s=0.5,
-                              gamma_bootstrap=True)
-    fd = _fd_grads(lambda m: critic_loss(m, target, batch, 0.5, True)[0],
+    loss, grads = critic_loss(critic, target, batch, k_s=0.5)
+    fd = _fd_grads(lambda m: critic_loss(m, target, batch, 0.5)[0],
                    critic, rng=rng)
     _assert_grads_close(grads, fd)
 
@@ -163,7 +161,7 @@ def test_critic_loss_bootstrap_gated_at_horizon():
     v_target = mlp_forward(target, xk)[:, 0]
     v = mlp_forward(critic, xa)[:, 0]
     expect_y = np.where(xk[:, -1] < t_max, v_target, 0.0)
-    loss, _ = critic_loss(critic, target, batch, k_s=0.0, gamma_bootstrap=True)
+    loss, _ = critic_loss(critic, target, batch, k_s=0.0)
     assert loss == pytest.approx(((expect_y - v) ** 2).mean(), abs=1e-12)
 
 
@@ -172,7 +170,7 @@ def test_critic_loss_rejects_empty_batch():
     empty = SampleBatch(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2)),
                         np.zeros((0, 3)), t_max=5)
     with pytest.raises(ValueError):
-        critic_loss(critic, None, empty, 1.0, False)
+        critic_loss(critic, None, empty, 1.0)
 
 
 # -- actor loss -------------------------------------------------------------------
@@ -494,7 +492,7 @@ def test_update_determinism_from_seed():
         batch = _rand_batch(np.random.default_rng(4), 3, 16)
         opt = AdamState.init(critic.flat_params(), lr=1e-3)
         for _ in range(10):
-            _, grads = critic_loss(critic, None, batch, 1.0, False)
+            _, grads = critic_loss(critic, None, batch, 1.0)
             params, opt = adam_step(critic.flat_params(), opt, grads)
             critic = critic.with_params(params)
         return critic
@@ -628,7 +626,7 @@ def test_critic_loss_matches_per_use_derivative_reference_bitwise(activation, hi
     critic = critic.with_params(critic.flat_params() * 3.0)    # reach both ELU branches
     target = init_mlp(sizes, rng, activation)
     batch = _rand_batch(rng, 3, 64)
-    loss, grads = critic_loss(critic, target, batch, 0.7, True)
+    loss, grads = critic_loss(critic, target, batch, 0.7)
     ref_loss, ref_grads = _ref_critic_loss(critic, target, batch, 0.7, True)
     assert loss == ref_loss
     _assert_bitwise(grads, ref_grads)
