@@ -52,24 +52,23 @@ class ModelMismatch(Exception):
     pass
 
 
-def _build_id() -> str:
-    return f"trajrl-{__version__}"
-
-
-def _write_manifest(out: Path, rc: RunConfig, seeds, seed_source: str,
-                    command: str):
+def _start_run(args, rc: RunConfig, seed: int, seed_source: str) -> Path:
+    """Make the output directory (--out, else out_dir) and its manifest.json."""
+    out = Path(args.out or rc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
-        "build": _build_id(),
+        "command": args.command,
+        "build": f"trajrl-{__version__}",
         "config_hash": rc.config_hash,
         "config": rc.raw,
-        "seeds": list(seeds),
+        "seeds": [seed],
         "seed_source": seed_source,
         "out_dir": str(out),
         "timings_file": "timings.json",
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
+    return out
 
 
 def _write_timings(out: Path, phases: dict[str, float]):
@@ -95,18 +94,23 @@ def _resolve_seed(args, rc: RunConfig) -> tuple[int, str]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path: Path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     seed, seed_source = _resolve_seed(args, rc)
     cfg = replace(rc.train, seed=seed, **VARIANTS[args.variant])
-    out = Path(args.out or rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], seed_source, "train")
+    out = _start_run(args, rc, seed, seed_source)
 
     report_file = open(out / "reports.csv", "w", newline="")
     writer = csv.writer(report_file)
@@ -162,9 +166,7 @@ def cmd_eval(args) -> int:
     rc = load_config(args.config)
     seed, seed_source = _resolve_seed(args, rc)
     actor = _load_actor(args.checkpoint, rc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], seed_source, "eval")
+    out = _start_run(args, rc, seed, seed_source)
 
     region = Region.HARD_REGION if args.region == "hard" else Region.WORKSPACE
     starts = sample_initial_states(rc.model, rc.train.eval_count,
@@ -176,12 +178,9 @@ def cmd_eval(args) -> int:
         reg=RegularizerConfig(rc.train.reg_eps), tol=rc.train.tol)
     _write_timings(out, {"total_s": time.perf_counter() - t0})
 
-    with open(out / "eval_costs.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["start_index", "cost"] +
-                    [f"x{i}" for i in range(rc.model.n)])
-        for i, (s, c) in enumerate(zip(starts, costs)):
-            wr.writerow([i, _fmt(float(c))] + [_fmt(float(v)) for v in s.x])
+    _write_csv(out / "eval_costs.csv",
+               ["start_index", "cost"] + [f"x{i}" for i in range(rc.model.n)],
+               ([i, c, *s.x] for i, (s, c) in enumerate(zip(starts, costs))))
     ok = np.isfinite(costs)
     print(f"mean cost over {ok.sum()} of {len(costs)} {args.region} starts "
           f"({'TO-refined' if args.with_to else 'rollout'}): "
@@ -195,25 +194,18 @@ def cmd_demo1d(args) -> int:
         raise ModelMismatch(f"demo1d requires a toy1d config, got '{rc.model.name}'")
     seed, seed_source = _resolve_seed(args, rc)
     cfg = replace(rc.train, seed=seed)
-    out = Path(args.out or rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, rc, [seed], seed_source, "demo1d")
+    out = _start_run(args, rc, seed, seed_source)
 
     t0 = time.perf_counter()
     table = toy1d_diagnostic(cfg, grid=args.grid)
     _write_timings(out, {"total_s": time.perf_counter() - t0})
 
-    with open(out / "demo1d_curves.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x0", "v_bar_to", "v_critic", "v_std", "x_final"])
-        for row in zip(table["x0"], table["v_bar"], table["v_critic"],
-                       table["v_std"], table["x_final"]):
-            wr.writerow([_fmt(float(v)) for v in row])
-    with open(out / "cost_curve.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "cost"])
-        for x in table["x0"]:
-            wr.writerow([_fmt(float(x)), _fmt(float(toy1d_cost(x)))])
+    _write_csv(out / "demo1d_curves.csv",
+               ["x0", "v_bar_to", "v_critic", "v_std", "x_final"],
+               zip(table["x0"], table["v_bar"], table["v_critic"], table["v_std"],
+                   table["x_final"]))
+    _write_csv(out / "cost_curve.csv", ["x", "cost"],
+               ((x, toy1d_cost(x)) for x in table["x0"]))
     print(f"wrote diagnostic curves for {len(table['x0'])} grid starts to {out}")
     return EXIT_OK
 

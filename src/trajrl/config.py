@@ -136,13 +136,12 @@ def load_config(path) -> RunConfig:
         raw = get("cost", f"obstacle{i}")
         if raw is None:
             continue
-        vals = _floats(raw)
-        if len(vals) != 5:
-            raise ConfigError(f"obstacle{i} needs 'cx cy ra rb angle'",
-                              path=path,
-                              line=_find_line(text, "cost", f"obstacle{i}"))
-        obstacles.append(Ellipse(center=(vals[0], vals[1]),
-                                 semi_axes=(vals[2], vals[3]), angle=vals[4]))
+        try:
+            cx, cy, ra, rb, angle = _floats(raw)
+            obstacles.append(Ellipse(center=(cx, cy), semi_axes=(ra, rb), angle=angle))
+        except ValueError as err:
+            raise ConfigError(f"obstacle{i} ('cx cy ra rb angle'): {err}", path=path,
+                              line=_find_line(text, "cost", f"obstacle{i}")) from None
     try:
         field = _from_fields(CostField, take, lambda _: "cost",
                              lambda f: f.default, obstacles=tuple(obstacles))

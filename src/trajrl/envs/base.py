@@ -53,8 +53,9 @@ class Ellipse:
     angle: float = 0.0
 
     def __post_init__(self):
-        if not all(a > 0.0 for a in self.semi_axes):
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
+        if not (all(0.0 < a < math.inf for a in self.semi_axes) and
+                all(-math.inf < v < math.inf for v in (*self.center, self.angle))):
+            raise ValueError(f"need finite center and angle, semi-axes in (0, inf): {self}")
 
     def quadratic_form(self) -> np.ndarray:
         """Symmetric E with (p-c)^T E (p-c) = 1 on the boundary."""
@@ -85,6 +86,8 @@ class CostField:
             raise ValueError("target_reward_radius must be positive")
         if len(self.target) != 2:
             raise ValueError(f"target must have 2 entries, got {len(self.target)}")
+        if not all(-math.inf < v < math.inf for v in self.target):
+            raise ValueError(f"target must be finite, got {self.target}")
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,6 @@ class PlanarChain(TaskSpaceSystem):
         h = np.einsum("...ijk,...j,...k->...i", c, dq, dq)
         return np.linalg.solve(m, (tau - h)[..., None])[..., 0], m, dm, ddm, c
 
-    def forward_dynamics(self, q, dq, tau):
-        return self._dynamics(q, dq, tau)[0]
-
     # -- discrete map ---------------------------------------------------------
 
     def step_x(self, x, u):

@@ -174,10 +174,10 @@ def _per_row(fn, k, *stacks, rows=None):
         raise _RowsFailed(errors) from None
 
 
-def _gains(q, qu, qux):
-    """Feedforward and feedback gains -q^-1 qu, -q^-1 qux of stacked rows."""
-    return (-np.linalg.solve(q, qu[..., None])[..., 0],
-            -np.linalg.solve(q, qux))
+def _clip_and_solve(q, qu, qux, eps):
+    """Stacked rows' eigen-clipped q_r and gains -q_r^-1 qu, -q_r^-1 qux."""
+    q = regularize_psd(q, eps)
+    return q, -np.linalg.solve(q, qu[..., None])[..., 0], -np.linalg.solve(q, qux)
 
 
 def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
@@ -200,12 +200,13 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
     quu = luu + fu_t_vxx @ fu
     qux = lux + fu_t_vxx @ fx
 
-    clip = partial(regularize_psd, eps=eps)
+    solve = partial(_clip_and_solve, eps=eps)
     free = ~(((u >= u_bound - 1e-9) & (qu < 0.0)) |
              ((u <= -u_bound + 1e-9) & (qu > 0.0)))
+    # all-free steps (about half of a training run's) skip the groups' gathers
+    # and scatters, about a tenth of such a step's time, with the same bits
     if free.all():
-        quu_r = _per_row(clip, k, quu)
-        k_ff, k_fb = _per_row(_gains, k, quu_r, qu, qux)
+        quu_r, k_ff, k_fb = _per_row(solve, k, quu, qu, qux)
     else:
         k_ff = np.zeros(qu.shape)
         k_fb = np.zeros(qux.shape)
@@ -217,10 +218,8 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
             f = np.nonzero(free[rows])[1].reshape(len(rows), nf)
             sub = (rows[:, None], f)
             block = (rows[:, None, None], f[:, :, None], f[:, None, :])
-            q_r = _per_row(clip, k, quu[block], rows=rows)
-            k_ff[sub], k_fb[sub] = _per_row(_gains, k, q_r, qu[sub], qux[sub],
-                                            rows=rows)
-            quu_r[block] = q_r
+            quu_r[block], k_ff[sub], k_fb[sub] = _per_row(
+                solve, k, quu[block], qu[sub], qux[sub], rows=rows)
         qu = np.where(free, qu, 0.0)
         qux = np.where(free[..., None], qux, 0.0)
     k_fb_t, qux_t = np.swapaxes(k_fb, -1, -2), np.swapaxes(qux, -1, -2)
@@ -233,10 +232,11 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
         vx_new[all_clamped] = qx[all_clamped]
         vxx_new[all_clamped] = qxx[all_clamped]
         dec[all_clamped] = 0.0
-    vxx_new = _per_row(clip, k, vxx_new)
+    vxx_new = _per_row(partial(regularize_psd, eps=eps), k, vxx_new)
     return k_ff, k_fb, vx_new, vxx_new, dec
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     """Backward pass along trajectories X (T+1, B, n), U (T, B, m).
 
@@ -244,7 +244,7 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     backward, and only the current V_xx is kept.  Raises _RowsFailed at the
     first step where any row meets a non-finite derivative or matrix, before
     that row's values reach a stacked LAPACK call, or a matrix that LAPACK
-    rejects on its own.
+    rejects on its own; overflow on the way there is silenced, as in _roll.
     """
     t_hor, b, m = U.shape
     k_ff = np.empty((t_hor, b, m))
@@ -324,24 +324,28 @@ class _Lockstep:
     def __init__(self, ids, t0, X, U, sc):
         self.ids, self.t0, self.X, self.U, self.sc = ids, t0, X, U, sc
         self.cost = sc.sum(axis=1)
-        self.iters = np.zeros(len(ids), dtype=int)
         self.converged = np.zeros(len(ids), dtype=bool)
         self.done = np.zeros(len(ids), dtype=bool)   # awaits its final V_x
 
     def take(self, rows):
         self.X, self.U = self.X[:, rows], self.U[:, rows]
-        for name in ("ids", "t0", "sc", "cost", "iters", "converged", "done"):
+        for name in ("ids", "t0", "sc", "cost", "converged", "done"):
             setattr(self, name, getattr(self, name)[rows])
 
-    def result(self, r, V_x) -> SolveResult:
-        sc = self.sc[r].copy()
-        traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
-                          step_costs=sc, t0=int(self.t0[r]))
-        return SolveResult(traj=traj, cost=float(self.cost[r]),
-                           V_bar=np.cumsum(sc[::-1])[::-1].copy(),
-                           V_bar_x=V_x[:, r].copy(),
-                           iters_used=int(self.iters[r]),
-                           converged=bool(self.converged[r]))
+    def finish(self, rows, V_x, iters: int, results):
+        """Store the results of the rows (a mask) and drop them.  No problem
+        joins a running lockstep, so every row has run iters iterations."""
+        for r in np.flatnonzero(rows):
+            sc = self.sc[r].copy()
+            traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
+                              step_costs=sc, t0=int(self.t0[r]))
+            results[self.ids[r]] = SolveResult(traj=traj, cost=float(self.cost[r]),
+                                               V_bar=np.cumsum(sc[::-1])[::-1].copy(),
+                                               V_bar_x=V_x[:, r].copy(),
+                                               iters_used=iters,
+                                               converged=bool(self.converged[r]))
+        if rows.any():
+            self.take(~rows)
 
 
 def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
@@ -411,10 +415,8 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
             st.take(keep)
             continue
         if st.done.any():
-            for r in np.flatnonzero(st.done):
-                results[st.ids[r]] = st.result(r, gains.V_x)
             keep = ~st.done
-            st.take(keep)
+            st.finish(st.done, gains.V_x, it, results)
             gains = gains.take(keep)
             if not st.ids.size:
                 break
@@ -422,7 +424,6 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
         it += 1
         prev = st.cost.copy()
         searching = _line_search(system, cost, u_bound, st, gains, prev)
-        st.iters[:] = it
         # no descent step: converged if the quadratic model agrees there is
         # (almost) nothing left to gain, otherwise stalled
         scale = tol * np.maximum(1.0, np.abs(prev))
@@ -431,12 +432,8 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
         # an accepted step needs one more backward pass for its V_x, which
         # runs with the next iteration's
         st.done = st.converged | (it == max_iter)
-        no_step = np.flatnonzero(searching)
-        for r in no_step:
-            results[st.ids[r]] = st.result(r, gains.V_x)
+        st.finish(searching, gains.V_x, it, results)
         del gains
-        if no_step.size:
-            st.take(~searching)
 
 
 def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:

@@ -26,6 +26,7 @@ from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
 from .envs.costs import sigmoid, softplus
 from .ilqr import Trajectory, _roll
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # -- activations (value; first and second derivative as one pair) -------------
 
@@ -51,6 +52,7 @@ _ACTIVATIONS = {
     "elu": (_elu, _elu_derivs),
     "tanh": (np.tanh, _tanh_derivs),
 }
+_HEADS = ("linear", "tanh", "std")
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,23 @@ class Mlp:
     in_half: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("out_scale", "in_center", "in_half"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        """Reject a malformed network; with_params skips these checks."""
+        if self.activation not in _ACTIVATIONS or self.head not in _HEADS:
+            raise ValueError(f"unknown activation {self.activation!r} or head {self.head!r}")
+        if (self.in_center is None) != (self.in_half is None) or (
+                self.head == "tanh" and self.out_scale is None):
+            raise ValueError("need in_center with in_half, and out_scale for a tanh head")
         self._bind(np.concatenate([p.reshape(-1) for wb in zip(self.weights, self.biases)
                                    for p in wb], dtype=float))
+        for name, size in (("out_scale", self.out_dim), ("in_center", self.in_dim),
+                           ("in_half", self.in_dim)):
+            if getattr(self, name) is not None:
+                vec = np.asarray(getattr(self, name), float)
+                object.__setattr__(self, name, vec)
+                if vec.shape != (size,) or not np.isfinite(vec).all():
+                    raise ValueError(f"{name} must be {size} finite values, got {vec}")
+        if not (np.isfinite(self._theta).all() and math.isfinite(self.sigma_min)):
+            raise ValueError("weights, biases and sigma_min must be finite")
 
     def _bind(self, theta: np.ndarray):
         """Own theta as the parameter vector; weights/biases become its views."""
@@ -162,9 +176,7 @@ def _head(mlp: Mlp, o):
     if mlp.head == "tanh":
         t = np.tanh(o)
         return mlp.out_scale * t, mlp.out_scale * (1.0 - t**2)
-    if mlp.head == "std":
-        return mlp.sigma_min + softplus(o), sigmoid(o)
-    raise ValueError(f"unknown head '{mlp.head}'")
+    return mlp.sigma_min + softplus(o), sigmoid(o)      # "std"
 
 
 def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
@@ -189,18 +201,27 @@ def _act_derivs(mlp: Mlp, zs):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
+def _input_sweep(mlp: Mlp, d1, bsz: int):
+    """Sensitivities s[i] of a scalar output to each layer's input, products
+    ds[i] = d1[i] * s[i + 1], and the input normalisation's divisor (or ones)."""
+    ws = mlp.weights
+    last = len(ws) - 1
+    s = [None] * len(ws)
+    s[last] = np.broadcast_to(ws[last][0], (bsz, ws[last].shape[1]))
+    ds = [None] * last
+    for i in range(last - 1, -1, -1):
+        ds[i] = d1[i] * s[i + 1]
+        s[i] = ds[i] @ ws[i]
+    return s, ds, mlp.in_half if mlp.in_center is not None else np.ones(mlp.in_dim)
+
+
 def value_and_state_grad(mlp: Mlp, xa):
     """Scalar-output fast path: (values (B,), d value/d input (B, in))."""
     assert mlp.head == "linear" and mlp.out_dim == 1
     xa = np.asarray(xa, dtype=float)
     zs, _, o = _forward_caches(mlp, xa)
-    d1, _ = _act_derivs(mlp, zs)
-    s = np.broadcast_to(mlp.weights[-1][0], (xa.shape[0], mlp.weights[-1].shape[1]))
-    for i in range(len(mlp.weights) - 2, -1, -1):
-        s = (d1[i] * s) @ mlp.weights[i]
-    if mlp.in_center is not None:
-        s = s / mlp.in_half
-    return o[:, 0], s
+    s, _, half = _input_sweep(mlp, _act_derivs(mlp, zs)[0], xa.shape[0])
+    return o[:, 0], s[0] / half
 
 
 # -- losses -------------------------------------------------------------------
@@ -250,15 +271,8 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     ws = critic.weights
     last = len(ws) - 1
 
-    # input-gradient forward sweep (keep the per-layer sensitivities s and
-    # the products ds[i] = d1[i] * s[i + 1], which the cotangent sweep reuses)
-    s_list = [None] * len(ws)
-    s_list[last] = np.broadcast_to(ws[last][0], (bsz, ws[last].shape[1]))
-    ds = [None] * last
-    for i in range(last - 1, -1, -1):
-        ds[i] = d1[i] * s_list[i + 1]
-        s_list[i] = ds[i] @ ws[i]
-    half = critic.in_half if critic.in_center is not None else np.ones(critic.in_dim)
+    # the cotangent sweep below reuses the input-gradient sweep's s and ds
+    s_list, ds, half = _input_sweep(critic, d1, bsz)
     grad_x = s_list[0] / half
 
     v = o[:, 0]
@@ -352,14 +366,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @classmethod
-    def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps_adam=1e-8):
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
+    def init(cls, params, lr=1e-3):
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adam_step(params: np.ndarray, state: AdamState, grads: np.ndarray):
@@ -368,11 +378,11 @@ def adam_step(params: np.ndarray, state: AdamState, grads: np.ndarray):
     if params.shape != grads.shape:
         raise ValueError(f"grad shape {grads.shape} != param shape {params.shape}")
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
-    params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_adam)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
+    params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, replace(state, m=m, v=v, step=t)
 
 

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("p_first and p_later must be in (0, 100]")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        if self.iterations > 1 and self.later_batch < 1:
+            raise ValueError("episode_fraction * n_episodes must round to >= 1 problems")
 
     @property
     def later_batch(self) -> int:

@@ -227,6 +227,26 @@ MALFORMED = {
                   "u_max must have m finite positive components"),
     "seed-negative": (TINY_TOY1D.replace("seed = 11", "seed = -3"), None,
                       "seed must be >= 0, got -3"),
+    "target-nan": (TINY_POINTMASS.replace("[cost]\n", "[cost]\ntarget = nan, 0\n"),
+                   None, "target must be finite, got (nan, 0.0)"),
+    "obstacle-center-inf": (TINY_POINTMASS.replace("obstacle1 = 0.0, 3.5,",
+                                                   "obstacle1 = 0.0, inf,"),
+                            "obstacle1 = 0.0, inf, 1.8, 3.2, 0.0",
+                            "need finite center and angle"),
+    "obstacle-angle-nan": (TINY_POINTMASS.replace("2.2, 1.4, 0.0", "2.2, 1.4, nan"),
+                           "obstacle3 = 1.2, 0.0, 2.2, 1.4, nan",
+                           "need finite center and angle"),
+    "obstacle-axis-negative": (TINY_POINTMASS.replace("= 0.0, 3.5, 1.8",
+                                                      "= 0.0, 3.5, -1.8"),
+                               "obstacle1 = 0.0, 3.5, -1.8, 3.2, 0.0",
+                               "semi-axes in (0, inf)"),
+    "obstacle-short": (TINY_POINTMASS.replace("-3.5, 1.8, 3.2, 0.0", "-3.5, 1.8"),
+                       "obstacle2 = 0.0, -3.5, 1.8",
+                       "obstacle2 ('cx cy ra rb angle'): not enough values"),
+    "later-batch-zero": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes = 1"), None,
+                         "episode_fraction * n_episodes must round to >= 1 problems"),
+    "later-batch-half": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes = 2"), None,
+                         "episode_fraction * n_episodes must round to >= 1 problems"),
 }
 
 
@@ -270,7 +290,16 @@ def test_eval_garbage_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
     (lambda d: {**d, "layer_sizes": ["2", "8", "1"]}, ""),
     (lambda d: {**d, "weights": None}, ""),
     (lambda d: [], ""),
-], ids=["short-bias", "missing-bias", "string-sizes", "null-weights", "not-an-object"])
+    (lambda d: {**d, "activation": "relu"}, "unknown activation 'relu'"),
+    (lambda d: {**d, "head": "foo"}, "head 'foo'"),
+    (lambda d: {**d, "out_scale": [1.0, 2.0, 3.0]}, "out_scale must be 1 finite"),
+    (lambda d: {**d, "norm_center": [0.0], "norm_half": [1.0, 1.0]},
+     "in_center must be 2 finite"),
+    (lambda d: {**d, "weights": [[np.nan] + d["weights"][0][1:], d["weights"][1]]},
+     "weights, biases and sigma_min must be finite"),
+], ids=["short-bias", "missing-bias", "string-sizes", "null-weights", "not-an-object",
+        "activation-relu", "head-foo", "out-scale-length", "norm-center-length",
+        "nan-weight"])
 def test_eval_malformed_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
                                                           capsys, edit, message):
     ckpt = tmp_path / "actor.json"

@@ -60,7 +60,7 @@ def test_pointmass_euler_step():
 def _rk4_reference(system, x, u, dt, substeps=100):
     def rhs(xx):
         return np.concatenate([xx[3:],
-                               system.forward_dynamics(xx[:3], xx[3:], u)])
+                               system._dynamics(xx[:3], xx[3:], u)[0]])
 
     fine = x.copy()
     h = dt / substeps
@@ -252,14 +252,15 @@ def test_chain_matches_hand_written_manipulator3_bitwise():
     x[0], x[1], x[2, :3] = 0.0, -0.0, 0.0            # exact zeros, both signs
     u[0], u[1] = 0.0, -0.0
 
-    def outputs(system, x, u):
+    def outputs(system, qdd, x, u):
         return (system.step_x(x, u), *system.jacobians(x, u),
-                system.forward_dynamics(x[..., :3], x[..., 3:], u))
+                qdd(x[..., :3], x[..., 3:], u))
 
     cases = [(x, u), (x.reshape(10, 100, 6), u.reshape(10, 100, 3))]
     cases += list(zip(x, u))                         # single 1-D states
     for xc, uc in cases:
-        for got, want in zip(outputs(chain, xc, uc), outputs(ref, xc, uc)):
+        for got, want in zip(outputs(chain, lambda *a: chain._dynamics(*a)[0], xc, uc),
+                             outputs(ref, ref.forward_dynamics, xc, uc)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # M, dM and d2M themselves, signs of zero included
     q = x[:, :3]
@@ -287,7 +288,7 @@ def test_two_link_chain_is_the_textbook_2r_arm():
         coriolis = m2 * l1 * r2 * s2 * np.array([-2 * dq[0] * dq[1] - dq[1]**2,
                                                  dq[0]**2])
         np.testing.assert_allclose(system._mass_terms(q)[0], mass, rtol=1e-14)
-        qdd = system.forward_dynamics(q, dq, tau)
+        qdd = system._dynamics(q, dq, tau)[0]
         np.testing.assert_allclose(mass @ qdd + coriolis, tau, atol=1e-12)
 
 

@@ -133,19 +133,22 @@ def test_backward_step_matches_per_problem_reference_bitwise():
         a = rng.normal(size=(b, k, k))
         return a @ np.swapaxes(a, -1, -2) - 0.5 * np.eye(k)
 
-    args = (rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
-            rng.normal(size=(b, n)), rng.normal(size=(b, m)), sym(n), sym(m),
-            rng.normal(size=(b, m, n)), rng.normal(size=(b, n)), sym(n), 0.1,
-            rng.choice([-1.0, 0.3, 1.0], size=(b, m)) * u_bound, u_bound)
-    got = ilqr._backward_step(*args, 0)
-    n_free = set()
-    for i in range(b):
-        want = _backward_step_reference(*(a[i] for a in args[:9]), args[9],
-                                        args[10][i], u_bound)
-        for g, w in zip(got, want):
-            assert np.asarray(g[i]).tobytes() == np.asarray(w).tobytes()
-        n_free.add(int(np.count_nonzero(want[0])))
-    assert n_free == {0, 1, 2, 3}     # every clamp case occurred
+    # controls at and inside the bounds (every clamp case, the free-count
+    # groups), then all inside (the all-free fork)
+    for levels, want_free in (([-1.0, 0.3, 1.0], {0, 1, 2, 3}), ([0.3], {3})):
+        args = (rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
+                rng.normal(size=(b, n)), rng.normal(size=(b, m)), sym(n), sym(m),
+                rng.normal(size=(b, m, n)), rng.normal(size=(b, n)), sym(n), 0.1,
+                rng.choice(levels, size=(b, m)) * u_bound, u_bound)
+        got = ilqr._backward_step(*args, 0)
+        n_free = set()
+        for i in range(b):
+            want = _backward_step_reference(*(a[i] for a in args[:9]), args[9],
+                                            args[10][i], u_bound)
+            for g, w in zip(got, want):
+                assert np.asarray(g[i]).tobytes() == np.asarray(w).tobytes()
+            n_free.add(int(np.count_nonzero(want[0])))
+        assert n_free == want_free
 
 def test_backward_matches_riccati_gains():
     rng = np.random.default_rng(1)
