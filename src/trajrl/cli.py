@@ -9,6 +9,8 @@ failed.
 The run seed is taken from --seed when given, else from the CACTO_SEED
 environment variable when set, else from the config's trainer seed;
 manifest.json records which one as seed_source (cli / env / config).
+`train --variant` (see VARIANTS) overrides the config's trainer settings only
+when given; manifest.json records it as variant (null when not given).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ def _start_run(args, rc: RunConfig, seed: int, seed_source: str) -> Path:
         "config": rc.raw,
         "seeds": [seed],
         "seed_source": seed_source,
+        "variant": getattr(args, "variant", None),
         "out_dir": str(out),
         "timings_file": "timings.json",
     }
@@ -109,7 +112,7 @@ def _write_csv(path: Path, header, rows):
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     seed, seed_source = _resolve_seed(args, rc)
-    cfg = replace(rc.train, seed=seed, **VARIANTS[args.variant])
+    cfg = replace(rc.train, seed=seed, **VARIANTS.get(args.variant, {}))
     out = _start_run(args, rc, seed, seed_source)
 
     report_file = open(out / "reports.csv", "w", newline="")
@@ -220,7 +223,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("config")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default=None)
-    p_train.add_argument("--variant", choices=sorted(VARIANTS), default="bic")
+    p_train.add_argument("--variant", choices=sorted(VARIANTS), default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained actor checkpoint")

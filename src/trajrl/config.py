@@ -15,7 +15,8 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .envs import CostField, Ellipse, ModelSpec, cost_for, default_model
+from .envs import (CostField, Ellipse, ModelSpec, cost_for, default_model,
+                   system_for)
 from .trainer import TrainConfig
 
 
@@ -128,6 +129,7 @@ def load_config(path) -> RunConfig:
         model = _from_fields(ModelSpec, take, lambda _: "model",
                              lambda f: getattr(base, f.name), name=base.name,
                              n=base.n, m=base.m, extra=extra)
+        system_for(model)           # the system's own parameter checks fail here
     except ValueError as err:
         raise ConfigError(f"invalid [model] section: {err}", path=path) from None
 

@@ -41,6 +41,7 @@ class Cost:
     The effort term and the four entry points are written here once; a
     subclass supplies only its state term, as `value(x)` and `derivs(x)` ->
     (value, d/dx, d2/dx2).  The effort weight w_u is the field's control_weight.
+    `stage_derivs` returns (l, l_x, l_u, l_xx, l_uu); no cost couples x and u.
     """
 
     def __init__(self, field: CostField):
@@ -57,13 +58,12 @@ class Cost:
         return self.value(x) + self.w_u * (u**2).sum(axis=-1)
 
     def stage_derivs(self, x, u):
-        batch, n, m = x.shape[:-1], x.shape[-1], u.shape[-1]
+        batch, m = x.shape[:-1], u.shape[-1]
         val, lx, lxx = self.derivs(x)
         l = val + self.w_u * (u**2).sum(axis=-1)
         lu = 2.0 * self.w_u * u
         luu = np.broadcast_to(2.0 * self.w_u * np.eye(m), batch + (m, m)).copy()
-        lux = np.zeros(batch + (m, n))
-        return l, lx, lu, lxx, luu, lux
+        return l, lx, lu, lxx, luu
 
     def terminal(self, x):
         return self.value(x)
@@ -74,6 +74,11 @@ class Cost:
 
 class Toy1DCost(Cost):
     """The double well of the single state coordinate."""
+
+    def __init__(self, field: CostField):
+        if field != CostField(control_weight=field.control_weight):
+            raise ValueError("toy1d takes only control_weight from [cost]")
+        super().__init__(field)
 
     def value(self, x):
         return toy1d_cost(x[..., 0])

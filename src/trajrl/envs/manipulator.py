@@ -38,6 +38,9 @@ class PlanarChain(TaskSpaceSystem):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         p = spec.extra_params()
+        for key, value in p.items():
+            if not 0.0 < value < np.inf:    # negated, so that NaN fails too
+                raise ValueError(f"param_{key} must be in (0, inf), got {value}")
         self.links = links = spec.n // 2
         ls = [p[f"l{k}"] for k in range(1, links + 1)]
         ms = [p[f"m{k}"] for k in range(1, links + 1)]

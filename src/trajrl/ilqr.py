@@ -4,8 +4,8 @@ Gauss-Newton backward recursion (no second-order dynamics terms) and
 backtracking line search with control clamping, run as two rollouts an
 iteration: alpha = 1, then all smaller step sizes in one stack (the parallel
 line search of GPU DDP, Plancher & Kuindersma 2018).  Each solve returns its
-trajectory with the realized cost-to-go values and their gradients; how
-problems are posed and what becomes of a solve is the trainer's business.
+trajectory and the gradients of its cost-to-go; how problems are posed and
+what becomes of a solve is the trainer's business.
 
 All problems of one horizon are solved in one lockstep: trajectories, gains
 and value gradients carry a problem axis next to the time axis (time-major,
@@ -111,11 +111,13 @@ class Trajectory:
 @dataclass
 class SolveResult:
     traj: Trajectory
-    cost: float
-    V_bar: np.ndarray              # realized cost-to-go, length T+1
     V_bar_x: np.ndarray            # cost-to-go gradient per step, (T+1, n)
     iters_used: int
     converged: bool
+
+    @property
+    def cost(self) -> float:
+        return self.traj.cost
 
 
 class BackwardPassResult(NamedTuple):
@@ -180,16 +182,17 @@ def _clip_and_solve(q, qu, qux, eps):
     return q, -np.linalg.solve(q, qu[..., None])[..., 0], -np.linalg.solve(q, qux)
 
 
-def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
+def _backward_step(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u, u_bound, k):
     """One Riccati-like step for a stack of rows; returns gains, new
     (V_x, V_xx), model decrease.
 
     Control components saturated at their bound (with the model gradient
-    pushing further out) are frozen: their gain rows are zero and they do not
-    contribute to the value recursion, matching the sensitivity of the
-    clamped rollout (the free-subspace rule of box-DDP).  Rows are grouped by
-    their number of free components, and each group's free sub-blocks of Quu
-    are regularized and solved as one stack.
+    pushing further out) are frozen: their gain rows are zero, matching the
+    sensitivity of the clamped rollout (the free-subspace rule of box-DDP).
+    Those zero rows of k_ff and K_fb alone keep a frozen component out of the
+    value recursion: it adds only exact zeros to V_x, V_xx and the model
+    decrease.  Rows are grouped by their number of free components, and each
+    group's free sub-blocks of Quu are regularized and solved as one stack.
     """
     fx_t, fu_t = np.swapaxes(fx, -1, -2), np.swapaxes(fu, -1, -2)
     qx = lx + _mv(fx_t, vx)
@@ -198,7 +201,7 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
     fu_t_vxx = fu_t @ vxx
     qxx = lxx + fx_t_vxx @ fx
     quu = luu + fu_t_vxx @ fu
-    qux = lux + fu_t_vxx @ fx
+    qux = fu_t_vxx @ fx
 
     solve = partial(_clip_and_solve, eps=eps)
     free = ~(((u >= u_bound - 1e-9) & (qu < 0.0)) |
@@ -220,8 +223,6 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u, u_bound, k):
             block = (rows[:, None, None], f[:, :, None], f[:, None, :])
             quu_r[block], k_ff[sub], k_fb[sub] = _per_row(
                 solve, k, quu[block], qu[sub], qux[sub], rows=rows)
-        qu = np.where(free, qu, 0.0)
-        qux = np.where(free[..., None], qux, 0.0)
     k_fb_t, qux_t = np.swapaxes(k_fb, -1, -2), np.swapaxes(qux, -1, -2)
     vx_new = (qx + _mv(k_fb_t, _mv(quu_r, k_ff)) + _mv(k_fb_t, qu)
               + _mv(qux_t, k_ff))
@@ -260,14 +261,13 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
         k0 = max(0, k1 - steps)
         xs, us = X[k0:k1], U[k0:k1]
         fx, fu = system.jacobians(xs, us)
-        _, lx, lu, lxx, luu, lux = cost.stage_derivs(xs, us)
-        _check_finite(k0, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu,
-                      lux=lux)
+        _, lx, lu, lxx, luu = cost.stage_derivs(xs, us)
+        _check_finite(k0, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu)
         for j in range(k1 - k0 - 1, -1, -1):
             k = k0 + j
             k_ff[k], K_fb[k], V_x[k], vxx, dec = _backward_step(
-                fx[j], fu[j], lx[j], lu[j], lxx[j], luu[j], lux[j],
-                V_x[k + 1], vxx, eps, us[j], u_bound, k)
+                fx[j], fu[j], lx[j], lu[j], lxx[j], luu[j], V_x[k + 1], vxx,
+                eps, us[j], u_bound, k)
             expected += dec
     return BackwardPassResult(k_ff, K_fb, V_x, expected)
 
@@ -336,11 +336,9 @@ class _Lockstep:
         """Store the results of the rows (a mask) and drop them.  No problem
         joins a running lockstep, so every row has run iters iterations."""
         for r in np.flatnonzero(rows):
-            sc = self.sc[r].copy()
             traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
-                              step_costs=sc, t0=int(self.t0[r]))
-            results[self.ids[r]] = SolveResult(traj=traj, cost=float(self.cost[r]),
-                                               V_bar=np.cumsum(sc[::-1])[::-1].copy(),
+                              step_costs=self.sc[r].copy(), t0=int(self.t0[r]))
+            results[self.ids[r]] = SolveResult(traj=traj,
                                                V_bar_x=V_x[:, r].copy(),
                                                iters_used=iters,
                                                converged=bool(self.converged[r]))
@@ -459,9 +457,9 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     cost decrease, so each problem's accepted cost sequence is non-increasing.
     A problem finishes when its improvement falls below tol (converged), when
     no step decreases its cost (converged if the quadratic model predicts
-    almost no decrease, else stalled), or at the cap.  Cost-to-go values are
-    the realized sums of step costs; their gradients are the V_x of a
-    backward pass along the returned trajectory.
+    almost no decrease, else stalled), or at the cap.  A result holds the
+    trajectory, whose step costs sum to the realized cost-to-go, and the
+    cost-to-go gradients: the V_x of a backward pass along that trajectory.
 
     Lockstep: all problems of equal horizon T are solved together, in one
     process.  Each iteration runs one backward pass over all of them that are
@@ -513,14 +511,3 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results
-
-
-def solve(model: ModelSpec, field: CostField, x0: TimeState, U_init,
-          max_iter: int, reg: RegularizerConfig = RegularizerConfig(),
-          tol: float = 1e-6) -> SolveResult:
-    """Run up to max_iter iLQR iterations from the given warm start: a batch
-    of one (see solve_batch).  A failure raises its own error."""
-    try:
-        return solve_batch(model, field, [x0], [U_init], max_iter, reg, tol)[0]
-    except BatchSolveError as err:
-        raise err.errors[0] from None

@@ -251,8 +251,8 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
 
     Row k holds the augmented state [x_k, t_k], the raw K'-step partial
     cost-to-go with K' = min(K, T-k), its state gradient, and the augmented
-    state K' steps later.  A window that reaches the horizon takes the
-    solver's own tail sum, terminal cost included; a shorter one sums its K
+    state K' steps later.  A window that reaches the horizon takes the tail
+    sum of the step costs, terminal cost included; a shorter one sums its K
     step costs.  The gradient targets are the solver's cost-to-go gradients.
     """
     if K < 1:
@@ -261,7 +261,7 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
     t_hor = traj.horizon
     steps = np.arange(t_hor + 1)
     xa = np.column_stack([traj.X, traj.t0 + steps])
-    v_bar = result.V_bar.copy()
+    v_bar = np.cumsum(traj.step_costs[::-1])[::-1].copy()
     if K < t_hor:
         # one sum per window, not cumsum differences, so that each target
         # rounds exactly as step_costs[k:k+K].sum() does

@@ -48,8 +48,7 @@ class QuadraticCost(envs_costs.Cost):
         n, m = self.Q.shape[0], self.R.shape[0]
         return (self.stage(x, u), 2 * _mv(self.Q, x), 2 * _mv(self.R, u),
                 np.broadcast_to(2 * self.Q, batch + (n, n)).copy(),
-                np.broadcast_to(2 * self.R, batch + (m, m)).copy(),
-                np.zeros(batch + (m, n)))
+                np.broadcast_to(2 * self.R, batch + (m, m)).copy())
 
     def terminal(self, x):
         return np.einsum("...i,ij,...j->...", x, self.QF, x)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajrl import nets
+from trajrl import nets, trainer
 from trajrl.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MODEL_MISMATCH,
                         EXIT_OK, EXIT_RUNTIME, main)
 from trajrl.trainer import IterationReport
@@ -46,6 +46,7 @@ TINY_POINTMASS = TINY_TOY1D.replace("name = toy1d", "name = pointmass").replace(
     "obstacle1 = 0.0, 3.5, 1.8, 3.2, 0.0\n"
     "obstacle2 = 0.0, -3.5, 1.8, 3.2, 0.0\n"
     "obstacle3 = 1.2, 0.0, 2.2, 1.4, 0.0\n")
+TINY_MANIPULATOR = TINY_POINTMASS.replace("name = pointmass", "name = manipulator3")
 
 
 @pytest.fixture
@@ -100,6 +101,25 @@ def test_seed_precedence_cli_then_env_then_config(toy_config, tmp_path,
     assert _train(toy_config, out, *extra) == EXIT_OK
     manifest = _manifest(out)
     assert (manifest["seeds"][0], manifest["seed_source"]) == want
+
+
+@pytest.mark.parametrize("extra, bic_calls, variant", [
+    ([], False, None), (["--variant", "bic"], True, "bic"),
+    (["--variant", "baseline"], False, "baseline")])
+def test_variant_overrides_config_only_when_given(tmp_path, monkeypatch, extra,
+                                                  bic_calls, variant):
+    path = tmp_path / "nobic.ini"
+    path.write_text(TINY_TOY1D.replace("seed = 11", "seed = 11\nbic = false"))
+    calls = []
+    real = trainer.select_initial_states_bic
+    monkeypatch.setattr(trainer, "select_initial_states_bic",
+                        lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "run"
+    assert _train(path, out, *extra) == EXIT_OK
+    assert bool(calls) == bic_calls
+    manifest = _manifest(out)
+    assert manifest["variant"] == variant
+    assert manifest["config"]["trainer"]["bic"] == "false"
 
 
 def test_bad_value_exits_config_error_with_line(tmp_path, capsys):
@@ -164,8 +184,7 @@ MALFORMED = {
                      None, "pointmass expects exactly 3 obstacles, got 1"),
     "pointmass-param": (TINY_POINTMASS.replace("t_max = 10", "t_max = 10\nparam_l1 = 4.0"),
                         "param_l1 = 4.0", "unknown key [model] param_l1"),
-    "manipulator-param": (TINY_POINTMASS.replace("name = pointmass", "name = manipulator3")
-                          .replace("t_max = 10", "t_max = 10\nparam_l4 = 1.0"),
+    "manipulator-param": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l4 = 1.0"),
                           "param_l4 = 1.0", "unknown key [model] param_l4"),
     "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
                  "bad value for [model] dt: empty value"),
@@ -247,6 +266,18 @@ MALFORMED = {
                          "episode_fraction * n_episodes must round to >= 1 problems"),
     "later-batch-half": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes = 2"), None,
                          "episode_fraction * n_episodes must round to >= 1 problems"),
+    "chain-length-negative": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l2 = -3.5"),
+                              None, "invalid [model] section: param_l2 must be in (0, inf), "
+                              "got -3.5"),
+    "chain-mass-nan": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_m2 = nan"),
+                       None, "invalid [model] section: param_m2 must be in (0, inf), got nan"),
+    "chain-length-inf": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l1 = inf"),
+                         None, "invalid [model] section: param_l1 must be in (0, inf), got inf"),
+    "chain-mass-zero": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_m3 = 0"),
+                        None, "invalid [model] section: param_m3 must be in (0, inf), got 0.0"),
+    "toy1d-ignored-cost-keys": (TINY_TOY1D.replace("[cost]\n", "[cost]\ndistance_weight = 5\n"),
+                                None, "invalid [cost] section: toy1d takes only "
+                                "control_weight from [cost]"),
 }
 
 

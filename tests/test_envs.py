@@ -325,12 +325,11 @@ def test_pointmass_cost_at_target_is_reward_dominated(pointmass_rc):
 
 def test_control_gradient_is_quadratic_effort(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
-    _, _, lu, _, luu, lux = envs.cost_for(model, field).stage_derivs(
+    _, _, lu, _, luu = envs.cost_for(model, field).stage_derivs(
         np.array([3.0, -2.0, 0.5, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(lu, [2.0 * field.control_weight, 0.0], atol=1e-15)
     np.testing.assert_allclose(luu, 2.0 * field.control_weight * np.eye(2),
                                atol=1e-15)
-    np.testing.assert_array_equal(lux, np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -345,7 +344,7 @@ def test_cost_derivatives_match_finite_differences(name, pointmass_rc, toy_rc,
     worst = 0.0
     for _ in range(100):
         x, u = _random_state_control(rng, model)
-        _, lx, lu, lxx, luu, lux = cost.stage_derivs(x, u)
+        _, lx, lu, lxx, luu = cost.stage_derivs(x, u)
         eye_n, eye_m = np.eye(model.n), np.eye(model.m)
         lx_fd = np.array([(cost.stage(x + h * e, u) - cost.stage(x - h * e, u))
                           / (2 * h) for e in eye_n])
@@ -395,7 +394,7 @@ def _per_class_entry_points(cost, field, x, u):
         base = (toy1d_cost(s), (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
                 (12.0 * s**2 - 4.0)[..., None, None])
         stage = l = base[0] + w_u * (u[..., 0] ** 2)
-        n = m = 1
+        m = 1
         terminal = base[0]
     else:
         p, jp, hp = cost.system.position_derivs(x)
@@ -405,10 +404,10 @@ def _per_class_entry_points(cost, field, x, u):
                 + np.einsum("...c,...cij->...ij", g, hp))
         stage = cost.point_value(cost.system.position(x)) + w_u * (u**2).sum(axis=-1)
         l = base[0] + w_u * (u**2).sum(axis=-1)
-        n, m = cost.system.n, cost.system.m
+        m = cost.system.m
         terminal = cost.point_value(cost.system.position(x))
     luu = np.broadcast_to(2.0 * w_u * np.eye(m), batch + (m, m)).copy()
-    derivs = (l, base[1], 2.0 * w_u * u, base[2], luu, np.zeros(batch + (m, n)))
+    derivs = (l, base[1], 2.0 * w_u * u, base[2], luu)
     return stage, derivs, terminal, base
 
 

@@ -15,12 +15,25 @@ from trajrl.envs.costs import TaskCost
 from trajrl.envs.systems import PointMass
 from trajrl.envs import Region, TimeState, toy1d_cost
 from trajrl.ilqr import (BatchSolveError, RegularizerConfig, SolverError,
-                         regularize_psd, solve, solve_batch)
+                         regularize_psd, solve_batch)
 from trajrl.trainer import kstep_targets, nearest_rank
 
 from lqr_utils import random_lqr, riccati_gains, riccati_value_matrices
 
 REG = RegularizerConfig()
+
+
+def solve(model, field, x0, U_init, max_iter, reg=REG, tol=1e-6):
+    """One problem: a batch of one, whose failure raises its own error."""
+    try:
+        return solve_batch(model, field, [x0], [U_init], max_iter, reg, tol)[0]
+    except BatchSolveError as err:
+        raise err.errors[0] from None
+
+
+def _tail_sums(res):
+    """The realized cost-to-go of each step: the tail sums of the step costs."""
+    return np.cumsum(res.traj.step_costs[::-1])[::-1]
 
 
 # -- regularize_psd ---------------------------------------------------------------
@@ -93,7 +106,7 @@ def _closed_loop(spec, field, traj, gains, alpha):
 
 
 
-def _backward_step_reference(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u,
+def _backward_step_reference(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u,
                              u_bound):
     """One problem's backward step with np.ix_ on its free controls: the
     per-problem arithmetic the batched step must reproduce bit for bit."""
@@ -103,7 +116,7 @@ def _backward_step_reference(fx, fu, lx, lu, lxx, luu, lux, vx, vxx, eps, u,
     fu_t_vxx = fu.T @ vxx
     qxx = lxx + fx_t_vxx @ fx
     quu = luu + fu_t_vxx @ fu
-    qux = lux + fu_t_vxx @ fx
+    qux = fu_t_vxx @ fx
     clamped = ((u >= u_bound - 1e-9) & (qu < 0.0)) | \
               ((u <= -u_bound + 1e-9) & (qu > 0.0))
     m = qu.shape[0]
@@ -134,17 +147,19 @@ def test_backward_step_matches_per_problem_reference_bitwise():
         return a @ np.swapaxes(a, -1, -2) - 0.5 * np.eye(k)
 
     # controls at and inside the bounds (every clamp case, the free-count
-    # groups), then all inside (the all-free fork)
+    # groups), then all inside (the all-free fork).  The discarded (b, m, n)
+    # draw after luu keeps the later inputs at the values the test pins.
     for levels, want_free in (([-1.0, 0.3, 1.0], {0, 1, 2, 3}), ([0.3], {3})):
         args = (rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
-                rng.normal(size=(b, n)), rng.normal(size=(b, m)), sym(n), sym(m),
-                rng.normal(size=(b, m, n)), rng.normal(size=(b, n)), sym(n), 0.1,
-                rng.choice(levels, size=(b, m)) * u_bound, u_bound)
+                rng.normal(size=(b, n)), rng.normal(size=(b, m)), sym(n), sym(m))
+        rng.normal(size=(b, m, n))
+        args += (rng.normal(size=(b, n)), sym(n), 0.1,
+                 rng.choice(levels, size=(b, m)) * u_bound, u_bound)
         got = ilqr._backward_step(*args, 0)
         n_free = set()
         for i in range(b):
-            want = _backward_step_reference(*(a[i] for a in args[:9]), args[9],
-                                            args[10][i], u_bound)
+            want = _backward_step_reference(*(a[i] for a in args[:8]), args[8],
+                                            args[9][i], u_bound)
             for g, w in zip(got, want):
                 assert np.asarray(g[i]).tobytes() == np.asarray(w).tobytes()
             n_free.add(int(np.count_nonzero(want[0])))
@@ -536,7 +551,7 @@ def test_batch_collects_per_problem_errors_with_index(pointmass_rc):
 def _assert_same_result(a, b):
     for got, want in ((a.traj.X, b.traj.X), (a.traj.U, b.traj.U),
                       (a.traj.step_costs, b.traj.step_costs),
-                      (a.V_bar, b.V_bar), (a.V_bar_x, b.V_bar_x)):
+                      (a.V_bar_x, b.V_bar_x)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert (a.cost, a.iters_used, a.converged, a.traj.t0) == \
         (b.cost, b.iters_used, b.converged, b.traj.t0)
@@ -607,10 +622,10 @@ class _SpikedPointMass(PointMass):
 
 class _SpikedCost(TaskCost):
     def stage_derivs(self, x, u):
-        *derivs, luu, lux = super().stage_derivs(x, u)
+        *derivs, luu = super().stage_derivs(x, u)
         spike = np.zeros(luu.shape)
         spike[x[..., 0] > 50.0] = 1e120 * np.ones((2, 2))
-        return (*derivs, luu + spike, lux)
+        return (*derivs, luu + spike)
 
 
 def test_singular_quu_fails_its_problem_alone(pointmass_rc):
@@ -645,7 +660,7 @@ def test_backward_step_fails_singular_free_block_by_problem_row():
         ilqr._backward_step(rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
                             rng.normal(size=(b, n)), lu,
                             np.broadcast_to(np.eye(n), (b, n, n)), luu,
-                            np.zeros((b, m, n)), np.zeros((b, n)),
+                            np.zeros((b, n)),
                             np.broadcast_to(np.eye(n), (b, n, n)), 1e-6, u,
                             u_bound, 7)
     assert list(exc.value.errors) == [5]
@@ -705,7 +720,7 @@ def test_kstep_full_horizon_reproduces_solver_values():
     rng = np.random.default_rng(8)
     spec, field, _, res = _lqr_solved(rng, n=3, m=1, horizon=20)
     batch = kstep_targets(res, spec.t_max, spec.t_max)
-    assert batch.v_bar[0] == res.V_bar[0] == res.cost
+    assert batch.v_bar[0] == _tail_sums(res)[0] == res.cost
     np.testing.assert_array_equal(batch.v_bar_x[0], res.V_bar_x[0])
     assert len(batch) == spec.t_max + 1
 
@@ -719,7 +734,7 @@ def test_kstep_one_step_values_are_step_costs():
         assert batch.v_bar[k] == res.traj.step_costs[k]
         assert batch.xa_plus_k[k, -1] == k + 1
     # the last one-step window reaches the horizon and picks up the terminal cost
-    assert batch.v_bar[t_hor - 1] == res.V_bar[t_hor - 1]
+    assert batch.v_bar[t_hor - 1] == _tail_sums(res)[t_hor - 1]
     assert batch.v_bar[t_hor] == res.traj.step_costs[t_hor]
 
 
@@ -731,7 +746,8 @@ def test_kstep_five_step_plus_riccati_value_telescopes():
     for k in range(30 - 5):
         x_plus = batch.xa_plus_k[k, :-1]
         v_tail = x_plus @ P[k + 5] @ x_plus
-        assert batch.v_bar[k] + v_tail == pytest.approx(res.V_bar[k], abs=1e-6)
+        assert batch.v_bar[k] + v_tail == pytest.approx(_tail_sums(res)[k],
+                                                        abs=1e-6)
 
 
 def test_kstep_rejects_bad_lookahead():
@@ -748,7 +764,8 @@ def _kstep_reference(res, K):
     rows = []
     for k in range(t_hor + 1):
         j = k + min(K, t_hor - k)
-        v_bar = res.V_bar[k] if j == t_hor else float(traj.step_costs[k:j].sum())
+        v_bar = (_tail_sums(res)[k] if j == t_hor
+                 else float(traj.step_costs[k:j].sum()))
         rows.append((np.append(traj.X[k], float(traj.t0 + k)), v_bar,
                      res.V_bar_x[k], np.append(traj.X[j], float(traj.t0 + j))))
     return [np.array(col) for col in zip(*rows)]
@@ -774,13 +791,15 @@ def test_kstep_matches_per_window_reference_bitwise(pointmass_rc):
 
 
 def test_telescoping_value_identity(pointmass_rc):
+    # the full-horizon targets are the realized cost-to-go of each step
     model, field = pointmass_rc.model, pointmass_rc.field
     reg = RegularizerConfig(eps=pointmass_rc.train.reg_eps)
     res = solve(model, field, TimeState(np.array([8.0, 1.0, 0.0, 0.0]), 0),
                 np.zeros((model.t_max, 2)), max_iter=30, reg=reg)
+    v_bar = kstep_targets(res, model.t_max, model.t_max).v_bar
     for k in range(model.t_max):
-        assert res.V_bar[k] == res.traj.step_costs[k] + res.V_bar[k + 1]
-    assert res.V_bar[-1] == res.traj.step_costs[-1]
+        assert v_bar[k] == res.traj.step_costs[k] + v_bar[k + 1]
+    assert v_bar[-1] == res.traj.step_costs[-1]
 
 
 # -- calibration percentile (trainer.nearest_rank) ---------------------------------
