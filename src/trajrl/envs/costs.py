@@ -57,11 +57,15 @@ class Cost:
     def stage(self, x, u):
         return self.value(x) + self.w_u * (u**2).sum(axis=-1)
 
+    def effort_grad(self, u):
+        """l_u: the effort's gradient, the only term of l that sees u."""
+        return 2.0 * self.w_u * u
+
     def stage_derivs(self, x, u):
         batch, m = x.shape[:-1], u.shape[-1]
         val, lx, lxx = self.derivs(x)
         l = val + self.w_u * (u**2).sum(axis=-1)
-        lu = 2.0 * self.w_u * u
+        lu = self.effort_grad(u)
         luu = np.broadcast_to(2.0 * self.w_u * np.eye(m), batch + (m, m)).copy()
         return l, lx, lu, lxx, luu
 

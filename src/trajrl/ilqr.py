@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class Trajectory:
 @dataclass
 class SolveResult:
     traj: Trajectory
-    V_bar_x: np.ndarray            # cost-to-go gradient per step, (T+1, n)
+    V_bar_x: Optional[np.ndarray]  # cost-to-go gradient per step, (T+1, n);
+                                   # None for a calibration probe
     iters_used: int
     converged: bool
 
@@ -321,27 +322,28 @@ def _roll(system, cost, u_bound, x0, t_hor: int, control):
 class _Lockstep:
     """Per-problem state of a lockstep; X and U time-major."""
 
-    def __init__(self, ids, t0, X, U, sc):
+    def __init__(self, ids, t0, X, U, sc, probes: int = 0):
         self.ids, self.t0, self.X, self.U, self.sc = ids, t0, X, U, sc
         self.cost = sc.sum(axis=1)
         self.converged = np.zeros(len(ids), dtype=bool)
         self.done = np.zeros(len(ids), dtype=bool)   # awaits its final V_x
+        self.probe = ids < probes
 
     def take(self, rows):
         self.X, self.U = self.X[:, rows], self.U[:, rows]
-        for name in ("ids", "t0", "sc", "cost", "converged", "done"):
+        for name in ("ids", "t0", "sc", "cost", "converged", "done", "probe"):
             setattr(self, name, getattr(self, name)[rows])
 
     def finish(self, rows, V_x, iters: int, results):
         """Store the results of the rows (a mask) and drop them.  No problem
-        joins a running lockstep, so every row has run iters iterations."""
+        joins a running lockstep, so every row has run iters iterations.  A
+        probe's result has no V_bar_x: nothing reads it."""
         for r in np.flatnonzero(rows):
             traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
                               step_costs=self.sc[r].copy(), t0=int(self.t0[r]))
-            results[self.ids[r]] = SolveResult(traj=traj,
-                                               V_bar_x=V_x[:, r].copy(),
-                                               iters_used=iters,
-                                               converged=bool(self.converged[r]))
+            results[self.ids[r]] = SolveResult(
+                traj=traj, V_bar_x=None if self.probe[r] else V_x[:, r].copy(),
+                iters_used=iters, converged=bool(self.converged[r]))
         if rows.any():
             self.take(~rows)
 
@@ -386,20 +388,25 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
 
 
 def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
-                    tol, results, errors):
+                    tol, results, errors, probes=(0, 1)) -> int:
     """Solve problems of one horizon in lockstep; fill results and errors.
 
     ids index results/errors; starts are their TimeStates; u_nom (T, B, m)
-    are the clamped warm starts.
+    are the clamped warm starts.  probes = (n, rank): the ids below n are
+    calibration probes, which run up to max_iter and set the cap of the
+    others (see solve_batch).  Returns that cap: max_iter without probes.
     """
     X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
                      len(u_nom), lambda k, x: u_nom[k])
-    st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc)
+    st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc,
+                   probes[0])
     del X, U, sc
     for i in st.ids[~np.isfinite(st.cost)]:
         errors[int(i)] = SolverError("non-finite cost under the initial warm start")
     st.take(np.isfinite(st.cost))
 
+    cap, rank = max_iter, probes[1]
+    n_conv = 0                  # probes converged so far
     it = 0
     while st.ids.size:
         try:
@@ -429,9 +436,23 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
                                 prev - st.cost < scale)
         # an accepted step needs one more backward pass for its V_x, which
         # runs with the next iteration's
-        st.done = st.converged | (it == max_iter)
-        st.finish(searching, gains.V_x, it, results)
+        st.done = st.converged | (it == cap)
+        leaving = searching
+        if st.probe.any():
+            # the cap is the count of the rank-th probe to converge, so it is
+            # this iteration once rank probes have converged, and max_iter
+            # once too few are left to get there; a probe leaves as soon as it
+            # ends, and all of them once the cap is known
+            ended = st.probe & (searching | st.done)
+            n_conv += np.count_nonzero(st.probe & st.converged)
+            if n_conv >= rank or n_conv + np.count_nonzero(st.probe & ~ended) < rank:
+                cap = it if n_conv >= rank else max_iter
+                st.done |= it == cap
+                ended = st.probe
+            leaving = searching | ended
+        st.finish(leaving, gains.V_x, it, results)
         del gains
+    return cap
 
 
 def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
@@ -448,7 +469,8 @@ def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
 def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
                 reg: RegularizerConfig = RegularizerConfig(),
-                tol: float = 1e-6) -> list[SolveResult]:
+                tol: float = 1e-6,
+                probes: Optional[tuple[int, int]] = None) -> list[SolveResult]:
     """Solve independent problems under one shared iteration cap.
 
     Each problem runs up to max_iter iLQR iterations from its warm start.  An
@@ -472,6 +494,15 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     to solving each problem alone (a batch of one) and do not depend on the
     batch's order or size.
 
+    Calibration: with probes = (n, rank), the first n problems are probes of
+    one horizon, run up to max_iter, and the others' cap is the rank-th
+    smallest probe count, a probe that fails or does not converge counting as
+    max_iter.  That is the iteration at which the rank-th probe converges, so
+    the probes' lockstep finds it on the way; the others stop there exactly as
+    with max_iter set to it, and other horizons are solved afterwards at it.
+    A probe leaves as soon as it ends, with no final backward pass (V_bar_x
+    None), and all leave once the cap is known, unconverged if still running.
+
     Failures are isolated: a problem whose start or warm start is invalid,
     whose initial rollout is not finite, or whose backward pass meets a
     non-finite derivative or matrix fails alone and leaves the lockstep, before
@@ -491,6 +522,8 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
         raise ValueError("starts and warmstarts must have equal length")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if probes is not None and not 1 <= probes[1] <= probes[0] <= len(starts):
+        raise ValueError(f"probes {probes} need 1 <= rank <= n <= {len(starts)}")
     system = system_for(model)
     cost = cost_for(model, field)
     results: list = [None] * len(starts)
@@ -503,11 +536,16 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
             errors[i] = err
         else:
             by_horizon.setdefault(len(u_nom), []).append((i, u_nom))
+    probes = probes or (0, 1)
+    # the probes lead, so their horizon's group comes first and fixes the cap
+    if sum(members[0][0] < probes[0] for members in by_horizon.values()) > 1:
+        raise ValueError("calibration probes must share one horizon")
+    cap = max_iter
     for members in by_horizon.values():
         ids, u_nom = zip(*members)
-        _solve_lockstep(system, cost, model.u_bound, ids,
-                        [starts[i] for i in ids], np.stack(u_nom, axis=1),
-                        max_iter, reg.eps, tol, results, errors)
+        cap = _solve_lockstep(system, cost, model.u_bound, ids,
+                              [starts[i] for i in ids], np.stack(u_nom, axis=1),
+                              cap, reg.eps, tol, results, errors, probes)
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results

@@ -324,7 +324,7 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     zs, a, o = _forward_caches(actor, xa)
     u, du_do = _head(actor, o)
 
-    l, _, lu, _, _ = cost.stage_derivs(x, u)
+    l, lu = cost.stage(x, u), cost.effort_grad(u)
     x_next = system.step_x(x, u)
     _, fu = system.jacobians(x, u)
     xa_next = np.concatenate([x_next, xa[:, -1:] + 1.0], axis=1)

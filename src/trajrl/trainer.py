@@ -2,10 +2,11 @@
 uncertainty-ranked selection of the next batch's initial states.
 
 The trainer poses every solve and decides what it becomes: it calibrates each
-iteration cap from probe solves, warm-starts the solver (zeros in iteration 1,
-actor rollouts later; probes as their batch), and turns solved trajectories
-into K-step replay rows.  From iteration 2 on, the std-critic ranks a pool of
-candidate starts and the top fraction is kept.  All randomness is derived from
+iteration cap from probes solved in the lockstep of the batch they cap,
+warm-starts the solver (zeros in iteration 1, actor rollouts later; probes as
+their batch), and turns solved trajectories into K-step replay rows.  From
+iteration 2 on, the std-critic ranks a pool of candidate starts and the top
+fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
 """
 
@@ -118,7 +119,9 @@ class IterationReport:
     std_loss_mean: float
     t_to_s: float           # sampling, BIC, warm starts, solve and targets
     t_nets_s: float
-    t_calibrate_s: float    # cap calibration, in the iterations that need it
+    t_calibrate_s: float    # posing the probes where a cap is calibrated,
+                            # with the batch's warm starts (one call); their
+                            # solve is the batch's, in t_to_s
     t_eval_s: float
 
 
@@ -204,14 +207,19 @@ def _warmstarts(state: TrainerState, starts, first: bool) -> list[np.ndarray]:
 
 
 def _solve_each(model: ModelSpec, fld: CostField, starts, warms, max_iter: int,
-                reg: RegularizerConfig, tol: float) -> list[Optional[SolveResult]]:
+                reg: RegularizerConfig, tol: float,
+                probes: Optional[tuple[int, int]] = None) -> list[Optional[SolveResult]]:
     """solve_batch where a problem fails alone: its result is None.  Only
-    when every problem fails is the BatchSolveError raised."""
+    when every problem fails -- every probe, or every problem after the
+    probes -- is a BatchSolveError raised, for those problems alone."""
     try:
-        return solve_batch(model, fld, starts, warms, max_iter, reg, tol)
+        return solve_batch(model, fld, starts, warms, max_iter, reg, tol, probes)
     except BatchSolveError as err:
-        if len(err.errors) == len(starts):
-            raise
+        n = probes[0] if probes else 0
+        for lo, hi in ((0, n), (n, len(starts))):
+            if lo < hi and all(i in err.errors for i in range(lo, hi)):
+                raise BatchSolveError({i - lo: err.errors[i] for i in range(lo, hi)},
+                                      err.results[lo:hi]) from None
         return err.results
 
 
@@ -226,24 +234,38 @@ def nearest_rank(counts, percentile: float) -> int:
     return ordered[idx]
 
 
-def calibrate_max_iter(state: TrainerState, first: bool) -> int:
-    """The iteration cap of iteration 1 (first) or of the later ones: the
-    p_first (p_later) nearest-rank percentile of the iteration counts of
-    calibration_probes workspace starts, warm-started as that batch is and
-    solved at calibration_cap; a probe that fails or does not converge counts
-    as the cap.  Only when every probe fails does calibration raise.
+def _percentile(cfg: TrainConfig, first: bool) -> float:
+    return cfg.p_first if first else cfg.p_later
+
+
+def calibrate_max_iter(state: TrainerState, first: bool, starts: list[TimeState]
+                       ) -> tuple[list[TimeState], list[np.ndarray], tuple[int, int]]:
+    """Pose the solve that calibrates the iteration cap of iteration 1 (first)
+    or of the later ones: calibration_probes workspace starts in front of the
+    batch `starts`, all warm-started as that batch is, in one call.  Returns
+    the starts, the warm starts and solve_batch's `probes` (count, rank).
+
+    Solved at calibration_cap, the probes set the batch's cap in its own
+    lockstep: the p_first (p_later) nearest-rank percentile of their
+    iteration counts, a probe that fails or does not converge counting as
+    calibration_cap.  `_calibrated_cap` reads it back from their results.
     """
     cfg = state.config
-    starts = sample_initial_states(cfg.model, cfg.calibration_probes,
+    probes = sample_initial_states(cfg.model, cfg.calibration_probes,
                                    _seed_int(cfg.seed, 2 if first else 4),
                                    Region.WORKSPACE)
+    n = len(probes)
+    starts = probes + list(starts)
+    # the rank is the percentile of the ranks 1..n themselves
+    rank = nearest_rank(range(1, n + 1), _percentile(cfg, first))
+    return starts, _warmstarts(state, starts, first), (n, rank)
+
+
+def _calibrated_cap(cfg: TrainConfig, first: bool, probe_results) -> int:
+    """The cap the probes' results fix (see calibrate_max_iter)."""
     cap = cfg.calibration_cap
-    results = _solve_each(cfg.model, cfg.field, starts,
-                          _warmstarts(state, starts, first), cap, state.reg,
-                          cfg.tol)
     return nearest_rank([r.iters_used if r is not None and r.converged else cap
-                         for r in results],
-                        cfg.p_first if first else cfg.p_later)
+                         for r in probe_results], _percentile(cfg, first))
 
 
 def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
@@ -275,15 +297,6 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     cfg = state.config
     model, fld = cfg.model, cfg.field
     first = iter_idx == 1
-    max_iter = state.max_iter[first]
-    t_cal = 0.0
-    if max_iter is None:
-        # each cap is calibrated when first needed, the later one with the
-        # actor trained in iteration 1
-        t0 = time.perf_counter()
-        max_iter = state.max_iter[first] = calibrate_max_iter(state, first)
-        t_cal = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     n_sel = cfg.n_episodes if first else cfg.later_batch
     bic = cfg.bic and not first
@@ -293,8 +306,21 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE), model, cfg, iter_idx)
     if bic:
         starts = select_initial_states_bic(starts, state.std, n_sel)
-    results = _solve_each(model, fld, starts, _warmstarts(state, starts, first),
-                          max_iter, state.reg, cfg.tol)
+    max_iter, probes, t_cal = state.max_iter[first], None, 0.0
+    if max_iter is None:
+        # each cap is calibrated when first needed, the later one with the
+        # actor trained in iteration 1, by probes in the batch's solve
+        t1 = time.perf_counter()
+        starts, warms, probes = calibrate_max_iter(state, first, starts)
+        max_iter = cfg.calibration_cap
+        t_cal = time.perf_counter() - t1
+    else:
+        warms = _warmstarts(state, starts, first)
+    results = _solve_each(model, fld, starts, warms, max_iter, state.reg,
+                          cfg.tol, probes)
+    if probes is not None:
+        state.max_iter[first] = _calibrated_cap(cfg, first, results[:probes[0]])
+        results = results[probes[0]:]
     solved = [r for r in results if r is not None]
     for res in solved:
         state.buffer.push_many(kstep_targets(res, cfg.k_lookahead, model.t_max))
@@ -302,7 +328,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
 
     costs = np.array([r.cost for r in solved])
     conv = float(np.mean([r.converged for r in solved]))
-    t_to = time.perf_counter() - t0
+    t_to = time.perf_counter() - t0 - t_cal
 
     t1 = time.perf_counter()
     critic_losses = np.empty(cfg.m_updates)

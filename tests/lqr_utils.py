@@ -43,10 +43,13 @@ class QuadraticCost(envs_costs.Cost):
         return (np.einsum("...i,ij,...j->...", x, self.Q, x)
                 + np.einsum("...i,ij,...j->...", u, self.R, u))
 
+    def effort_grad(self, u):
+        return 2 * _mv(self.R, u)
+
     def stage_derivs(self, x, u):
         batch = x.shape[:-1]
         n, m = self.Q.shape[0], self.R.shape[0]
-        return (self.stage(x, u), 2 * _mv(self.Q, x), 2 * _mv(self.R, u),
+        return (self.stage(x, u), 2 * _mv(self.Q, x), self.effort_grad(u),
                 np.broadcast_to(2 * self.Q, batch + (n, n)).copy(),
                 np.broadcast_to(2 * self.R, batch + (m, m)).copy())
 

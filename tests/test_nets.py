@@ -224,6 +224,36 @@ def test_actor_loss_skips_horizon_states_with_count():
         actor_loss(actor, critic, model, field, np.append(np.zeros(4), 60.0)[None, :])
 
 
+@pytest.mark.parametrize("rc_name", ["pointmass_rc", "manipulator_rc", "toy_rc"])
+def test_actor_loss_gradients_match_stage_derivs_bitwise(request, rc_name,
+                                                         monkeypatch):
+    # actor_loss takes l from cost.stage and l_u from cost.effort_grad; its
+    # gradients keep the bits they had with both taken from stage_derivs
+    rc = request.getfixturevalue(rc_name)
+    model, field = rc.model, rc.field
+    rng = np.random.default_rng(41)
+    actor = _big_actor(model, 41)
+    critic = init_mlp([model.n + 1, 64, 64, 64, 1], rng)
+    starts = envs.sample_initial_states(model, 128, 42, envs.Region.WORKSPACE)
+    xa = np.column_stack([np.stack([s.x for s in starts]),
+                          rng.integers(0, model.t_max, len(starts))])
+    loss, grads, _ = actor_loss(actor, critic, model, field, xa)
+    cost = envs.cost_for(model, field)
+
+    class FromStageDerivs:
+        def stage(self, x, u):
+            self.l, _, self.lu, _, _ = cost.stage_derivs(x, u)
+            return self.l
+
+        def effort_grad(self, u):
+            return self.lu
+
+    monkeypatch.setattr(nets, "cost_for", lambda *_: FromStageDerivs())
+    old_loss, old_grads, _ = actor_loss(actor, critic, model, field, xa)
+    _assert_bitwise(grads, old_grads)
+    assert loss == pytest.approx(old_loss, rel=1e-12, abs=0.0)
+
+
 def test_actor_training_recovers_analytic_one_step_action():
     # linear critic on an LQR instance: the Q-minimizing action has the
     # closed form u* = -(1/2) R^-1 B^T w_x, independent of the state

@@ -276,15 +276,34 @@ def test_phase_times_split_eval_from_to(monkeypatch):
 def test_train_calibrates_each_cap_when_first_needed(monkeypatch):
     calls = []
 
-    def counting(state, first):
+    def counting(state, first, starts):
         calls.append(first)
-        return calibrate_max_iter(state, first)
+        return calibrate_max_iter(state, first, starts)
 
     monkeypatch.setattr(trainer, "calibrate_max_iter", counting)
     train(_tiny_toy_config(iterations=1, max_iter_first=None, max_iter_later=None))
     assert calls == [True]          # the later cap is never needed
     train(_tiny_toy_config(iterations=2, max_iter_first=None, max_iter_later=None))
     assert calls == [True, True, False]
+
+
+def _probes_alone(state, first, cap):
+    """The probes calibrate_max_iter draws, with their warm starts, solved
+    alone: returns the warm starts, the counts (a probe that does not
+    converge counts as cap) and the sort oracle's cap."""
+    cfg = state.config
+    model, field = cfg.model, cfg.field
+    seed = np.random.SeedSequence([cfg.seed, 2 if first else 4]).generate_state(1)[0]
+    probes = envs.sample_initial_states(model, cfg.calibration_probes, int(seed),
+                                        Region.WORKSPACE)
+    warms = ([np.zeros((model.t_max, model.m)) for _ in probes] if first
+             else [r.U for r in nets.actor_rollout(state.actor, model, field,
+                                                   probes)])
+    results = solve_batch(model, field, probes, warms, cap, state.reg, cfg.tol)
+    counts = [r.iters_used if r.converged else cap for r in results]
+    ordered = sorted(counts)
+    pct = cfg.p_first if first else cfg.p_later
+    return warms, counts, ordered[int(np.ceil(pct / 100.0 * len(ordered))) - 1]
 
 
 def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
@@ -299,19 +318,12 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
         return solve_batch(*args)
 
     monkeypatch.setattr(trainer, "solve_batch", recording)
-    for first, tag, pct in ((True, 2, 99.0), (False, 4, 50.0)):
-        # the probes calibrate_max_iter draws, solved here to read their counts
-        seed = np.random.SeedSequence([5, tag]).generate_state(1)[0]
-        probes = envs.sample_initial_states(model, 10, int(seed),
-                                            Region.WORKSPACE)
-        warms = ([np.zeros((model.t_max, model.m)) for _ in probes] if first
-                 else [r.U for r in nets.actor_rollout(state.actor, model,
-                                                       field, probes)])
-        results = solve_batch(model, field, probes, warms, 60, state.reg,
-                              cfg.tol)
-        ordered = sorted(r.iters_used if r.converged else 60 for r in results)
-        assert calibrate_max_iter(state, first) == \
-            ordered[int(np.ceil(pct / 100.0 * len(ordered))) - 1]
+    for first in (True, False):
+        warms, _, oracle = _probes_alone(state, first, 60)
+        starts, joint_warms, probes = calibrate_max_iter(state, first, [])
+        results = trainer._solve_each(model, field, starts, joint_warms, 60,
+                                      state.reg, cfg.tol, probes)
+        assert trainer._calibrated_cap(cfg, first, results) == oracle
         # zero warm starts for the first cap, actor rollouts for the later one
         assert len(solved[-1]) == len(warms)
         for got, want in zip(solved[-1], warms):
@@ -327,15 +339,176 @@ def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
     def probe_3_fails(*args):
         results = solve_batch(*args)
         counts.extend(r.iters_used if r.converged else cfg.calibration_cap
-                      for r in results)
+                      for r in results[:cfg.calibration_probes])
         results[3] = None
         raise BatchSolveError({3: SolverError("probe 3 failed")}, results)
 
     monkeypatch.setattr(trainer, "solve_batch", probe_3_fails)
-    cap = calibrate_max_iter(state, True)
+    trainer.run_iteration(state, 1)
+    cap = state.max_iter[True]
     counts[3] = cfg.calibration_cap
     assert len(counts) == cfg.calibration_probes
     assert cap == nearest_rank(counts, 50.0)
+
+
+# -- calibration probes in the batch's lockstep -----------------------------------------
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("X", "U", "step_costs"):
+            assert getattr(a.traj, name).tobytes() == getattr(b.traj, name).tobytes()
+        assert a.V_bar_x.tobytes() == b.V_bar_x.tobytes()
+        assert (a.iters_used, a.converged) == (b.iters_used, b.converged)
+
+
+def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
+    """Solve batch with the calibration probes in one lockstep, and the
+    probes alone, then batch alone at the sort oracle's cap.  probe_order
+    reorders the probes; the probes in spoil get non-finite warm starts, so
+    they fail.  Returns the cap read from the joint results, the oracle's
+    cap, the joint probe and batch results, and the batch's separate ones."""
+    cfg = state.config
+    model, field, cap = cfg.model, cfg.field, cfg.calibration_cap
+    starts, warms, probes = calibrate_max_iter(state, first, batch)
+    n = probes[0]
+    if probe_order is not None:
+        starts[:n] = [starts[i] for i in probe_order]
+        warms[:n] = [warms[i] for i in probe_order]
+    for i in spoil:
+        warms[i] = np.full_like(warms[i], np.nan)
+
+    def solve(rows, probes_arg):
+        try:
+            return solve_batch(model, field, starts[rows], warms[rows], cap,
+                               state.reg, cfg.tol, probes_arg)
+        except BatchSolveError as err:
+            assert set(err.errors) == set(spoil)
+            return err.results
+
+    joint, alone = solve(slice(None), probes), solve(slice(n), None)
+    ordered = sorted(r.iters_used if r is not None and r.converged else cap
+                     for r in alone)
+    oracle = nearest_rank(ordered, cfg.p_first if first else cfg.p_later)
+    assert oracle == ordered[probes[1] - 1]
+    separate = solve_batch(model, field, starts[n:], warms[n:], oracle,
+                           state.reg, cfg.tol)
+    return (trainer._calibrated_cap(cfg, first, joint[:n]), oracle, joint[:n],
+            joint[n:], separate)
+
+
+def _pointmass_state(pointmass_rc, **overrides):
+    kw = dict(seed=5, calibration_probes=10, calibration_cap=60, p_first=99.0,
+              p_later=50.0)
+    return TrainerState(replace(pointmass_rc.train, **{**kw, **overrides}))
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_joint_calibration_solve_matches_separate_solves(pointmass_rc, first):
+    state = _pointmass_state(pointmass_rc)
+    batch = envs.sample_initial_states(state.config.model, 12, 21, Region.WORKSPACE)
+    cap, oracle, _, joint, separate = _joint_and_separate(state, first, batch)
+    assert cap == oracle
+    _assert_same_results(joint, separate)
+
+
+def test_joint_calibration_last_probe_runs_longest(pointmass_rc):
+    # the probes in the order of their counts: the last is still running
+    # when the cap is known, and leaves unconverged at the cap
+    state = _pointmass_state(pointmass_rc)
+    counts = _probes_alone(state, False, 60)[1]
+    batch = envs.sample_initial_states(state.config.model, 8, 22, Region.WORKSPACE)
+    cap, oracle, probes, joint, separate = _joint_and_separate(
+        state, False, batch, probe_order=np.argsort(counts, kind="stable"))
+    assert max(counts) > oracle == cap
+    assert (probes[-1].iters_used, probes[-1].converged) == (cap, False)
+    assert probes[-1].V_bar_x is None
+    _assert_same_results(joint, separate)
+
+
+def test_joint_calibration_falls_back_to_calibration_cap(pointmass_rc):
+    # more than N - r probes fail (the first case) or hit the cap (the
+    # second): the cap is calibration_cap
+    state = _pointmass_state(pointmass_rc)
+    batch = envs.sample_initial_states(state.config.model, 8, 23, Region.WORKSPACE)
+    cap, oracle, probes, joint, separate = _joint_and_separate(
+        state, False, batch, spoil=(0, 2, 4, 6, 8, 9))
+    assert cap == oracle == 60
+    assert sum(r is None for r in probes) == 6
+    _assert_same_results(joint, separate)
+    state = _pointmass_state(pointmass_rc, calibration_cap=12)
+    counts = _probes_alone(state, True, 12)[1]
+    assert counts.count(12) > 0           # N - r = 0 at p_first 99
+    cap, oracle, _, joint, separate = _joint_and_separate(state, True, batch)
+    assert cap == oracle == 12
+    _assert_same_results(joint, separate)
+
+
+def test_joint_calibration_with_mixed_start_times():
+    cfg = _tiny_toy_config(max_iter_first=None, randomize_initial_time=True)
+    state = TrainerState(cfg)
+    model = cfg.model
+    batch = trainer._assign_start_times(envs.sample_initial_states(
+        model, 16, 24, Region.WORKSPACE), model, cfg, 1)
+    batch[0] = TimeState(batch[0].x, 0)       # one batch row in the probes' group
+    times = {s.t for s in batch}
+    assert len(times) > 2
+    starts, warms, probes = calibrate_max_iter(state, True, batch)
+    n = probes[0]
+    joint = solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
+                        state.reg, cfg.tol, probes)
+    cap = trainer._calibrated_cap(cfg, True, joint[:n])
+    assert cap == _probes_alone(state, True, cfg.calibration_cap)[2]
+    for t in times:
+        ids = [i for i in range(n, len(starts)) if starts[i].t == t]
+        separate = solve_batch(model, cfg.field, [starts[i] for i in ids],
+                               [warms[i] for i in ids], cap, state.reg, cfg.tol)
+        _assert_same_results([joint[i] for i in ids], separate)
+
+
+def test_joint_calibration_probes_share_one_horizon():
+    cfg = _tiny_toy_config()
+    model = cfg.model
+    starts = [TimeState(np.array([x]), t) for x, t in ((0.5, 0), (0.7, 3), (0.9, 0))]
+    warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
+    with pytest.raises(ValueError, match="share one horizon"):
+        solve_batch(model, cfg.field, starts, warms, 10, probes=(2, 1))
+    with pytest.raises(ValueError, match="rank"):
+        solve_batch(model, cfg.field, starts, warms, 10, probes=(2, 3))
+
+
+def _spoil_warmstarts(monkeypatch, rows):
+    """Make the warm starts of rows(n_probes, n_all) of the calibrating
+    solve non-finite."""
+    def spoiled(state, first, starts):
+        starts, warms, probes = calibrate_max_iter(state, first, starts)
+        for i in rows(probes[0], len(starts)):
+            warms[i] = np.full_like(warms[i], np.nan)
+        return starts, warms, probes
+    monkeypatch.setattr(trainer, "calibrate_max_iter", spoiled)
+
+
+def test_every_probe_failing_raises(monkeypatch):
+    _spoil_warmstarts(monkeypatch, lambda n, total: range(n))
+    with pytest.raises(BatchSolveError, match="10 of 10 problems failed"):
+        train(_tiny_toy_config(max_iter_first=None))
+
+
+def test_every_batch_problem_failing_raises(monkeypatch):
+    _spoil_warmstarts(monkeypatch, lambda n, total: range(n, total))
+    with pytest.raises(BatchSolveError, match="16 of 16 problems failed"):
+        train(_tiny_toy_config(max_iter_first=None))
+
+
+def test_one_failed_probe_counts_as_the_cap_and_fails_nothing_else(monkeypatch):
+    cfg = _tiny_toy_config(max_iter_first=None, p_first=50.0)
+    state = TrainerState(cfg)
+    counts = _probes_alone(state, True, cfg.calibration_cap)[1]
+    counts[3] = cfg.calibration_cap
+    _spoil_warmstarts(monkeypatch, lambda n, total: [3])
+    state, rep = trainer.run_iteration(state, 1)
+    assert state.max_iter[True] == nearest_rank(counts, 50.0)
+    assert rep.to_failed == 0 and rep.episodes_cum == cfg.n_episodes
 
 
 def test_failed_training_problem_is_dropped(monkeypatch):
