@@ -13,18 +13,19 @@ and value gradients carry a problem axis next to the time axis (time-major,
 operation acts on each problem's own rows -- elementwise arithmetic, stacked
 `matmul`/`eigh`/`solve`, and the batched methods of the systems and costs --
 so a problem's result does not depend on which problems share its batch.
-Matrix-vector products and dots are written as stacked matmuls
-(`_mv`, `_dot`) because those round exactly like the per-matrix products,
-where `einsum` and `(a * b).sum(-1)` do not.
+Matrix-vector products and dots are written as stacked matmuls (`_mv`,
+`_dot`, or with the vectors kept as `(..., 1)` columns, as the backward pass
+does) because those round exactly like the per-matrix products, where
+`einsum` and `(a * b).sum(-1)` do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
 
@@ -61,6 +62,33 @@ class RegularizerConfig:
             raise ValueError("eigenvalue floor must be positive")
 
 
+def _finite(a) -> bool:
+    """np.isfinite(a).all(), without the reduction's call overhead."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _eigh(a):
+    """np.linalg.eigh(a) of a stack, through the LAPACK gufunc it wraps (same
+    bits, without the wrapper's checks); a failed matrix gives non-finite
+    eigenvalues, and np.linalg.eigh then runs again to raise its error.  The
+    gufunc flags such a failure as an invalid value, which _backward's
+    errstate silences."""
+    s, w = _umath_linalg.eigh_lo(a, signature="d->dd")
+    if not _finite(s):
+        return np.linalg.eigh(a)
+    return s, w
+
+
+def _solve(a, b):
+    """np.linalg.solve(a, b) of stacks, b of shape (..., k, r), the same way:
+    a singular matrix gives a non-finite solution, and np.linalg.solve then
+    runs again to raise "Singular matrix"."""
+    x = _umath_linalg.solve(a, b, signature="dd->d")
+    if not _finite(x):
+        return np.linalg.solve(a, b)
+    return x
+
+
 def regularize_psd(q: np.ndarray, eps: float) -> np.ndarray:
     """Clip eigenvalues from below at eps and reconstruct symmetrically.
 
@@ -68,12 +96,16 @@ def regularize_psd(q: np.ndarray, eps: float) -> np.ndarray:
     bits as one call per matrix.
     """
     q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
+    if not _finite(q):
         raise SolverError("non-finite matrix passed to regularize_psd")
-    sym = 0.5 * (q + np.swapaxes(q, -1, -2))
-    s, w = np.linalg.eigh(sym)
-    q_plus = (w * np.maximum(s, eps)[..., None, :]) @ np.swapaxes(w, -1, -2)
-    return 0.5 * (q_plus + np.swapaxes(q_plus, -1, -2))
+    sym = q + q.swapaxes(-1, -2)
+    sym *= 0.5
+    s, w = _eigh(sym)
+    np.maximum(s, eps, out=s)
+    q_plus = (w * s[..., None, :]) @ w.swapaxes(-1, -2)
+    out = q_plus + q_plus.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def _mv(a, v):
@@ -135,6 +167,16 @@ class BackwardPassResult(NamedTuple):
                                   self.expected_decrease[rows])
 
 
+class Probes(NamedTuple):
+    """Calibration probes of a solve_batch call: its first n problems, whose
+    rank-th smallest iteration count caps the others.  With batch_only, the
+    cap is read by those others alone, so the probes stop with them."""
+
+    n: int
+    rank: int
+    batch_only: bool = False
+
+
 class _RowsFailed(Exception):
     """Rows of a backward pass that failed at one step: {row: error}."""
 
@@ -156,19 +198,19 @@ def _check_finite(step0: int, **arrays):
             for r in np.flatnonzero(~fin.all(axis=0))})
 
 
-def _per_row(fn, k, *stacks, rows=None):
-    """fn(*stacks) for stacks of matrices.  When the stacked call fails --
+def _per_row(fn, k, eps, *stacks, rows=None):
+    """fn(*stacks, eps) for stacks of matrices.  When the stacked call fails --
     regularize_psd rejects a non-finite matrix before the eigensolver, or
     LAPACK meets a singular one, which fails the whole stack -- each row is
     tried alone, and the rows that fail alone (row i, or rows[i] when rows
     is given) raise _RowsFailed."""
     try:
-        return fn(*stacks)
+        return fn(*stacks, eps)
     except (SolverError, np.linalg.LinAlgError) as stacked:
         errors = {}
         for i in range(len(stacks[0])):
             try:
-                fn(*(s[i] for s in stacks))
+                fn(*(s[i] for s in stacks), eps)
             except (SolverError, np.linalg.LinAlgError) as err:
                 errors[int(i if rows is None else rows[i])] = SolverError(
                     f"backward pass failed at step {k}: {err}")
@@ -178,67 +220,81 @@ def _per_row(fn, k, *stacks, rows=None):
 
 
 def _clip_and_solve(q, qu, qux, eps):
-    """Stacked rows' eigen-clipped q_r and gains -q_r^-1 qu, -q_r^-1 qux."""
+    """Stacked rows' eigen-clipped q_r and gains -q_r^-1 qu, -q_r^-1 qux (qu
+    a column)."""
     q = regularize_psd(q, eps)
-    return q, -np.linalg.solve(q, qu[..., None])[..., 0], -np.linalg.solve(q, qux)
+    return q, -_solve(q, qu), -_solve(q, qux)
 
 
-def _backward_step(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u, u_bound, k):
-    """One Riccati-like step for a stack of rows; returns gains, new
-    (V_x, V_xx), model decrease.
+def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k):
+    """One Riccati-like step for a stack of rows, with lx, lu and vx as
+    columns (..., 1), fx_t and fu_t the transposed Jacobians, and bound None
+    when no control of the step is at a bound, else the masks of the
+    controls at their upper and at their lower bound.
 
-    Control components saturated at their bound (with the model gradient
-    pushing further out) are frozen: their gain rows are zero, matching the
-    sensitivity of the clamped rollout (the free-subspace rule of box-DDP).
-    Those zero rows of k_ff and K_fb alone keep a frozen component out of the
-    value recursion: it adds only exact zeros to V_x, V_xx and the model
-    decrease.  Rows are grouped by their number of free components, and each
-    group's free sub-blocks of Quu are regularized and solved as one stack.
+    Returns the gains k_ff (a column) and K_fb, the new (V_x, V_xx), and the
+    terms of the model decrease: Q_u, Quu_r k_ff, and the rows whose controls
+    are all frozen (None when there are none).  Control components saturated
+    at their bound (with the model gradient pushing further out) are frozen:
+    their gain rows are zero, matching the sensitivity of the clamped rollout
+    (the free-subspace rule of box-DDP).  Those zero rows of k_ff and K_fb
+    alone keep a frozen component out of the value recursion: it adds only
+    exact zeros to V_x, V_xx and the model decrease.  Rows are grouped by
+    their number of free components, and each group's free sub-blocks of Quu
+    are regularized and solved as one stack.
     """
-    fx_t, fu_t = np.swapaxes(fx, -1, -2), np.swapaxes(fu, -1, -2)
-    qx = lx + _mv(fx_t, vx)
-    qu = lu + _mv(fu_t, vx)
+    qx = lx + fx_t @ vx
+    qu = lu + fu_t @ vx
     fx_t_vxx = fx_t @ vxx
     fu_t_vxx = fu_t @ vxx
     qxx = lxx + fx_t_vxx @ fx
     quu = luu + fu_t_vxx @ fu
     qux = fu_t_vxx @ fx
 
-    solve = partial(_clip_and_solve, eps=eps)
-    free = ~(((u >= u_bound - 1e-9) & (qu < 0.0)) |
-             ((u <= -u_bound + 1e-9) & (qu > 0.0)))
-    # all-free steps (about half of a training run's) skip the groups' gathers
-    # and scatters, about a tenth of such a step's time, with the same bits
-    if free.all():
-        quu_r, k_ff, k_fb = _per_row(solve, k, quu, qu, qux)
+    all_clamped = None
+    if bound is not None:
+        free = ~((bound[0] & (qu[..., 0] < 0.0)) | (bound[1] & (qu[..., 0] > 0.0)))
+        if np.count_nonzero(free) == free.size:
+            bound = None
+    if bound is None:
+        quu_r, k_ff, k_fb = _per_row(_clip_and_solve, k, eps, quu, qu, qux)
     else:
         k_ff = np.zeros(qu.shape)
         k_fb = np.zeros(qux.shape)
         quu_r = np.zeros(quu.shape)
         n_free = free.sum(axis=1)
-        for nf in np.unique(n_free[n_free > 0]):
-            rows = np.flatnonzero(n_free == nf)
-            # each row's free components, ascending: its np.ix_(free, free)
-            f = np.nonzero(free[rows])[1].reshape(len(rows), nf)
-            sub = (rows[:, None], f)
-            block = (rows[:, None, None], f[:, :, None], f[:, None, :])
+        m = free.shape[1]
+        for nf in sorted(set(n_free.tolist()) - {0}):
+            rows = (n_free == nf).nonzero()[0]
+            if nf == m:
+                # every control free: the whole blocks, gathered by row alone
+                sub = block = rows
+            else:
+                # each row's free components, ascending: its np.ix_(free, free)
+                f = np.nonzero(free[rows])[1].reshape(len(rows), nf)
+                sub = (rows[:, None], f)
+                block = (rows[:, None, None], f[:, :, None], f[:, None, :])
             quu_r[block], k_ff[sub], k_fb[sub] = _per_row(
-                solve, k, quu[block], qu[sub], qux[sub], rows=rows)
-    k_fb_t, qux_t = np.swapaxes(k_fb, -1, -2), np.swapaxes(qux, -1, -2)
-    vx_new = (qx + _mv(k_fb_t, _mv(quu_r, k_ff)) + _mv(k_fb_t, qu)
-              + _mv(qux_t, k_ff))
-    vxx_new = qxx + k_fb_t @ quu_r @ k_fb + k_fb_t @ qux + qux_t @ k_fb
-    dec = -(_dot(k_ff, qu) + 0.5 * _dot(k_ff, _mv(quu_r, k_ff)))
-    all_clamped = ~free.any(axis=1)
-    if all_clamped.any():
+                _clip_and_solve, k, eps, quu[block], qu[sub], qux[sub], rows=rows)
+        all_clamped = n_free == 0
+    k_fb_t, qux_t = k_fb.swapaxes(-1, -2), qux.swapaxes(-1, -2)
+    quu_k = quu_r @ k_ff
+    vx_new = qx + k_fb_t @ quu_k
+    vx_new += k_fb_t @ qu
+    vx_new += qux_t @ k_ff
+    vxx_new = qxx + k_fb_t @ quu_r @ k_fb
+    vxx_new += k_fb_t @ qux
+    vxx_new += qux_t @ k_fb
+    if all_clamped is not None and np.count_nonzero(all_clamped):
         vx_new[all_clamped] = qx[all_clamped]
         vxx_new[all_clamped] = qxx[all_clamped]
-        dec[all_clamped] = 0.0
-    vxx_new = _per_row(partial(regularize_psd, eps=eps), k, vxx_new)
-    return k_ff, k_fb, vx_new, vxx_new, dec
+    else:
+        all_clamped = None
+    vxx_new = _per_row(regularize_psd, k, eps, vxx_new)
+    return k_ff, k_fb, vx_new, vxx_new, qu, quu_k, all_clamped
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     """Backward pass along trajectories X (T+1, B, n), U (T, B, m).
 
@@ -247,16 +303,21 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     first step where any row meets a non-finite derivative or matrix, before
     that row's values reach a stacked LAPACK call, or a matrix that LAPACK
     rejects on its own; overflow on the way there is silenced, as in _roll.
+    The model decrease is summed after the walk, step T-1 first, as the walk
+    would add it.
     """
     t_hor, b, m = U.shape
-    k_ff = np.empty((t_hor, b, m))
-    K_fb = np.empty((t_hor, b, m, X.shape[2]))
-    V_x = np.empty((t_hor + 1, b, X.shape[2]))
+    n = X.shape[2]
+    k_ff = np.empty((t_hor, b, m, 1))
+    K_fb = np.empty((t_hor, b, m, n))
+    V_x = np.empty((t_hor + 1, b, n, 1))
+    qu = np.empty((t_hor, b, m, 1))
+    quu_k = np.empty((t_hor, b, m, 1))
+    all_clamped = np.zeros((t_hor, b), dtype=bool)
     _, lt_x, lt_xx = cost.terminal_derivs(X[t_hor])
     _check_finite(t_hor, lt_x=lt_x[None], lt_xx=lt_xx[None])
-    V_x[t_hor] = lt_x
-    vxx = _per_row(partial(regularize_psd, eps=eps), t_hor, lt_xx)
-    expected = np.zeros(b)
+    V_x[t_hor, ..., 0] = lt_x
+    vxx = _per_row(regularize_psd, t_hor, eps, lt_xx)
     steps = max(1, DERIV_ROWS // b)
     for k1 in range(t_hor, 0, -steps):
         k0 = max(0, k1 - steps)
@@ -264,13 +325,24 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
         fx, fu = system.jacobians(xs, us)
         _, lx, lu, lxx, luu = cost.stage_derivs(xs, us)
         _check_finite(k0, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu)
+        fx_t, fu_t = fx.swapaxes(-1, -2), fu.swapaxes(-1, -2)
+        lx, lu = lx[..., None], lu[..., None]
+        at_hi, at_lo = us >= u_bound - 1e-9, us <= -u_bound + 1e-9
+        at_bound = (at_hi | at_lo).any(axis=(1, 2))
         for j in range(k1 - k0 - 1, -1, -1):
             k = k0 + j
-            k_ff[k], K_fb[k], V_x[k], vxx, dec = _backward_step(
-                fx[j], fu[j], lx[j], lu[j], lxx[j], luu[j], V_x[k + 1], vxx,
-                eps, us[j], u_bound, k)
-            expected += dec
-    return BackwardPassResult(k_ff, K_fb, V_x, expected)
+            bound = (at_hi[j], at_lo[j]) if at_bound[j] else None
+            k_ff[k], K_fb[k], V_x[k], vxx, qu[k], quu_k[k], clamped = \
+                _backward_step(fx[j], fu[j], fx_t[j], fu_t[j], lx[j], lu[j],
+                               lxx[j], luu[j], V_x[k + 1], vxx, eps, bound, k)
+            if clamped is not None:
+                all_clamped[k] = clamped
+    k_ff, V_x = k_ff[..., 0], V_x[..., 0]
+    dec = -(_dot(k_ff, qu[..., 0]) + 0.5 * _dot(k_ff, quu_k[..., 0]))
+    dec[all_clamped] = 0.0
+    # the sum from +0.0 over k = T-1, ..., 0, in that order
+    dec = np.concatenate([np.zeros((1, b)), dec[::-1]])
+    return BackwardPassResult(k_ff, K_fb, V_x, np.add.accumulate(dec)[-1])
 
 
 def _cost_trajectory(cost, X, U, rows=slice(None)) -> np.ndarray:
@@ -388,27 +460,37 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
 
 
 def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
-                    tol, results, errors, probes=(0, 1)) -> int:
+                    tol, results, errors, probes=Probes(0, 1)) -> int:
     """Solve problems of one horizon in lockstep; fill results and errors.
 
     ids index results/errors; starts are their TimeStates; u_nom (T, B, m)
-    are the clamped warm starts.  probes = (n, rank): the ids below n are
-    calibration probes, which run up to max_iter and set the cap of the
-    others (see solve_batch).  Returns that cap: max_iter without probes.
+    are the clamped warm starts.  The ids below probes.n are calibration
+    probes, which run up to max_iter and set the cap of the others (see
+    solve_batch).  Returns that cap: max_iter without probes.
     """
     X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
                      len(u_nom), lambda k, x: u_nom[k])
     st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc,
-                   probes[0])
+                   probes.n)
     del X, U, sc
     for i in st.ids[~np.isfinite(st.cost)]:
         errors[int(i)] = SolverError("non-finite cost under the initial warm start")
     st.take(np.isfinite(st.cost))
 
-    cap, rank = max_iter, probes[1]
+    cap, rank = max_iter, probes.rank
     n_conv = 0                  # probes converged so far
     it = 0
     while st.ids.size:
+        if probes.n and all(i in errors for i in range(probes.n)):
+            # no probe is left to set the cap: the problems it caps fail now
+            for i in st.ids:
+                errors[int(i)] = SolverError("every calibration probe failed")
+            break
+        if probes.batch_only and not (~st.probe & ~st.done).any():
+            # no problem the probes cap is still running
+            st.finish(st.probe, None, it, results)
+            if not st.ids.size:
+                break
         try:
             gains = _backward(system, cost, st.X, st.U, eps, u_bound)
         except _RowsFailed as failed:
@@ -470,7 +552,7 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
                 reg: RegularizerConfig = RegularizerConfig(),
                 tol: float = 1e-6,
-                probes: Optional[tuple[int, int]] = None) -> list[SolveResult]:
+                probes: Optional[tuple] = None) -> list[SolveResult]:
     """Solve independent problems under one shared iteration cap.
 
     Each problem runs up to max_iter iLQR iterations from its warm start.  An
@@ -494,14 +576,19 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     to solving each problem alone (a batch of one) and do not depend on the
     batch's order or size.
 
-    Calibration: with probes = (n, rank), the first n problems are probes of
-    one horizon, run up to max_iter, and the others' cap is the rank-th
-    smallest probe count, a probe that fails or does not converge counting as
-    max_iter.  That is the iteration at which the rank-th probe converges, so
-    the probes' lockstep finds it on the way; the others stop there exactly as
-    with max_iter set to it, and other horizons are solved afterwards at it.
-    A probe leaves as soon as it ends, with no final backward pass (V_bar_x
-    None), and all leave once the cap is known, unconverged if still running.
+    Calibration: with probes = Probes(n, rank, batch_only) (or a tuple), the
+    first n problems are probes of one horizon, run up to max_iter, and the
+    others' cap is the rank-th smallest probe count, a probe that fails or
+    does not converge counting as max_iter.  That is the iteration at which
+    the rank-th probe converges, so the probes' lockstep finds it on the way;
+    the others stop there exactly as with max_iter set to it, and other
+    horizons are solved afterwards at it.  A probe leaves as soon as it ends,
+    with no final backward pass (V_bar_x None), and all leave once the cap is
+    known, unconverged if still running.  With batch_only (the caller reads
+    the cap through the others' results alone) and one horizon, they also
+    leave, unconverged, once none of the others is still running, so their
+    results no longer tell the cap.  When every probe has failed, the others
+    fail at once ("every calibration probe failed"), with no iteration.
 
     Failures are isolated: a problem whose start or warm start is invalid,
     whose initial rollout is not finite, or whose backward pass meets a
@@ -536,10 +623,12 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
             errors[i] = err
         else:
             by_horizon.setdefault(len(u_nom), []).append((i, u_nom))
-    probes = probes or (0, 1)
+    probes = Probes(*probes) if probes else Probes(0, 1)
     # the probes lead, so their horizon's group comes first and fixes the cap
-    if sum(members[0][0] < probes[0] for members in by_horizon.values()) > 1:
+    if sum(members[0][0] < probes.n for members in by_horizon.values()) > 1:
         raise ValueError("calibration probes must share one horizon")
+    # other horizons are solved after the probes' group, at the cap it fixes
+    probes = probes._replace(batch_only=probes.batch_only and len(by_horizon) == 1)
     cap = max_iter
     for members in by_horizon.values():
         ids, u_nom = zip(*members)

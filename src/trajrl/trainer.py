@@ -24,7 +24,7 @@ from . import nets
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
-from .ilqr import (BatchSolveError, RegularizerConfig, SolveResult,
+from .ilqr import (BatchSolveError, Probes, RegularizerConfig, SolveResult,
                    SolverError, solve_batch)
 
 
@@ -161,8 +161,10 @@ class TrainerState:
             model, config.eval_count, _seed_int(config.seed, 3),
             Region.HARD_REGION)
         self.reg = RegularizerConfig(eps=config.reg_eps)
-        # iteration caps by first (iteration 1) or not; None until calibrated
-        self.max_iter = {True: config.max_iter_first, False: config.max_iter_later}
+        # the cap of iterations 2 on; None until calibrated.  Iteration 1's
+        # cap is config.max_iter_first, or calibrated in its own solve and
+        # not kept: nothing reads it afterwards
+        self.max_iter = config.max_iter_later
         self.episodes_cum = 0
 
 
@@ -208,7 +210,7 @@ def _warmstarts(state: TrainerState, starts, first: bool) -> list[np.ndarray]:
 
 def _solve_each(model: ModelSpec, fld: CostField, starts, warms, max_iter: int,
                 reg: RegularizerConfig, tol: float,
-                probes: Optional[tuple[int, int]] = None) -> list[Optional[SolveResult]]:
+                probes: Optional[Probes] = None) -> list[Optional[SolveResult]]:
     """solve_batch where a problem fails alone: its result is None.  Only
     when every problem fails -- every probe, or every problem after the
     probes -- is a BatchSolveError raised, for those problems alone."""
@@ -234,21 +236,21 @@ def nearest_rank(counts, percentile: float) -> int:
     return ordered[idx]
 
 
-def _percentile(cfg: TrainConfig, first: bool) -> float:
-    return cfg.p_first if first else cfg.p_later
-
-
 def calibrate_max_iter(state: TrainerState, first: bool, starts: list[TimeState]
-                       ) -> tuple[list[TimeState], list[np.ndarray], tuple[int, int]]:
+                       ) -> tuple[list[TimeState], list[np.ndarray], Probes]:
     """Pose the solve that calibrates the iteration cap of iteration 1 (first)
     or of the later ones: calibration_probes workspace starts in front of the
     batch `starts`, all warm-started as that batch is, in one call.  Returns
-    the starts, the warm starts and solve_batch's `probes` (count, rank).
+    the starts, the warm starts and solve_batch's `probes`.
 
     Solved at calibration_cap, the probes set the batch's cap in its own
     lockstep: the p_first (p_later) nearest-rank percentile of their
     iteration counts, a probe that fails or does not converge counting as
-    calibration_cap.  `_calibrated_cap` reads it back from their results.
+    calibration_cap.  Iteration 1's cap is read by its batch alone, so its
+    probes are marked batch_only: they stop once no batch problem is still
+    running, and their results no longer tell the cap.  The later cap is
+    kept for iterations 3 on, so its probes run until it is known, and
+    `_calibrated_cap` reads it back from their results.
     """
     cfg = state.config
     probes = sample_initial_states(cfg.model, cfg.calibration_probes,
@@ -257,15 +259,15 @@ def calibrate_max_iter(state: TrainerState, first: bool, starts: list[TimeState]
     n = len(probes)
     starts = probes + list(starts)
     # the rank is the percentile of the ranks 1..n themselves
-    rank = nearest_rank(range(1, n + 1), _percentile(cfg, first))
-    return starts, _warmstarts(state, starts, first), (n, rank)
+    rank = nearest_rank(range(1, n + 1), cfg.p_first if first else cfg.p_later)
+    return starts, _warmstarts(state, starts, first), Probes(n, rank, first)
 
 
-def _calibrated_cap(cfg: TrainConfig, first: bool, probe_results) -> int:
-    """The cap the probes' results fix (see calibrate_max_iter)."""
+def _calibrated_cap(cfg: TrainConfig, probe_results) -> int:
+    """The later cap that the probes' results fix (see calibrate_max_iter)."""
     cap = cfg.calibration_cap
     return nearest_rank([r.iters_used if r is not None and r.converged else cap
-                         for r in probe_results], _percentile(cfg, first))
+                         for r in probe_results], cfg.p_later)
 
 
 def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
@@ -306,7 +308,8 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         _seed_int(cfg.seed, 1, iter_idx), Region.WORKSPACE), model, cfg, iter_idx)
     if bic:
         starts = select_initial_states_bic(starts, state.std, n_sel)
-    max_iter, probes, t_cal = state.max_iter[first], None, 0.0
+    max_iter = cfg.max_iter_first if first else state.max_iter
+    probes, t_cal = None, 0.0
     if max_iter is None:
         # each cap is calibrated when first needed, the later one with the
         # actor trained in iteration 1, by probes in the batch's solve
@@ -319,8 +322,9 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     results = _solve_each(model, fld, starts, warms, max_iter, state.reg,
                           cfg.tol, probes)
     if probes is not None:
-        state.max_iter[first] = _calibrated_cap(cfg, first, results[:probes[0]])
-        results = results[probes[0]:]
+        if not first:
+            state.max_iter = _calibrated_cap(cfg, results[:probes.n])
+        results = results[probes.n:]
     solved = [r for r in results if r is not None]
     for res in solved:
         state.buffer.push_many(kstep_targets(res, cfg.k_lookahead, model.t_max))

@@ -40,8 +40,7 @@ class QuadraticCost(envs_costs.Cost):
         self.QF = _unpack(spec, "f", spec.n, spec.n)
 
     def stage(self, x, u):
-        return (np.einsum("...i,ij,...j->...", x, self.Q, x)
-                + np.einsum("...i,ij,...j->...", u, self.R, u))
+        return _quad(self.Q, x) + _quad(self.R, u)
 
     def effort_grad(self, u):
         return 2 * _mv(self.R, u)
@@ -54,7 +53,7 @@ class QuadraticCost(envs_costs.Cost):
                 np.broadcast_to(2 * self.R, batch + (m, m)).copy())
 
     def terminal(self, x):
-        return np.einsum("...i,ij,...j->...", x, self.QF, x)
+        return _quad(self.QF, x)
 
     def terminal_derivs(self, x):
         batch = x.shape[:-1]
@@ -66,6 +65,12 @@ class QuadraticCost(envs_costs.Cost):
 def _mv(mat, v):
     """mat @ v over the trailing axis of v, as one stacked matmul."""
     return (mat @ v[..., None])[..., 0]
+
+
+def _quad(mat, v):
+    """v' mat v over the trailing axis of v, as stacked matmuls: they round
+    alike for any batch shape, where einsum does not."""
+    return (v[..., None, :] @ _mv(mat, v)[..., None])[..., 0, 0]
 
 
 def _unpack(spec, tag, rows, cols):

@@ -137,6 +137,23 @@ def _backward_step_reference(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u,
     return k_ff, k_fb, vx_new, regularize_psd(vxx_new, eps), dec
 
 
+def _backward_step(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u, u_bound, k):
+    """ilqr._backward_step posed as _backward poses it (under its errstate),
+    from per-row vectors and controls; returns the gains, the new (V_x, V_xx)
+    and the per-row model decrease, as the reference does."""
+    at_hi, at_lo = u >= u_bound - 1e-9, u <= -u_bound + 1e-9
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k_ff, k_fb, vx, vxx, qu, quu_k, all_clamped = ilqr._backward_step(
+            fx, fu, np.swapaxes(fx, -1, -2), np.swapaxes(fu, -1, -2),
+            lx[..., None], lu[..., None], lxx, luu, vx[..., None], vxx, eps,
+            (at_hi, at_lo) if (at_hi | at_lo).any() else None, k)
+    k_ff = k_ff[..., 0]
+    dec = -(ilqr._dot(k_ff, qu[..., 0]) + 0.5 * ilqr._dot(k_ff, quu_k[..., 0]))
+    if all_clamped is not None:
+        dec[all_clamped] = 0.0
+    return k_ff, k_fb, vx[..., 0], vxx, dec
+
+
 def test_backward_step_matches_per_problem_reference_bitwise():
     rng = np.random.default_rng(21)
     b, n, m = 300, 6, 3
@@ -155,7 +172,7 @@ def test_backward_step_matches_per_problem_reference_bitwise():
         rng.normal(size=(b, m, n))
         args += (rng.normal(size=(b, n)), sym(n), 0.1,
                  rng.choice(levels, size=(b, m)) * u_bound, u_bound)
-        got = ilqr._backward_step(*args, 0)
+        got = _backward_step(*args, 0)
         n_free = set()
         for i in range(b):
             want = _backward_step_reference(*(a[i] for a in args[:8]), args[8],
@@ -164,6 +181,89 @@ def test_backward_step_matches_per_problem_reference_bitwise():
                 assert np.asarray(g[i]).tobytes() == np.asarray(w).tobytes()
             n_free.add(int(np.count_nonzero(want[0])))
         assert n_free == want_free
+
+class _TabledModel:
+    """System and cost whose derivatives at step k are entry k of drawn
+    tables; the first coordinate of each state carries its step k."""
+
+    def __init__(self, rng, t_hor, b, n, m):
+        def sym(*shape):
+            a = rng.normal(size=shape + shape[-1:])
+            return a @ np.swapaxes(a, -1, -2) - 0.5 * np.eye(shape[-1])
+
+        self.fx, self.fu = (rng.normal(size=(t_hor, b, n, n)),
+                            rng.normal(size=(t_hor, b, n, m)))
+        self.lx, self.lu = (rng.normal(size=(t_hor, b, n)),
+                            rng.normal(size=(t_hor, b, m)))
+        self.lxx, self.luu = sym(t_hor, b, n), sym(t_hor, b, m)
+        self.lt_x, self.lt_xx = rng.normal(size=(b, n)), sym(b, n)
+
+    def jacobians(self, x, u):
+        k = x[:, 0, 0].astype(int)
+        return self.fx[k], self.fu[k]
+
+    def stage_derivs(self, x, u):
+        k = x[:, 0, 0].astype(int)
+        return None, self.lx[k], self.lu[k], self.lxx[k], self.luu[k]
+
+    def terminal_derivs(self, x):
+        return None, self.lt_x, self.lt_xx
+
+
+@pytest.mark.parametrize("b", [40, 1])
+def test_backward_matches_per_problem_reference_bitwise(b):
+    # 40 problems take three derivative chunks (DERIV_ROWS // 40 = 6 steps
+    # each); one problem's decreases lie contiguous, where np.sum would add
+    # them pairwise.  Every third step has all controls inside their bounds,
+    # the others controls at both bounds and every free count 0..m.  The
+    # model decrease is each problem's per-step decreases summed from step
+    # T-1 down.
+    rng = np.random.default_rng(22)
+    t_hor, n, m, eps = 14, 4, 3, 0.1
+    u_bound = np.array([1.0, 2.0, 3.0])
+    tab = _TabledModel(rng, t_hor, b, n, m)
+    X = np.zeros((t_hor + 1, b, n))
+    X[..., 0] = np.arange(t_hor + 1)[:, None]
+    U = rng.choice([-1.0, 0.3, 1.0], size=(t_hor, b, m)) * u_bound
+    U[::3] = 0.3 * u_bound
+    got = ilqr._backward(tab, tab, X, U, eps, u_bound)
+    n_free = set()
+    for i in range(b):
+        vx, vxx = tab.lt_x[i], regularize_psd(tab.lt_xx[i], eps)
+        assert got.V_x[t_hor, i].tobytes() == vx.tobytes()
+        expected = 0.0
+        for k in range(t_hor - 1, -1, -1):
+            k_ff, k_fb, vx, vxx, dec = _backward_step_reference(
+                tab.fx[k, i], tab.fu[k, i], tab.lx[k, i], tab.lu[k, i],
+                tab.lxx[k, i], tab.luu[k, i], vx, vxx, eps, U[k, i], u_bound)
+            expected += dec
+            for g, w in ((got.k_ff[k, i], k_ff), (got.K_fb[k, i], k_fb),
+                         (got.V_x[k, i], vx)):
+                assert g.tobytes() == np.asarray(w).tobytes()
+            n_free.add(int(np.count_nonzero(k_ff)))
+        assert got.expected_decrease[i].tobytes() == np.float64(expected).tobytes()
+    assert n_free == set(range(m + 1)) or b == 1
+
+
+def test_lapack_gufuncs_match_np_linalg_and_fall_back_to_it():
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(40, 3, 3))
+    sym = a + np.swapaxes(a, -1, -2)
+    for got, want in zip(ilqr._eigh(sym), np.linalg.eigh(sym)):
+        assert got.tobytes() == want.tobytes()
+    for rhs in (rng.normal(size=(40, 3, 1)), rng.normal(size=(40, 3, 4))):
+        assert ilqr._solve(a, rhs).tobytes() == np.linalg.solve(a, rhs).tobytes()
+    # a singular matrix in the stack: np.linalg.solve raises for all of it
+    a[7] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        ilqr._solve(a, rhs)
+    # LAPACK fails on a non-finite matrix, and np.linalg.eigh raises
+    sym[3, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        ilqr._eigh(sym)
+
 
 def test_backward_matches_riccati_gains():
     rng = np.random.default_rng(1)
@@ -657,7 +757,7 @@ def test_backward_step_fails_singular_free_block_by_problem_row():
     luu = np.broadcast_to(np.eye(m), (b, m, m)).copy()
     luu[5, :2, :2] += 1e120
     with pytest.raises(ilqr._RowsFailed) as exc:
-        ilqr._backward_step(rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
+        _backward_step(rng.normal(size=(b, n, n)), rng.normal(size=(b, n, m)),
                             rng.normal(size=(b, n)), lu,
                             np.broadcast_to(np.eye(n), (b, n, n)), luu,
                             np.zeros((b, n)),
@@ -703,6 +803,24 @@ def test_solve_batch_invariant_under_permutation_and_split(name, seed, times,
     cut = data.draw(st.integers(0, len(starts)))
     for res, want in zip(run(range(cut)) + run(range(cut, len(starts))),
                          whole):
+        _assert_same_result(res, want)
+
+
+def test_lqr_batch_split_matches_whole_batch_bitwise():
+    # a case the property test above drew while the LQR fixture's quadratic
+    # costs were einsums, which round with the batch size: the third
+    # problem's terminal step cost differed in its last bit between batches
+    # of 3 and 2
+    model, field, _ = random_lqr(np.random.default_rng(382), horizon=40)
+    starts = envs.sample_initial_states(model, 3, 382, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, model.m))] * 3
+    reg = RegularizerConfig(eps=0.1)
+
+    def run(rows):
+        return solve_batch(model, field, starts[rows], warms[rows], max_iter=6,
+                           reg=reg)
+
+    for res, want in zip(run(slice(1)) + run(slice(1, 3)), run(slice(3))):
         _assert_same_result(res, want)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from trajrl import envs, nets, trainer
+from trajrl import envs, ilqr, nets, trainer
 from trajrl.envs import Region, TimeState
 from trajrl.ilqr import BatchSolveError, SolverError, solve_batch
 from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
@@ -318,22 +318,29 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
         return solve_batch(*args)
 
     monkeypatch.setattr(trainer, "solve_batch", recording)
+    batch = envs.sample_initial_states(model, 4, 25, Region.WORKSPACE)
     for first in (True, False):
         warms, _, oracle = _probes_alone(state, first, 60)
-        starts, joint_warms, probes = calibrate_max_iter(state, first, [])
+        starts, joint_warms, probes = calibrate_max_iter(state, first, batch)
         results = trainer._solve_each(model, field, starts, joint_warms, 60,
                                       state.reg, cfg.tol, probes)
-        assert trainer._calibrated_cap(cfg, first, results) == oracle
+        n = probes.n
+        if first:
+            # the first cap is not read back: the batch is solved at it
+            _assert_same_results(results[n:], solve_batch(
+                model, field, batch, joint_warms[n:], oracle, state.reg, cfg.tol))
+        else:
+            assert trainer._calibrated_cap(cfg, results[:n]) == oracle
         # zero warm starts for the first cap, actor rollouts for the later one
-        assert len(solved[-1]) == len(warms)
+        assert len(solved[-1]) == len(warms) + len(batch)
         for got, want in zip(solved[-1], warms):
             assert got.tobytes() == want.tobytes()
     assert np.any(solved[-1][0] != 0.0)
 
 
 def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
-    cfg = _tiny_toy_config(max_iter_first=None, p_first=50.0)
-    state = TrainerState(cfg)
+    cfg = _tiny_toy_config(max_iter_later=None, p_later=50.0)
+    state, _ = trainer.run_iteration(TrainerState(cfg), 1)
     counts = []
 
     def probe_3_fails(*args):
@@ -344,8 +351,8 @@ def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
         raise BatchSolveError({3: SolverError("probe 3 failed")}, results)
 
     monkeypatch.setattr(trainer, "solve_batch", probe_3_fails)
-    trainer.run_iteration(state, 1)
-    cap = state.max_iter[True]
+    trainer.run_iteration(state, 2)
+    cap = state.max_iter
     counts[3] = cfg.calibration_cap
     assert len(counts) == cfg.calibration_probes
     assert cap == nearest_rank(counts, 50.0)
@@ -366,8 +373,9 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     """Solve batch with the calibration probes in one lockstep, and the
     probes alone, then batch alone at the sort oracle's cap.  probe_order
     reorders the probes; the probes in spoil get non-finite warm starts, so
-    they fail.  Returns the cap read from the joint results, the oracle's
-    cap, the joint probe and batch results, and the batch's separate ones."""
+    they fail.  Returns the cap read from the joint results (None for the
+    first cap, which is not read back), the oracle's cap, the joint probe and
+    batch results, and the batch's separate ones."""
     cfg = state.config
     model, field, cap = cfg.model, cfg.field, cfg.calibration_cap
     starts, warms, probes = calibrate_max_iter(state, first, batch)
@@ -393,8 +401,8 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     assert oracle == ordered[probes[1] - 1]
     separate = solve_batch(model, field, starts[n:], warms[n:], oracle,
                            state.reg, cfg.tol)
-    return (trainer._calibrated_cap(cfg, first, joint[:n]), oracle, joint[:n],
-            joint[n:], separate)
+    cap = None if first else trainer._calibrated_cap(cfg, joint[:n])
+    return cap, oracle, joint[:n], joint[n:], separate
 
 
 def _pointmass_state(pointmass_rc, **overrides):
@@ -408,7 +416,7 @@ def test_joint_calibration_solve_matches_separate_solves(pointmass_rc, first):
     state = _pointmass_state(pointmass_rc)
     batch = envs.sample_initial_states(state.config.model, 12, 21, Region.WORKSPACE)
     cap, oracle, _, joint, separate = _joint_and_separate(state, first, batch)
-    assert cap == oracle
+    assert cap == (None if first else oracle)
     _assert_same_results(joint, separate)
 
 
@@ -439,12 +447,29 @@ def test_joint_calibration_falls_back_to_calibration_cap(pointmass_rc):
     state = _pointmass_state(pointmass_rc, calibration_cap=12)
     counts = _probes_alone(state, True, 12)[1]
     assert counts.count(12) > 0           # N - r = 0 at p_first 99
-    cap, oracle, _, joint, separate = _joint_and_separate(state, True, batch)
-    assert cap == oracle == 12
+    _, oracle, _, joint, separate = _joint_and_separate(state, True, batch)
+    assert oracle == 12
     _assert_same_results(joint, separate)
 
 
+def test_first_cap_probes_stop_with_their_batch(pointmass_rc):
+    # the probes in the order of their counts, the slowest last: the probes
+    # still running leave, unconverged, once the batch's last problem has
+    # ended, long before the slowest would set the cap
+    state = _pointmass_state(pointmass_rc)
+    counts = _probes_alone(state, True, 60)[1]
+    batch = envs.sample_initial_states(state.config.model, 8, 22, Region.WORKSPACE)
+    _, oracle, probes, joint, separate = _joint_and_separate(
+        state, True, batch, probe_order=np.argsort(counts, kind="stable"))
+    _assert_same_results(joint, separate)
+    last = max(r.iters_used for r in joint)
+    assert oracle == max(counts) > last
+    assert (probes[-1].iters_used, probes[-1].converged) == (last, False)
+
+
 def test_joint_calibration_with_mixed_start_times():
+    # other horizons are solved after the probes' group, at the cap it
+    # fixes, so the first cap's probes run until it is known
     cfg = _tiny_toy_config(max_iter_first=None, randomize_initial_time=True)
     state = TrainerState(cfg)
     model = cfg.model
@@ -457,8 +482,10 @@ def test_joint_calibration_with_mixed_start_times():
     n = probes[0]
     joint = solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
                         state.reg, cfg.tol, probes)
-    cap = trainer._calibrated_cap(cfg, True, joint[:n])
+    cap = nearest_rank([r.iters_used if r.converged else cfg.calibration_cap
+                        for r in joint[:n]], cfg.p_first)
     assert cap == _probes_alone(state, True, cfg.calibration_cap)[2]
+    assert joint[n].iters_used < cap      # the probes' group ended before
     for t in times:
         ids = [i for i in range(n, len(starts)) if starts[i].t == t]
         separate = solve_batch(model, cfg.field, [starts[i] for i in ids],
@@ -494,6 +521,30 @@ def test_every_probe_failing_raises(monkeypatch):
         train(_tiny_toy_config(max_iter_first=None))
 
 
+def test_every_probe_failing_fails_the_batch_without_iterating(monkeypatch):
+    # the batch rows in the probes' group and in other horizons fail at once
+    cfg = _tiny_toy_config(max_iter_first=None, randomize_initial_time=True)
+    state = TrainerState(cfg)
+    model = cfg.model
+    batch = trainer._assign_start_times(envs.sample_initial_states(
+        model, 6, 24, Region.WORKSPACE), model, cfg, 1)
+    batch[0] = TimeState(batch[0].x, 0)
+    starts, warms, probes = calibrate_max_iter(state, True, batch)
+    for i in range(probes.n):
+        warms[i] = np.full_like(warms[i], np.nan)
+    passes = []
+    real = ilqr._backward
+    monkeypatch.setattr(ilqr, "_backward", lambda *args: (
+        passes.append(args[2].shape[1]) or real(*args)))
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
+                    state.reg, cfg.tol, probes)
+    assert passes == []
+    assert sorted(exc.value.errors) == list(range(len(starts)))
+    for i in range(probes.n, len(starts)):
+        assert str(exc.value.errors[i]) == "every calibration probe failed"
+
+
 def test_every_batch_problem_failing_raises(monkeypatch):
     _spoil_warmstarts(monkeypatch, lambda n, total: range(n, total))
     with pytest.raises(BatchSolveError, match="16 of 16 problems failed"):
@@ -501,14 +552,15 @@ def test_every_batch_problem_failing_raises(monkeypatch):
 
 
 def test_one_failed_probe_counts_as_the_cap_and_fails_nothing_else(monkeypatch):
-    cfg = _tiny_toy_config(max_iter_first=None, p_first=50.0)
-    state = TrainerState(cfg)
-    counts = _probes_alone(state, True, cfg.calibration_cap)[1]
+    cfg = _tiny_toy_config(max_iter_later=None, p_later=50.0)
+    state, _ = trainer.run_iteration(TrainerState(cfg), 1)
+    counts = _probes_alone(state, False, cfg.calibration_cap)[1]
     counts[3] = cfg.calibration_cap
     _spoil_warmstarts(monkeypatch, lambda n, total: [3])
-    state, rep = trainer.run_iteration(state, 1)
-    assert state.max_iter[True] == nearest_rank(counts, 50.0)
-    assert rep.to_failed == 0 and rep.episodes_cum == cfg.n_episodes
+    state, rep = trainer.run_iteration(state, 2)
+    assert state.max_iter == nearest_rank(counts, 50.0)
+    assert rep.to_failed == 0
+    assert rep.episodes_cum == cfg.n_episodes + cfg.later_batch
 
 
 def test_failed_training_problem_is_dropped(monkeypatch):
