@@ -13,14 +13,19 @@ and value gradients carry a problem axis next to the time axis (time-major,
 operation acts on each problem's own rows -- elementwise arithmetic, stacked
 `matmul`/`eigh`/`solve`, and the batched methods of the systems and costs --
 so a problem's result does not depend on which problems share its batch.
-Matrix-vector products and dots are written as stacked matmuls (`_mv`,
-`_dot`, or with the vectors kept as `(..., 1)` columns, as the backward pass
-does) because those round exactly like the per-matrix products, where
-`einsum` and `(a * b).sum(-1)` do not.
+So a call without calibration probes of at least SPLIT_ROWS rows may solve
+its second half in a forked child process, on a second CPU, with the same
+bits.  Matrix-vector products and dots are written as stacked matmuls
+(`_mv`, `_dot`, or with the vectors kept as `(..., 1)` columns, as the
+backward pass does) because those round exactly like the per-matrix
+products, where `einsum` and `(a * b).sum(-1)` do not.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -37,6 +42,12 @@ LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
 # manipulator), which takes one step per call for more than DERIV_ROWS problems.
 BLOCK_ROWS = 3200
 DERIV_ROWS = 256
+# Rows (the sum of the horizons of its valid problems) from which a call
+# without probes solves its second half in a forked child, on a second CPU.
+# Measured break-even on a 2-CPU machine, split against one process: toy1d
+# 1.04x at 480 rows and 0.93-1.01x from 960 on; pointmass 1.07-1.28x at 180,
+# 0.83-0.98x from 360; manipulator 0.78-0.88x from 200.
+SPLIT_ROWS = 1200
 
 
 class SolverError(RuntimeError):
@@ -548,6 +559,68 @@ def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
     return np.clip(U_init, -model.u_bound, model.u_bound)
 
 
+def _by_horizon(members) -> list[list]:
+    """(index, u_nom) pairs grouped by horizon, groups and members in the
+    order of their first appearance."""
+    groups: dict[int, list] = {}
+    for i, u_nom in members:
+        groups.setdefault(len(u_nom), []).append((i, u_nom))
+    return list(groups.values())
+
+
+def _in_two_processes(solve, mine, theirs, results, errors):
+    """solve(mine, results, errors) here and solve(theirs, ...) in a forked
+    child, whose results and errors are merged into these.
+
+    The child sends (results, errors) as one pickle through a pipe, or the
+    exception it met, which is raised here.  Should this process's half
+    raise, the child is killed first; it is reaped in any case, and one that
+    exits with a non-zero status or without its pickle raises RuntimeError.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            out = [None] * len(results), {}
+            try:
+                solve(theirs, *out)
+            except BaseException as exc:  # noqa: BLE001 - sent to the parent
+                out = exc
+            with open(w, "wb") as pipe:
+                pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            # no atexit handlers, no flush of inherited buffers, no return
+            # into the caller's stack
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            solve(mine, results, errors)
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not payload:
+        raise RuntimeError(f"the solver's child process exited with status "
+                           f"{status}{'' if payload else ' and sent no results'}")
+    out = pickle.loads(payload)
+    if isinstance(out, BaseException):
+        raise out
+    for i, _ in theirs:
+        results[i] = out[0][i]
+    errors.update(out[1])
+
+
 def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
                 reg: RegularizerConfig = RegularizerConfig(),
@@ -565,8 +638,8 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     trajectory, whose step costs sum to the realized cost-to-go, and the
     cost-to-go gradients: the V_x of a backward pass along that trajectory.
 
-    Lockstep: all problems of equal horizon T are solved together, in one
-    process.  Each iteration runs one backward pass over all of them that are
+    Lockstep: all problems of equal horizon T are solved together.  Each
+    iteration runs one backward pass over all of them that are
     unfinished and two line-search rollouts: every problem at alpha = 1, then
     those still searching at the ten smaller step sizes, BLOCK_ROWS // T
     problems to a stack, each taking its first that decreases the cost -- the
@@ -575,6 +648,16 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     operation acts on each problem's own rows, so results are bit-identical
     to solving each problem alone (a batch of one) and do not depend on the
     batch's order or size.
+
+    Two processes: a call without probes whose valid problems hold at least
+    SPLIT_ROWS rows (the sum of their horizons) forks one child where
+    os.sched_getaffinity gives this process two or more CPUs.  The child
+    solves the second half of the valid problems, in input order, the parent
+    the first, each in its own locksteps; their results and failures are
+    merged by index, with the same bits as in one process.  A calibrating
+    call stays in one process, because its cap is found in its probes'
+    lockstep; so does a smaller call, where the fork and the second CPU's
+    load cost more than they save.
 
     Calibration: with probes = Probes(n, rank, batch_only) (or a tuple), the
     first n problems are probes of one horizon, run up to max_iter, and the
@@ -603,7 +686,12 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     line-search candidates holds at most 10 x BLOCK_ROWS (problem, step) rows
     (about 2.5 MB on the manipulator); derivatives are evaluated about
     DERIV_ROWS rows at a time.  Both trade Python overhead per call against
-    peak memory; a failed or finished problem's rows are dropped at once.
+    peak memory; a failed or finished problem's rows are dropped at once.  In
+    two processes, the parent holds the locksteps of the first half and the
+    child those of the second, and the child's results cross as one pickle
+    (about 420 KB for 32 manipulator problems).  Functions the child calls
+    run in its own copy of this process: a tracer that wraps them in the
+    parent does not see those calls.
     """
     if len(starts) != len(warmstarts):
         raise ValueError("starts and warmstarts must have equal length")
@@ -615,26 +703,36 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     cost = cost_for(model, field)
     results: list = [None] * len(starts)
     errors: dict[int, Exception] = {}
-    by_horizon: dict[int, list] = {}
+    valid = []
     for i, (x0, warm) in enumerate(zip(starts, warmstarts)):
         try:
-            u_nom = _initial_controls(model, x0, warm)
+            valid.append((i, _initial_controls(model, x0, warm)))
         except ValueError as err:
             errors[i] = err
-        else:
-            by_horizon.setdefault(len(u_nom), []).append((i, u_nom))
+    groups = _by_horizon(valid)
     probes = Probes(*probes) if probes else Probes(0, 1)
     # the probes lead, so their horizon's group comes first and fixes the cap
-    if sum(members[0][0] < probes.n for members in by_horizon.values()) > 1:
+    if sum(members[0][0] < probes.n for members in groups) > 1:
         raise ValueError("calibration probes must share one horizon")
     # other horizons are solved after the probes' group, at the cap it fixes
-    probes = probes._replace(batch_only=probes.batch_only and len(by_horizon) == 1)
-    cap = max_iter
-    for members in by_horizon.values():
-        ids, u_nom = zip(*members)
-        cap = _solve_lockstep(system, cost, model.u_bound, ids,
-                              [starts[i] for i in ids], np.stack(u_nom, axis=1),
-                              cap, reg.eps, tol, results, errors, probes)
+    probes = probes._replace(batch_only=probes.batch_only and len(groups) == 1)
+
+    def solve(part, results, errors):
+        cap = max_iter
+        for members in _by_horizon(part):
+            ids, u_nom = zip(*members)
+            cap = _solve_lockstep(system, cost, model.u_bound, ids,
+                                  [starts[i] for i in ids],
+                                  np.stack(u_nom, axis=1), cap, reg.eps, tol,
+                                  results, errors, probes)
+
+    if (probes.n or sum(len(u_nom) for _, u_nom in valid) < SPLIT_ROWS
+            or not hasattr(os, "sched_getaffinity")  # macOS, Windows
+            or len(os.sched_getaffinity(0)) < 2):
+        solve(valid, results, errors)
+    else:
+        half = len(valid) // 2
+        _in_two_processes(solve, valid[:half], valid[half:], results, errors)
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results

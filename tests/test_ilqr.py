@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from trajrl.envs.systems import PointMass
 from trajrl.envs import Region, TimeState, toy1d_cost
 from trajrl.ilqr import (BatchSolveError, RegularizerConfig, SolverError,
                          regularize_psd, solve_batch)
+from trajrl.config import load_config
 from trajrl.trainer import kstep_targets, nearest_rank
 
 from lqr_utils import random_lqr, riccati_gains, riccati_value_matrices
@@ -824,6 +827,147 @@ def test_lqr_batch_split_matches_whole_batch_bitwise():
         _assert_same_result(res, want)
 
 
+# -- two processes -----------------------------------------------------------------
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every call without probes forks, on any machine; returns the pids
+    that called os.fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _spiked_mixed_batch(pointmass_rc):
+    """Pointmass starts at mixed start times, as randomize_initial_time makes
+    them, under the singular-Quu spike: problems 1 and 6 start in the spike
+    and 5 has a non-finite warm start, so the first half and the second
+    both fail problems."""
+    model = dataclasses.replace(pointmass_rc.model, name="pointmass-spike")
+    base = envs.sample_initial_states(model, 8, 17, Region.WORKSPACE)
+    times = (0, 40, 5, 40, 59, 0, 12, 0)
+    starts = [TimeState(s.x, t) for s, t in zip(base, times)]
+    for i in (1, 6):
+        starts[i] = TimeState(np.array([60.0, 0.0, 0.0, 0.0]), times[i])
+    warms = [np.zeros((model.t_max - s.t, 2)) for s in starts]
+    warms[5] = np.full(warms[5].shape, np.nan)
+    return model, pointmass_rc.field, starts, warms
+
+
+def test_split_call_equals_one_process_bitwise(pointmass_rc, monkeypatch, split):
+    model, field, starts, warms = _spiked_mixed_batch(pointmass_rc)
+
+    def run():
+        with pytest.raises(BatchSolveError) as exc:
+            solve_batch(model, field, starts, warms, max_iter=10, reg=REG)
+        return exc.value
+
+    two = run()
+    assert split == [os.getpid()]
+    _assert_no_child()
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 10**9)
+    one = run()
+    assert len(split) == 1
+    assert set(one.errors) == {1, 5, 6}
+    assert "Singular matrix" in str(one.errors[6])
+    assert str(two) == str(one)
+    assert {i: (type(e), str(e)) for i, e in two.errors.items()} == \
+        {i: (type(e), str(e)) for i, e in one.errors.items()}
+    for got, want in zip(two.results, one.results):
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same_result(got, want)
+
+
+def test_split_call_that_returns_leaves_no_child(pointmass_rc, split):
+    model, field = pointmass_rc.model, pointmass_rc.field
+    starts = envs.sample_initial_states(model, 4, 3, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, 2))] * len(starts)
+    results = solve_batch(model, field, starts, warms, max_iter=5, reg=REG)
+    assert len(split) == 1 and all(r is not None for r in results)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("fault", ["child exits", "child raises", "parent raises"])
+def test_split_call_fails_whole_and_reaps_its_child(pointmass_rc, monkeypatch,
+                                                    split, fault):
+    # the child's half solves the second problem; a child that exits without
+    # its results fails the call, as does an exception on either side, which
+    # reaches the caller as it was raised; a parent that fails first kills
+    # its child rather than wait for it
+    model, field = pointmass_rc.model, pointmass_rc.field
+    starts = envs.sample_initial_states(model, 2, 3, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, 2))] * len(starts)
+    parent, real = os.getpid(), ilqr._solve_lockstep
+
+    def half(*args, **kwargs):
+        in_child = os.getpid() != parent
+        if fault == "child exits" and in_child:
+            os._exit(3)
+        if fault == "child raises" and in_child:
+            raise MemoryError("child")
+        if fault == "parent raises":
+            if not in_child:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ilqr, "_solve_lockstep", half)
+    want = {"child exits": (RuntimeError, "exited with status 3"),
+            "child raises": (MemoryError, "child"),
+            "parent raises": (KeyboardInterrupt, "")}[fault]
+    t0 = time.perf_counter()
+    with pytest.raises(BaseException) as exc:
+        solve_batch(model, field, starts, warms, max_iter=5, reg=REG)
+    assert exc.type is want[0] and want[1] in str(exc.value)
+    assert time.perf_counter() - t0 < 30.0
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("config", ["pointmass.ini", "toy1d.ini"])
+def test_bench_train_calls_stay_below_split_rows(config):
+    # a training batch or an eval of the benchmark's train workloads holds
+    # at most this many starts of at most t_max steps
+    rc = load_config(Path(__file__).resolve().parents[1] / "perfbench"
+                     / "configs" / config)
+    tc = rc.train
+    rows = max(tc.n_episodes, tc.later_batch, tc.eval_count) * rc.model.t_max
+    assert rows < ilqr.SPLIT_ROWS
+
+
+def test_calls_that_stay_in_one_process(pointmass_rc, monkeypatch):
+    # with probes (the cap is found in their lockstep), below SPLIT_ROWS, with
+    # one CPU, and where os.sched_getaffinity is missing (macOS, Windows)
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    model, field = pointmass_rc.model, pointmass_rc.field
+    starts = envs.sample_initial_states(model, 8, 3, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, 2))] * len(starts)
+    assert len(solve_batch(model, field, starts, warms, max_iter=5)) == 8
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 1)
+    assert len(solve_batch(model, field, starts, warms, max_iter=5,
+                           probes=ilqr.Probes(3, 2))) == 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert len(solve_batch(model, field, starts, warms, max_iter=5)) == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert len(solve_batch(model, field, starts, warms, max_iter=5)) == 8
+
+
 # -- K-step targets of solved trajectories (trainer.kstep_targets) ------------------
 
 def _lqr_solved(rng, **kw):
@@ -947,3 +1091,5 @@ def test_solver_imports_no_training_module():
                          timeout=120).stdout.split()
     assert "trajrl.ilqr" in out
     assert not {"trajrl.buffer", "trajrl.nets", "trajrl.trainer"} & set(out)
+    # the solver forks with os alone, so no process pool adds to setup time
+    assert not {"multiprocessing", "concurrent"} & set(out)

@@ -37,6 +37,7 @@ SETS = (
     ("toy1d", "configs/toy1d.ini", 53, 11, 100),
     ("dubins", "configs/dubins.ini", 24, 11, 40),
     ("manipulator-solve", "perfbench/configs/manipulator.ini", 32, 12345, 15),
+    ("manipulator-solve-64", "perfbench/configs/manipulator.ini", 64, 12345, 15),
 )
 HASHED = ("X", "U", "step_costs", "V_bar_x")
 
