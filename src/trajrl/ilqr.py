@@ -45,8 +45,8 @@ DERIV_ROWS = 256
 # Rows (the sum of the horizons of its valid problems) from which a call
 # without probes solves its second half in a forked child, on a second CPU.
 # Measured break-even on a 2-CPU machine, split against one process: toy1d
-# 1.04x at 480 rows and 0.93-1.01x from 960 on; pointmass 1.07-1.28x at 180,
-# 0.83-0.98x from 360; manipulator 0.78-0.88x from 200.
+# 1.04x at 480 rows and near even (0.93-1.09x) from 960 on; pointmass
+# 1.07-1.28x at 180, 0.80-0.98x from 360; manipulator 0.77-0.88x from 200.
 SPLIT_ROWS = 1200
 
 
