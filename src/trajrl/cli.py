@@ -141,7 +141,6 @@ def cmd_train(args) -> int:
         "total_s": time.perf_counter() - t0,
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
-        "calibrate_s": sum(r.t_calibrate_s for r in reports),
         "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "

@@ -135,7 +135,8 @@ class ModelSpec:
 class System:
     """Discrete-time dynamics of one system, vectorized over a leading batch axis.
 
-    `step_x`/`jacobians` take raw state arrays (without the time index).
+    `step_x`/`jacobians` take raw state arrays (without the time index);
+    `jacobians` returns fresh arrays, which the solver may write into.
     """
 
     defaults: dict = {}     # ModelSpec fields other than name

@@ -40,8 +40,9 @@ class Cost:
 
     The effort term and the four entry points are written here once; a
     subclass supplies only its state term, as `value(x)` and `derivs(x)` ->
-    (value, d/dx, d2/dx2).  The effort weight w_u is the field's control_weight.
-    `stage_derivs` returns (l, l_x, l_u, l_xx, l_uu); no cost couples x and u.
+    (d/dx, d2/dx2).  The effort weight w_u is the field's control_weight.
+    `stage_derivs` returns fresh (l_x, l_u, l_xx, l_uu), `terminal_derivs`
+    (l_x, l_xx); no cost couples x and u.
     """
 
     def __init__(self, field: CostField):
@@ -63,11 +64,9 @@ class Cost:
 
     def stage_derivs(self, x, u):
         batch, m = x.shape[:-1], u.shape[-1]
-        val, lx, lxx = self.derivs(x)
-        l = val + self.w_u * (u**2).sum(axis=-1)
-        lu = self.effort_grad(u)
+        lx, lxx = self.derivs(x)
         luu = np.broadcast_to(2.0 * self.w_u * np.eye(m), batch + (m, m)).copy()
-        return l, lx, lu, lxx, luu
+        return lx, self.effort_grad(u), lxx, luu
 
     def terminal(self, x):
         return self.value(x)
@@ -89,7 +88,7 @@ class Toy1DCost(Cost):
 
     def derivs(self, x):
         s = x[..., 0]
-        return (toy1d_cost(s), (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
+        return ((4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
                 (12.0 * s**2 - 4.0)[..., None, None])
 
 
@@ -121,20 +120,19 @@ class TaskCost(Cost):
         return val
 
     def point_derivs(self, p):
+        """(d/dp, d2/dp2) of point_value."""
         f = self.field
         batch = p.shape[:-1]
         diff = p - self.target
         q = (diff**2).sum(axis=-1)
         eye2 = np.eye(2)
 
-        val = f.distance_weight * q
         g = 2.0 * f.distance_weight * diff
         h = np.broadcast_to(2.0 * f.distance_weight * eye2, batch + (2, 2)).copy()
 
         # bonus r(q) = -w exp(-q/rho^2)
         rho2 = f.target_reward_radius**2
         ex = np.exp(-q / rho2)
-        val -= f.target_reward_weight * ex
         dr = (f.target_reward_weight / rho2) * ex          # dr/dq
         d2r = -dr / rho2
         g += dr[..., None] * 2.0 * diff
@@ -148,13 +146,12 @@ class TaskCost(Cost):
             e = (d * ed).sum(axis=-1)
             z = s * (1.0 - e)
             sig = sigmoid(z)
-            val += f.obstacle_weight * softplus(z)
             db = -f.obstacle_weight * s * sig               # db/de
             d2b = f.obstacle_weight * s**2 * sig * (1.0 - sig)
             g += db[..., None] * 2.0 * ed
             h += 4.0 * d2b[..., None, None] * ed[..., :, None] * ed[..., None, :]
             h += 2.0 * db[..., None, None] * e_mat
-        return val, g, h
+        return g, h
 
     # -- chained to the state -------------------------------------------------
 
@@ -162,10 +159,10 @@ class TaskCost(Cost):
         return self.point_value(self.system.position(x))
 
     def derivs(self, x):
-        """(value, d/dx, d2/dx2) of the point field through p(x)."""
+        """(d/dx, d2/dx2) of the point field through p(x)."""
         p, jp, hp = self.system.position_derivs(x)
-        val, g, h = self.point_derivs(p)
+        g, h = self.point_derivs(p)
         lx = np.einsum("...ci,...c->...i", jp, g)
         lxx = (np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
                + np.einsum("...c,...cij->...ij", g, hp))
-        return val, lx, lxx
+        return lx, lxx

@@ -7,18 +7,18 @@ line search of GPU DDP, Plancher & Kuindersma 2018).  Each solve returns its
 trajectory and the gradients of its cost-to-go; how problems are posed and
 what becomes of a solve is the trainer's business.
 
-All problems of one horizon are solved in one lockstep: trajectories, gains
-and value gradients carry a problem axis next to the time axis (time-major,
-`(T, B, ...)`), and Python loops only over time steps and stack pieces.  Every
-operation acts on each problem's own rows -- elementwise arithmetic, stacked
-`matmul`/`eigh`/`solve`, and the batched methods of the systems and costs --
-so a problem's result does not depend on which problems share its batch.
-So a call without calibration probes of at least SPLIT_ROWS rows may solve
-its second half in a forked child process, on a second CPU, with the same
-bits.  Matrix-vector products and dots are written as stacked matmuls
-(`_mv`, `_dot`, or with the vectors kept as `(..., 1)` columns, as the
-backward pass does) because those round exactly like the per-matrix
-products, where `einsum` and `(a * b).sum(-1)` do not.
+All problems of a call are solved in one lockstep, aligned at their end:
+trajectories, gains and value gradients carry a problem axis next to the time
+axis (time-major, `(T, B, ...)`), and Python loops only over time steps and
+stack pieces.  Every operation acts on each problem's own rows -- elementwise
+arithmetic, stacked `matmul`/`eigh`/`solve`, and the batched methods of the
+systems and costs -- so a problem's result does not depend on which problems
+share its batch.  So a call without calibration probes of at least SPLIT_ROWS
+rows may solve its second half in a forked child process, on a second CPU,
+with the same bits.  Matrix-vector products and dots are written as stacked
+matmuls (`_mv`, `_dot`, or with the vectors kept as `(..., 1)` columns, as the
+backward pass does) because those round exactly like the per-matrix products,
+where `einsum` and `(a * b).sum(-1)` do not.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -81,22 +82,21 @@ def _finite(a) -> bool:
 def _eigh(a):
     """np.linalg.eigh(a) of a stack, through the LAPACK gufunc it wraps (same
     bits, without the wrapper's checks); a failed matrix gives non-finite
-    eigenvalues, and np.linalg.eigh then runs again to raise its error.  The
-    gufunc flags such a failure as an invalid value, which _backward's
-    errstate silences."""
+    eigenvalues, which raise SolverError in numpy's words.  The gufunc flags
+    such a failure as an invalid value, which _backward's errstate silences."""
     s, w = _umath_linalg.eigh_lo(a, signature="d->dd")
     if not _finite(s):
-        return np.linalg.eigh(a)
+        raise SolverError("Eigenvalues did not converge")
     return s, w
 
 
 def _solve(a, b):
     """np.linalg.solve(a, b) of stacks, b of shape (..., k, r), the same way:
-    a singular matrix gives a non-finite solution, and np.linalg.solve then
-    runs again to raise "Singular matrix"."""
+    a singular matrix gives a non-finite solution, which raises
+    SolverError("Singular matrix")."""
     x = _umath_linalg.solve(a, b, signature="dd->d")
     if not _finite(x):
-        return np.linalg.solve(a, b)
+        raise SolverError("Singular matrix")
     return x
 
 
@@ -196,35 +196,36 @@ class _RowsFailed(Exception):
         self.errors = errors
 
 
-def _check_finite(step0: int, **arrays):
-    """Fail the rows (axis 1) of time-major derivative blocks that hold a
-    non-finite value, naming the first such array and step."""
+def _check_finite(step0: int, first, **arrays):
+    """Fail the rows (axis 1) of time-major derivative blocks from step step0
+    that hold a non-finite value, naming the first such array and own step."""
     for name, arr in arrays.items():
         if np.isfinite(arr).all():
             continue
         fin = np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=2)
         raise _RowsFailed({
             int(r): SolverError(f"non-finite {name} at step "
-                                f"{step0 + int(np.argmin(fin[:, r]))}")
+                                f"{step0 + int(np.argmin(fin[:, r])) - first[r]}")
             for r in np.flatnonzero(~fin.all(axis=0))})
 
 
-def _per_row(fn, k, eps, *stacks, rows=None):
-    """fn(*stacks, eps) for stacks of matrices.  When the stacked call fails --
-    regularize_psd rejects a non-finite matrix before the eigensolver, or
-    LAPACK meets a singular one, which fails the whole stack -- each row is
-    tried alone, and the rows that fail alone (row i, or rows[i] when rows
-    is given) raise _RowsFailed."""
+def _per_row(fn, k, first, eps, *stacks, rows=None):
+    """fn(*stacks, eps) for stacks of matrices of step k.  When the stacked call
+    fails -- regularize_psd rejects a non-finite matrix before the eigensolver,
+    or LAPACK meets a singular one, which fails the whole stack -- each row is
+    tried alone, and the rows r that fail alone (row i, or rows[i] when rows
+    is given) raise _RowsFailed, at their own step k - first[r]."""
     try:
         return fn(*stacks, eps)
-    except (SolverError, np.linalg.LinAlgError) as stacked:
+    except SolverError as stacked:
         errors = {}
         for i in range(len(stacks[0])):
             try:
                 fn(*(s[i] for s in stacks), eps)
-            except (SolverError, np.linalg.LinAlgError) as err:
-                errors[int(i if rows is None else rows[i])] = SolverError(
-                    f"backward pass failed at step {k}: {err}")
+            except SolverError as err:
+                r = int(i if rows is None else rows[i])
+                errors[r] = SolverError(f"backward pass failed at step "
+                                        f"{k - first[r]}: {err}")
         if not errors:
             raise stacked
         raise _RowsFailed(errors) from None
@@ -237,11 +238,12 @@ def _clip_and_solve(q, qu, qux, eps):
     return q, -_solve(q, qu), -_solve(q, qux)
 
 
-def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k):
-    """One Riccati-like step for a stack of rows, with lx, lu and vx as
-    columns (..., 1), fx_t and fu_t the transposed Jacobians, and bound None
-    when no control of the step is at a bound, else the masks of the
-    controls at their upper and at their lower bound.
+def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k,
+                   first):
+    """One Riccati-like step k for a stack of rows that start at steps first,
+    with lx, lu and vx as columns (..., 1), fx_t and fu_t the transposed
+    Jacobians, and bound None when no control of the step is at a bound, else
+    the masks of the controls at their upper and at their lower bound.
 
     Returns the gains k_ff (a column) and K_fb, the new (V_x, V_xx), and the
     terms of the model decrease: Q_u, Quu_r k_ff, and the rows whose controls
@@ -268,7 +270,7 @@ def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k)
         if np.count_nonzero(free) == free.size:
             bound = None
     if bound is None:
-        quu_r, k_ff, k_fb = _per_row(_clip_and_solve, k, eps, quu, qu, qux)
+        quu_r, k_ff, k_fb = _per_row(_clip_and_solve, k, first, eps, quu, qu, qux)
     else:
         k_ff = np.zeros(qu.shape)
         k_fb = np.zeros(qux.shape)
@@ -286,7 +288,8 @@ def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k)
                 sub = (rows[:, None], f)
                 block = (rows[:, None, None], f[:, :, None], f[:, None, :])
             quu_r[block], k_ff[sub], k_fb[sub] = _per_row(
-                _clip_and_solve, k, eps, quu[block], qu[sub], qux[sub], rows=rows)
+                _clip_and_solve, k, first, eps, quu[block], qu[sub], qux[sub],
+                rows=rows)
         all_clamped = n_free == 0
     k_fb_t, qux_t = k_fb.swapaxes(-1, -2), qux.swapaxes(-1, -2)
     quu_k = quu_r @ k_ff
@@ -301,21 +304,23 @@ def _backward_step(fx, fu, fx_t, fu_t, lx, lu, lxx, luu, vx, vxx, eps, bound, k)
         vxx_new[all_clamped] = qxx[all_clamped]
     else:
         all_clamped = None
-    vxx_new = _per_row(regularize_psd, k, eps, vxx_new)
+    vxx_new = _per_row(regularize_psd, k, first, eps, vxx_new)
     return k_ff, k_fb, vx_new, vxx_new, qu, quu_k, all_clamped
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
-    """Backward pass along trajectories X (T+1, B, n), U (T, B, m).
+def _backward(system, cost, X, U, first, eps, u_bound) -> BackwardPassResult:
+    """Backward pass along X (T+1, B, n), U (T, B, m), rows from steps first.
 
     Derivatives are evaluated about DERIV_ROWS rows at a time while walking
-    backward, and only the current V_xx is kept.  Raises _RowsFailed at the
-    first step where any row meets a non-finite derivative or matrix, before
-    that row's values reach a stacked LAPACK call, or a matrix that LAPACK
-    rejects on its own; overflow on the way there is silenced, as in _roll.
-    The model decrease is summed after the walk, step T-1 first, as the walk
-    would add it.
+    backward, and only the current V_xx is kept.  A row's steps before its
+    first, walked after its own, are inert: fx = I and the rest 0, written into
+    the fresh arrays of `jacobians` and `stage_derivs`; Q_uu = 0 clips to eps*I,
+    and their model decrease is zeroed.  Raises _RowsFailed at the first step
+    where any row meets a non-finite derivative or matrix, before that row's
+    values reach a stacked LAPACK call, or a matrix that LAPACK rejects on its
+    own; overflow on the way there is silenced, as in _roll.  The model
+    decrease is summed after the walk, step T-1 first, as the walk would.
     """
     t_hor, b, m = U.shape
     n = X.shape[2]
@@ -324,18 +329,25 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
     V_x = np.empty((t_hor + 1, b, n, 1))
     qu = np.empty((t_hor, b, m, 1))
     quu_k = np.empty((t_hor, b, m, 1))
-    all_clamped = np.zeros((t_hor, b), dtype=bool)
-    _, lt_x, lt_xx = cost.terminal_derivs(X[t_hor])
-    _check_finite(t_hor, lt_x=lt_x[None], lt_xx=lt_xx[None])
+    no_dec = np.zeros((t_hor, b), dtype=bool)    # all clamped, or inert
+    lt_x, lt_xx = cost.terminal_derivs(X[t_hor])
+    _check_finite(t_hor, first, lt_x=lt_x[None], lt_xx=lt_xx[None])
     V_x[t_hor, ..., 0] = lt_x
-    vxx = _per_row(regularize_psd, t_hor, eps, lt_xx)
+    vxx = _per_row(regularize_psd, t_hor, first, eps, lt_xx)
     steps = max(1, DERIV_ROWS // b)
+    held = first.max()
     for k1 in range(t_hor, 0, -steps):
         k0 = max(0, k1 - steps)
         xs, us = X[k0:k1], U[k0:k1]
         fx, fu = system.jacobians(xs, us)
-        _, lx, lu, lxx, luu = cost.stage_derivs(xs, us)
-        _check_finite(k0, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu)
+        lx, lu, lxx, luu = cost.stage_derivs(xs, us)
+        if k0 < held:
+            inert = np.arange(k0, k1)[:, None] < first
+            no_dec[k0:k1] = inert
+            fx[inert] = np.eye(n)
+            for a in (fu, lx, lu, lxx, luu):
+                a[inert] = 0.0
+        _check_finite(k0, first, fx=fx, fu=fu, lx=lx, lu=lu, lxx=lxx, luu=luu)
         fx_t, fu_t = fx.swapaxes(-1, -2), fu.swapaxes(-1, -2)
         lx, lu = lx[..., None], lu[..., None]
         at_hi, at_lo = us >= u_bound - 1e-9, us <= -u_bound + 1e-9
@@ -345,12 +357,13 @@ def _backward(system, cost, X, U, eps, u_bound) -> BackwardPassResult:
             bound = (at_hi[j], at_lo[j]) if at_bound[j] else None
             k_ff[k], K_fb[k], V_x[k], vxx, qu[k], quu_k[k], clamped = \
                 _backward_step(fx[j], fu[j], fx_t[j], fu_t[j], lx[j], lu[j],
-                               lxx[j], luu[j], V_x[k + 1], vxx, eps, bound, k)
+                               lxx[j], luu[j], V_x[k + 1], vxx, eps, bound, k,
+                               first)
             if clamped is not None:
-                all_clamped[k] = clamped
+                no_dec[k] |= clamped
     k_ff, V_x = k_ff[..., 0], V_x[..., 0]
     dec = -(_dot(k_ff, qu[..., 0]) + 0.5 * _dot(k_ff, quu_k[..., 0]))
-    dec[all_clamped] = 0.0
+    dec[no_dec] = 0.0
     # the sum from +0.0 over k = T-1, ..., 0, in that order
     dec = np.concatenate([np.zeros((1, b)), dec[::-1]])
     return BackwardPassResult(k_ff, K_fb, V_x, np.add.accumulate(dec)[-1])
@@ -373,19 +386,20 @@ def _cost_trajectory(cost, X, U, rows=slice(None)) -> np.ndarray:
     return sc
 
 
-def _roll(system, cost, u_bound, x0, t_hor: int, control):
-    """Roll a stack of rows forward from x0 (b, n) for t_hor steps.
+def _roll(system, cost, u_bound, x0, t_hor: int, control, first):
+    """Roll rows x0 (b, n) forward t_hor steps, row i held until step first[i].
 
     The one stepping loop, for the solver and the policy alike: the controls
     u_k = control(k, x_k) of the b rows are clamped to the bounds, and the
     step costs evaluated on the rolled rows.  Returns X (T+1, b, n),
     U (T, b, m) and the step costs (b, T+1), all inf on a row whose states or
     controls left the finite numbers; such a row is not stepped again, so the
-    dynamics only see finite input.
+    dynamics only see finite input.  A held row's controls go unread.
     """
     X = np.empty((t_hor + 1,) + x0.shape)
     U = np.empty((t_hor, len(x0), system.m))
     X[0] = x0
+    held = first.max()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(t_hor):
             U[k] = np.clip(control(k, X[k]), -u_bound, u_bound)
@@ -395,6 +409,9 @@ def _roll(system, cost, u_bound, x0, t_hor: int, control):
                 ok = np.isfinite(X[k]).all(axis=1) & np.isfinite(U[k]).all(axis=1)
                 X[k + 1] = np.nan
                 X[k + 1, ok] = system.step_x(X[k, ok], U[k, ok])
+            if k < held:
+                rows = k < first
+                X[k + 1, rows] = X[k, rows]
         sc = np.full((len(x0), t_hor + 1), np.inf)
         fin = np.isfinite(X).all(axis=(0, 2))
         if fin.any():
@@ -402,30 +419,44 @@ def _roll(system, cost, u_bound, x0, t_hor: int, control):
     return X, U, sc
 
 
+def _costs(sc, first) -> np.ndarray:
+    """Row i's sum of sc[i, first[i]:], rounding as that row summed alone."""
+    if not first.any():
+        return sc.sum(axis=1)
+    c = np.empty(len(sc))
+    for f in np.unique(first):
+        rows = first == f
+        c[rows] = sc[rows, f:].sum(axis=1)
+    return c
+
+
 class _Lockstep:
     """Per-problem state of a lockstep; X and U time-major."""
 
-    def __init__(self, ids, t0, X, U, sc, probes: int = 0):
-        self.ids, self.t0, self.X, self.U, self.sc = ids, t0, X, U, sc
-        self.cost = sc.sum(axis=1)
+    def __init__(self, ids, t0, first, X, U, sc, probes: int = 0):
+        self.ids, self.t0, self.first = ids, t0, first
+        self.X, self.U, self.sc = X, U, sc
+        self.cost = _costs(sc, first)
         self.converged = np.zeros(len(ids), dtype=bool)
         self.done = np.zeros(len(ids), dtype=bool)   # awaits its final V_x
         self.probe = ids < probes
 
     def take(self, rows):
         self.X, self.U = self.X[:, rows], self.U[:, rows]
-        for name in ("ids", "t0", "sc", "cost", "converged", "done", "probe"):
+        for name in ("ids", "t0", "first", "sc", "cost", "converged", "done",
+                     "probe"):
             setattr(self, name, getattr(self, name)[rows])
 
     def finish(self, rows, V_x, iters: int, results):
-        """Store the results of the rows (a mask) and drop them.  No problem
-        joins a running lockstep, so every row has run iters iterations.  A
-        probe's result has no V_bar_x: nothing reads it."""
+        """Store the results of the rows (a mask) from their first steps on
+        and drop them.  No problem joins a running lockstep, so every row has
+        run iters iterations.  A probe's result has no V_bar_x (unread)."""
         for r in np.flatnonzero(rows):
-            traj = Trajectory(X=self.X[:, r].copy(), U=self.U[:, r].copy(),
-                              step_costs=self.sc[r].copy(), t0=int(self.t0[r]))
+            f = self.first[r]
+            traj = Trajectory(X=self.X[f:, r].copy(), U=self.U[f:, r].copy(),
+                              step_costs=self.sc[r, f:].copy(), t0=int(self.t0[r]))
             results[self.ids[r]] = SolveResult(
-                traj=traj, V_bar_x=None if self.probe[r] else V_x[:, r].copy(),
+                traj=traj, V_bar_x=None if self.probe[r] else V_x[f:, r].copy(),
                 iters_used=iters, converged=bool(self.converged[r]))
         if rows.any():
             self.take(~rows)
@@ -443,13 +474,14 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
     def roll(rows, alpha):
         return _roll(system, cost, u_bound, st.X[0, rows], len(st.U),
                      lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
-                                   + _mv(gains.K_fb[k, rows], x - st.X[k, rows])))
+                                   + _mv(gains.K_fb[k, rows], x - st.X[k, rows])),
+                     st.first[rows])
 
     def accept(acc, X, U, sc, c):
         st.X[:, acc], st.U[:, acc], st.sc[acc], st.cost[acc] = X, U, sc, c
 
     X, U, sc = roll(slice(None), LINE_SEARCH_ALPHAS[0])
-    c = sc.sum(axis=1)
+    c = _costs(sc, st.first)
     ok = np.isfinite(c) & (c < prev)
     accept(ok, X[:, ok], U[:, ok], sc[ok], c[ok])
     del X, U, sc
@@ -460,7 +492,7 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
         part = rows[lo:lo + size]
         stack = np.tile(part, len(alphas))
         X, U, sc = roll(stack, np.repeat(alphas, part.size)[:, None])
-        c = sc.sum(axis=1)
+        c = _costs(sc, st.first[stack])
         ok_at = (np.isfinite(c) & (c < prev[stack])).reshape(len(alphas), -1)
         found = ok_at.any(axis=0)
         pick = (ok_at.argmax(axis=0) * part.size + np.arange(part.size))[found]
@@ -470,18 +502,24 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
     return ~ok
 
 
-def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
-                    tol, results, errors, probes=Probes(0, 1)) -> int:
-    """Solve problems of one horizon in lockstep; fill results and errors.
+def _solve_lockstep(system, cost, u_bound, starts, max_iter, eps, tol, probes,
+                    members, results, errors):
+    """Solve the problems members, pairs (index, clamped warm start), in one
+    lockstep as long as their longest horizon; fill results and errors.
 
-    ids index results/errors; starts are their TimeStates; u_nom (T, B, m)
-    are the clamped warm starts.  The ids below probes.n are calibration
-    probes, which run up to max_iter and set the cap of the others (see
-    solve_batch).  Returns that cap: max_iter without probes.
+    The indices index starts, results and errors; those below probes.n are
+    calibration probes, which set the cap of the others (see solve_batch).
     """
-    X, U, sc = _roll(system, cost, u_bound, np.stack([s.x for s in starts]),
-                     len(u_nom), lambda k, x: u_nom[k])
-    st = _Lockstep(np.asarray(ids), np.array([s.t for s in starts]), X, U, sc,
+    if not members:
+        return
+    ids = np.array([i for i, _ in members])
+    t_hor = max(len(u) for _, u in members)
+    first = np.array([t_hor - len(u) for _, u in members])
+    u_nom = np.stack([np.pad(u, ((f, 0), (0, 0)))
+                      for f, (_, u) in zip(first, members)], axis=1)
+    X, U, sc = _roll(system, cost, u_bound, np.stack([starts[i].x for i in ids]),
+                     t_hor, lambda k, x: u_nom[k], first)
+    st = _Lockstep(ids, np.array([starts[i].t for i in ids]), first, X, U, sc,
                    probes.n)
     del X, U, sc
     for i in st.ids[~np.isfinite(st.cost)]:
@@ -503,14 +541,12 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
             if not st.ids.size:
                 break
         try:
-            gains = _backward(system, cost, st.X, st.U, eps, u_bound)
+            gains = _backward(system, cost, st.X, st.U, st.first, eps, u_bound)
         except _RowsFailed as failed:
             # drop the failed problems and repeat the pass without them
             for r, err in failed.errors.items():
                 errors[int(st.ids[r])] = err
-            keep = np.ones(st.ids.size, dtype=bool)
-            keep[list(failed.errors)] = False
-            st.take(keep)
+            st.take(~np.isin(np.arange(st.ids.size), list(failed.errors)))
             continue
         if st.done.any():
             keep = ~st.done
@@ -545,7 +581,6 @@ def _solve_lockstep(system, cost, u_bound, ids, starts, u_nom, max_iter, eps,
             leaving = searching | ended
         st.finish(leaving, gains.V_x, it, results)
         del gains
-    return cap
 
 
 def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
@@ -557,15 +592,6 @@ def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
     if x0.x.shape != (model.n,):
         raise ValueError(f"state dim {x0.x.shape} != ({model.n},)")
     return np.clip(U_init, -model.u_bound, model.u_bound)
-
-
-def _by_horizon(members) -> list[list]:
-    """(index, u_nom) pairs grouped by horizon, groups and members in the
-    order of their first appearance."""
-    groups: dict[int, list] = {}
-    for i, u_nom in members:
-        groups.setdefault(len(u_nom), []).append((i, u_nom))
-    return list(groups.values())
 
 
 def _in_two_processes(solve, mine, theirs, results, errors):
@@ -625,7 +651,7 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
                 reg: RegularizerConfig = RegularizerConfig(),
                 tol: float = 1e-6,
-                probes: Optional[tuple] = None) -> list[SolveResult]:
+                probes: Optional[Probes] = None) -> list[SolveResult]:
     """Solve independent problems under one shared iteration cap.
 
     Each problem runs up to max_iter iLQR iterations from its warm start.  An
@@ -638,48 +664,48 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     trajectory, whose step costs sum to the realized cost-to-go, and the
     cost-to-go gradients: the V_x of a backward pass along that trajectory.
 
-    Lockstep: all problems of equal horizon T are solved together.  Each
-    iteration runs one backward pass over all of them that are
-    unfinished and two line-search rollouts: every problem at alpha = 1, then
-    those still searching at the ten smaller step sizes, BLOCK_ROWS // T
-    problems to a stack, each taking its first that decreases the cost -- the
-    step a one-alpha-at-a-time search accepts.  A problem that converges,
-    stalls or hits the cap leaves the lockstep.  Every
-    operation acts on each problem's own rows, so results are bit-identical
-    to solving each problem alone (a batch of one) and do not depend on the
-    batch's order or size.
+    Lockstep: all valid problems are solved together in T steps, the longest
+    horizon, one of horizon H held at its start state for the first T - H
+    (see _roll and _backward).  An iteration runs one backward pass over all
+    unfinished problems and two line-search rollouts: all at alpha = 1, then
+    those still searching at the ten smaller step sizes, BLOCK_ROWS // T to a
+    stack, each taking its first that decreases the cost -- the step a
+    one-alpha-at-a-time search accepts.  A problem that converges, stalls or
+    hits the cap leaves the lockstep.  Every operation acts on each problem's
+    own rows, and a cost sums the problem's own steps, so results are
+    bit-identical to solving each problem alone (a batch of one).
 
     Two processes: a call without probes whose valid problems hold at least
     SPLIT_ROWS rows (the sum of their horizons) forks one child where
     os.sched_getaffinity gives this process two or more CPUs.  The child
     solves the second half of the valid problems, in input order, the parent
-    the first, each in its own locksteps; their results and failures are
-    merged by index, with the same bits as in one process.  A calibrating
-    call stays in one process, because its cap is found in its probes'
+    the first, each in its own lockstep; their results and failures are
+    merged by index, with the same bits and messages as in one process.  A
+    calibrating call stays in one process, because its cap is found in its
     lockstep; so does a smaller call, where the fork and the second CPU's
     load cost more than they save.
 
-    Calibration: with probes = Probes(n, rank, batch_only) (or a tuple), the
-    first n problems are probes of one horizon, run up to max_iter, and the
-    others' cap is the rank-th smallest probe count, a probe that fails or
-    does not converge counting as max_iter.  That is the iteration at which
-    the rank-th probe converges, so the probes' lockstep finds it on the way;
-    the others stop there exactly as with max_iter set to it, and other
-    horizons are solved afterwards at it.  A probe leaves as soon as it ends,
-    with no final backward pass (V_bar_x None), and all leave once the cap is
-    known, unconverged if still running.  With batch_only (the caller reads
-    the cap through the others' results alone) and one horizon, they also
-    leave, unconverged, once none of the others is still running, so their
-    results no longer tell the cap.  When every probe has failed, the others
-    fail at once ("every calibration probe failed"), with no iteration.
+    Calibration: with probes = Probes(n, rank, batch_only), the first n
+    problems are probes, run up to max_iter, and the others' cap is the
+    rank-th smallest probe count, a probe that fails or does not converge
+    counting as max_iter.  That is the iteration at which the rank-th probe
+    converges, so the lockstep finds it on the way, and the others stop
+    there exactly as with max_iter set to it.  A probe leaves as soon as it
+    ends, with no final backward pass (V_bar_x None), and all leave once the
+    cap is known, unconverged if still running.  With batch_only (the caller
+    reads the cap through the others' results alone), they also leave,
+    unconverged, once none of the others is still running, so their results
+    no longer tell the cap.  When every probe has failed, the others fail at
+    once ("every calibration probe failed"), with no iteration.
 
     Failures are isolated: a problem whose start or warm start is invalid,
     whose initial rollout is not finite, or whose backward pass meets a
     non-finite derivative or matrix fails alone and leaves the lockstep, before
     its values reach a stacked LAPACK call; so does one whose finite matrix
     LAPACK rejects (a singular Quu), found by solving that stack row by row.
-    Failures are raised together with their indices in a BatchSolveError once
-    the rest of the batch has finished; results are returned in input order.
+    Messages count steps from the problem's start.  Failures are raised with
+    their indices in a BatchSolveError once the rest of the batch has
+    finished; results are returned in input order.
 
     Memory: the lockstep holds each problem's trajectories and gains, about
     30 KB per manipulator problem, mostly K_fb (T x m x n values).  A stack of
@@ -687,8 +713,8 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     (about 2.5 MB on the manipulator); derivatives are evaluated about
     DERIV_ROWS rows at a time.  Both trade Python overhead per call against
     peak memory; a failed or finished problem's rows are dropped at once.  In
-    two processes, the parent holds the locksteps of the first half and the
-    child those of the second, and the child's results cross as one pickle
+    two processes, the parent holds the lockstep of the first half and the
+    child that of the second, and the child's results cross as one pickle
     (about 420 KB for 32 manipulator problems).  Functions the child calls
     run in its own copy of this process: a tracer that wraps them in the
     parent does not see those calls.
@@ -697,7 +723,7 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
         raise ValueError("starts and warmstarts must have equal length")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if probes is not None and not 1 <= probes[1] <= probes[0] <= len(starts):
+    if probes is not None and not 1 <= probes.rank <= probes.n <= len(starts):
         raise ValueError(f"probes {probes} need 1 <= rank <= n <= {len(starts)}")
     system = system_for(model)
     cost = cost_for(model, field)
@@ -709,24 +735,9 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
             valid.append((i, _initial_controls(model, x0, warm)))
         except ValueError as err:
             errors[i] = err
-    groups = _by_horizon(valid)
-    probes = Probes(*probes) if probes else Probes(0, 1)
-    # the probes lead, so their horizon's group comes first and fixes the cap
-    if sum(members[0][0] < probes.n for members in groups) > 1:
-        raise ValueError("calibration probes must share one horizon")
-    # other horizons are solved after the probes' group, at the cap it fixes
-    probes = probes._replace(batch_only=probes.batch_only and len(groups) == 1)
-
-    def solve(part, results, errors):
-        cap = max_iter
-        for members in _by_horizon(part):
-            ids, u_nom = zip(*members)
-            cap = _solve_lockstep(system, cost, model.u_bound, ids,
-                                  [starts[i] for i in ids],
-                                  np.stack(u_nom, axis=1), cap, reg.eps, tol,
-                                  results, errors, probes)
-
-    if (probes.n or sum(len(u_nom) for _, u_nom in valid) < SPLIT_ROWS
+    solve = partial(_solve_lockstep, system, cost, model.u_bound, starts, max_iter,
+                    reg.eps, tol, probes or Probes(0, 1))
+    if (probes or sum(len(u_nom) for _, u_nom in valid) < SPLIT_ROWS
             or not hasattr(os, "sched_getaffinity")  # macOS, Windows
             or len(os.sched_getaffinity(0)) < 2):
         solve(valid, results, errors)

@@ -397,26 +397,24 @@ def actor_rollout(actor: Mlp, model: ModelSpec, field: CostField,
                   starts: list[TimeState]) -> list[Trajectory]:
     """Closed-loop rollouts u_k = mu(x_k, t_k) of every start to the horizon.
 
-    Starts that share a start time roll as one stack through the solver's
-    loop (`ilqr._roll`), so a rollout that leaves the finite numbers is
-    marked with inf step costs and never stepped again.  The actor sees the
-    rows as a (B, 1, d) stack, so each rolls out bit for bit as it would alone.
+    All starts roll as one stack through the solver's loop (`ilqr._roll`) from
+    the earliest start time, each held until its own, so a rollout that leaves
+    the finite numbers is marked with inf step costs and never stepped again.
+    The actor sees a (B, 1, d) stack, so each row rolls out as it would alone.
     """
     system, cost = system_for(model), cost_for(model, field)
-    out: list = [None] * len(starts)
-    for t0 in {s.t for s in starts}:
-        ids = [i for i, s in enumerate(starts) if s.t == t0]
-        def policy(k, x):
-            xa = np.column_stack([x, np.full(len(x), float(t0 + k))])
-            return mlp_forward(actor, xa[:, None])[:, 0]
+    t_min = min(s.t for s in starts)
+    first = np.array([s.t - t_min for s in starts])
 
-        X, U, sc = _roll(system, cost, model.u_bound,
-                         np.stack([starts[i].x for i in ids]), model.t_max - t0,
-                         policy)
-        for r, i in enumerate(ids):
-            out[i] = Trajectory(X=X[:, r].copy(), U=U[:, r].copy(),
-                                step_costs=sc[r].copy(), t0=t0)
-    return out
+    def policy(k, x):
+        xa = np.column_stack([x, np.full(len(x), float(t_min + k))])
+        return mlp_forward(actor, xa[:, None])[:, 0]
+
+    X, U, sc = _roll(system, cost, model.u_bound, np.stack([s.x for s in starts]),
+                     model.t_max - t_min, policy, first)
+    return [Trajectory(X=X[f:, r].copy(), U=U[f:, r].copy(),
+                       step_costs=sc[r, f:].copy(), t0=int(t_min + f))
+            for r, f in enumerate(first)]
 
 
 # -- checkpoints ----------------------------------------------------------------

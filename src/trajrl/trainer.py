@@ -117,11 +117,8 @@ class IterationReport:
     to_failed: int          # TO problems that failed and left no replay rows
     critic_loss_mean: float
     std_loss_mean: float
-    t_to_s: float           # sampling, BIC, warm starts, solve and targets
+    t_to_s: float           # sampling, BIC, probes, warm starts, solve, targets
     t_nets_s: float
-    t_calibrate_s: float    # posing the probes where a cap is calibrated,
-                            # with the batch's warm starts (one call); their
-                            # solve is the batch's, in t_to_s
     t_eval_s: float
 
 
@@ -217,7 +214,7 @@ def _solve_each(model: ModelSpec, fld: CostField, starts, warms, max_iter: int,
     try:
         return solve_batch(model, fld, starts, warms, max_iter, reg, tol, probes)
     except BatchSolveError as err:
-        n = probes[0] if probes else 0
+        n = probes.n if probes else 0
         for lo, hi in ((0, n), (n, len(starts))):
             if lo < hi and all(i in err.errors for i in range(lo, hi)):
                 raise BatchSolveError({i - lo: err.errors[i] for i in range(lo, hi)},
@@ -309,14 +306,12 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     if bic:
         starts = select_initial_states_bic(starts, state.std, n_sel)
     max_iter = cfg.max_iter_first if first else state.max_iter
-    probes, t_cal = None, 0.0
+    probes = None
     if max_iter is None:
         # each cap is calibrated when first needed, the later one with the
         # actor trained in iteration 1, by probes in the batch's solve
-        t1 = time.perf_counter()
         starts, warms, probes = calibrate_max_iter(state, first, starts)
         max_iter = cfg.calibration_cap
-        t_cal = time.perf_counter() - t1
     else:
         warms = _warmstarts(state, starts, first)
     results = _solve_each(model, fld, starts, warms, max_iter, state.reg,
@@ -332,7 +327,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
 
     costs = np.array([r.cost for r in solved])
     conv = float(np.mean([r.converged for r in solved]))
-    t_to = time.perf_counter() - t0 - t_cal
+    t_to = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     critic_losses = np.empty(cfg.m_updates)
@@ -381,7 +376,6 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         std_loss_mean=float(std_losses.mean()),
         eval_mean_cost=float(eval_costs[eval_ok].mean()),
         eval_failed=int(np.count_nonzero(~eval_ok)),
-        t_calibrate_s=t_cal,
         t_to_s=t_to,
         t_nets_s=t_nets,
         t_eval_s=t_eval,

@@ -48,7 +48,7 @@ class QuadraticCost(envs_costs.Cost):
     def stage_derivs(self, x, u):
         batch = x.shape[:-1]
         n, m = self.Q.shape[0], self.R.shape[0]
-        return (self.stage(x, u), 2 * _mv(self.Q, x), self.effort_grad(u),
+        return (2 * _mv(self.Q, x), self.effort_grad(u),
                 np.broadcast_to(2 * self.Q, batch + (n, n)).copy(),
                 np.broadcast_to(2 * self.R, batch + (m, m)).copy())
 
@@ -58,7 +58,7 @@ class QuadraticCost(envs_costs.Cost):
     def terminal_derivs(self, x):
         batch = x.shape[:-1]
         n = self.QF.shape[0]
-        return (self.terminal(x), 2 * _mv(self.QF, x),
+        return (2 * _mv(self.QF, x),
                 np.broadcast_to(2 * self.QF, batch + (n, n)).copy())
 
 

@@ -78,7 +78,7 @@ def test_train_exit_ok_writes_outputs(toy_config, tmp_path, monkeypatch):
     assert [[row.split(",")[i] for i in failed] for row in rows[1:]] == \
         [["0", "0"], ["0", "0"]]
     timings = json.loads((out / "timings.json").read_text())
-    assert set(timings) == {"total_s", "to_s", "nets_s", "calibrate_s", "eval_s"}
+    assert set(timings) == {"total_s", "to_s", "nets_s", "eval_s"}
     manifest = _manifest(out)
     assert manifest["command"] == "train"
     assert manifest["seeds"] == [11] and manifest["seed_source"] == "config"

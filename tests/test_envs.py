@@ -317,7 +317,7 @@ def test_chain_position_derivs_match_finite_differences(name):
 def test_pointmass_cost_at_target_is_reward_dominated(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
     x = np.array([field.target[0], field.target[1], 0.0, 0.0])
-    l, *_ = envs.cost_for(model, field).stage_derivs(x, np.zeros(2))
+    l = envs.cost_for(model, field).stage(x, np.zeros(2))
     # distance term vanishes, obstacles are far: only the bonus plus residue
     assert l < -field.target_reward_weight + 1e-3
     assert l > -field.target_reward_weight - 1e-12
@@ -325,7 +325,7 @@ def test_pointmass_cost_at_target_is_reward_dominated(pointmass_rc):
 
 def test_control_gradient_is_quadratic_effort(pointmass_rc):
     model, field = pointmass_rc.model, pointmass_rc.field
-    _, _, lu, _, luu = envs.cost_for(model, field).stage_derivs(
+    _, lu, _, luu = envs.cost_for(model, field).stage_derivs(
         np.array([3.0, -2.0, 0.5, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(lu, [2.0 * field.control_weight, 0.0], atol=1e-15)
     np.testing.assert_allclose(luu, 2.0 * field.control_weight * np.eye(2),
@@ -344,20 +344,20 @@ def test_cost_derivatives_match_finite_differences(name, pointmass_rc, toy_rc,
     worst = 0.0
     for _ in range(100):
         x, u = _random_state_control(rng, model)
-        _, lx, lu, lxx, luu = cost.stage_derivs(x, u)
+        lx, lu, lxx, luu = cost.stage_derivs(x, u)
         eye_n, eye_m = np.eye(model.n), np.eye(model.m)
         lx_fd = np.array([(cost.stage(x + h * e, u) - cost.stage(x - h * e, u))
                           / (2 * h) for e in eye_n])
         lu_fd = np.array([(cost.stage(x, u + h * e) - cost.stage(x, u - h * e))
                           / (2 * h) for e in eye_m])
-        lxx_fd = np.stack([(cost.stage_derivs(x + h * e, u)[1]
-                            - cost.stage_derivs(x - h * e, u)[1]) / (2 * h)
+        lxx_fd = np.stack([(cost.stage_derivs(x + h * e, u)[0]
+                            - cost.stage_derivs(x - h * e, u)[0]) / (2 * h)
                            for e in eye_n], axis=1)
-        _, lt_x, lt_xx = cost.terminal_derivs(x)
+        lt_x, lt_xx = cost.terminal_derivs(x)
         lt_x_fd = np.array([(cost.terminal(x + h * e) - cost.terminal(x - h * e))
                             / (2 * h) for e in eye_n])
-        lt_xx_fd = np.stack([(cost.terminal_derivs(x + h * e)[1]
-                              - cost.terminal_derivs(x - h * e)[1]) / (2 * h)
+        lt_xx_fd = np.stack([(cost.terminal_derivs(x + h * e)[0]
+                              - cost.terminal_derivs(x - h * e)[0]) / (2 * h)
                              for e in eye_n], axis=1)
         scale = max(1.0, np.abs(lx_fd).max(), np.abs(lu_fd).max())
         worst = max(worst,
@@ -391,23 +391,22 @@ def _per_class_entry_points(cost, field, x, u):
     batch = x.shape[:-1]
     if isinstance(cost, Toy1DCost):
         s = x[..., 0]
-        base = (toy1d_cost(s), (4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
+        base = ((4.0 * s**3 - 4.0 * s + TOY_TILT)[..., None],
                 (12.0 * s**2 - 4.0)[..., None, None])
-        stage = l = base[0] + w_u * (u[..., 0] ** 2)
+        stage = toy1d_cost(s) + w_u * (u[..., 0] ** 2)
         m = 1
-        terminal = base[0]
+        terminal = toy1d_cost(s)
     else:
         p, jp, hp = cost.system.position_derivs(x)
-        val, g, h = cost.point_derivs(p)
-        base = (val, np.einsum("...ci,...c->...i", jp, g),
+        g, h = cost.point_derivs(p)
+        base = (np.einsum("...ci,...c->...i", jp, g),
                 np.einsum("...ci,...cd,...dj->...ij", jp, h, jp)
                 + np.einsum("...c,...cij->...ij", g, hp))
         stage = cost.point_value(cost.system.position(x)) + w_u * (u**2).sum(axis=-1)
-        l = base[0] + w_u * (u**2).sum(axis=-1)
         m = cost.system.m
         terminal = cost.point_value(cost.system.position(x))
     luu = np.broadcast_to(2.0 * w_u * np.eye(m), batch + (m, m)).copy()
-    derivs = (l, base[1], 2.0 * w_u * u, base[2], luu)
+    derivs = (base[0], 2.0 * w_u * u, base[1], luu)
     return stage, derivs, terminal, base
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,8 @@ def _open_loop(spec, field, x0, U):
 def _backward(spec, field, traj):
     """Backward pass along one trajectory: a batch of one, its axis dropped."""
     bp = ilqr._backward(envs.system_for(spec), envs.cost_for(spec, field),
-                        traj.X[:, None], traj.U[:, None], REG.eps, spec.u_bound)
+                        traj.X[:, None], traj.U[:, None], np.zeros(1, int),
+                        REG.eps, spec.u_bound)
     return bp.take(0)
 
 
@@ -104,7 +106,8 @@ def _closed_loop(spec, field, traj, gains, alpha):
     X, U, sc = ilqr._roll(envs.system_for(spec), envs.cost_for(spec, field),
                           spec.u_bound, traj.X[:1], traj.horizon,
                           lambda k, x: (traj.U[k, None] + alpha * g.k_ff[k]
-                                        + ilqr._mv(g.K_fb[k], x - traj.X[k, None])))
+                                        + ilqr._mv(g.K_fb[k], x - traj.X[k, None])),
+                          np.zeros(1, int))
     return ilqr.Trajectory(X=X[:, 0], U=U[:, 0], step_costs=sc[0], t0=traj.t0)
 
 
@@ -149,7 +152,8 @@ def _backward_step(fx, fu, lx, lu, lxx, luu, vx, vxx, eps, u, u_bound, k):
         k_ff, k_fb, vx, vxx, qu, quu_k, all_clamped = ilqr._backward_step(
             fx, fu, np.swapaxes(fx, -1, -2), np.swapaxes(fu, -1, -2),
             lx[..., None], lu[..., None], lxx, luu, vx[..., None], vxx, eps,
-            (at_hi, at_lo) if (at_hi | at_lo).any() else None, k)
+            (at_hi, at_lo) if (at_hi | at_lo).any() else None, k,
+            np.zeros(len(fx), int))
     k_ff = k_ff[..., 0]
     dec = -(ilqr._dot(k_ff, qu[..., 0]) + 0.5 * ilqr._dot(k_ff, quu_k[..., 0]))
     if all_clamped is not None:
@@ -207,10 +211,10 @@ class _TabledModel:
 
     def stage_derivs(self, x, u):
         k = x[:, 0, 0].astype(int)
-        return None, self.lx[k], self.lu[k], self.lxx[k], self.luu[k]
+        return self.lx[k], self.lu[k], self.lxx[k], self.luu[k]
 
     def terminal_derivs(self, x):
-        return None, self.lt_x, self.lt_xx
+        return self.lt_x, self.lt_xx
 
 
 @pytest.mark.parametrize("b", [40, 1])
@@ -229,7 +233,7 @@ def test_backward_matches_per_problem_reference_bitwise(b):
     X[..., 0] = np.arange(t_hor + 1)[:, None]
     U = rng.choice([-1.0, 0.3, 1.0], size=(t_hor, b, m)) * u_bound
     U[::3] = 0.3 * u_bound
-    got = ilqr._backward(tab, tab, X, U, eps, u_bound)
+    got = ilqr._backward(tab, tab, X, U, np.zeros(b, int), eps, u_bound)
     n_free = set()
     for i in range(b):
         vx, vxx = tab.lt_x[i], regularize_psd(tab.lt_xx[i], eps)
@@ -256,15 +260,15 @@ def test_lapack_gufuncs_match_np_linalg_and_fall_back_to_it():
         assert got.tobytes() == want.tobytes()
     for rhs in (rng.normal(size=(40, 3, 1)), rng.normal(size=(40, 3, 4))):
         assert ilqr._solve(a, rhs).tobytes() == np.linalg.solve(a, rhs).tobytes()
-    # a singular matrix in the stack: np.linalg.solve raises for all of it
+    # a singular matrix in the stack fails all of it, in numpy's words
     a[7] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
     with np.errstate(invalid="ignore"), \
-            pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            pytest.raises(SolverError, match="^Singular matrix$"):
         ilqr._solve(a, rhs)
-    # LAPACK fails on a non-finite matrix, and np.linalg.eigh raises
+    # LAPACK fails on a non-finite matrix
     sym[3, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), \
-            pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            pytest.raises(SolverError, match="^Eigenvalues did not converge$"):
         ilqr._eigh(sym)
 
 
@@ -370,7 +374,8 @@ def _line_search_reference(system, cost, u_bound, st, gains, prev):
         X, U, sc = ilqr._roll(
             system, cost, u_bound, st.X[0, rows], len(st.U),
             lambda k, x: (st.U[k, rows] + alpha * gains.k_ff[k, rows]
-                          + ilqr._mv(gains.K_fb[k, rows], x - st.X[k, rows])))
+                          + ilqr._mv(gains.K_fb[k, rows], x - st.X[k, rows])),
+            st.first[rows])
         c = sc.sum(axis=1)
         overflow[rows[~np.isfinite(c)]] = True
         better = np.isfinite(c) & (c < prev[rows])
@@ -391,14 +396,15 @@ def _check_line_search_against_reference(rc, name, region, seed):
     system, cost = envs.system_for(model), envs.cost_for(model, rc.field)
     starts = envs.sample_initial_states(model, 6, seed, region)
     x0 = np.stack([s.x for s in starts] + [starts[0].x])
+    first = np.zeros(len(x0), dtype=int)
     X, U, sc = ilqr._roll(system, cost, model.u_bound, x0, model.t_max,
-                          lambda k, x: np.zeros((len(x0), model.m)))
-    st = ilqr._Lockstep(np.arange(len(x0)), np.zeros(len(x0), dtype=int), X, U, sc)
+                          lambda k, x: np.zeros((len(x0), model.m)), first)
+    st = ilqr._Lockstep(np.arange(len(x0)), first, first, X, U, sc)
     n_alpha = len(ilqr.LINE_SEARCH_ALPHAS)
     seen, overflow, most = set(), False, 0
     for it in range(8):
-        gains = ilqr._backward(system, cost, st.X, st.U, rc.train.reg_eps,
-                               model.u_bound)
+        gains = ilqr._backward(system, cost, st.X, st.U, st.first,
+                               rc.train.reg_eps, model.u_bound)
         if it == 0:
             gains.k_ff[:, -1], gains.K_fb[:, -1] = 0.0, 0.0
         prev = st.cost.copy()
@@ -452,28 +458,46 @@ def test_line_search_rolls_out_twice_per_iteration(pointmass_rc, monkeypatch):
     assert len(calls) <= 1 + 2 * max(r.iters_used for r in res)
 
 
+def test_row_costs_sum_each_row_alone_bitwise():
+    # rows led by held steps: each cost is the row's own step costs summed
+    # alone, which a sum over the whole row with those steps zeroed is not
+    rng = np.random.default_rng(24)
+    sc = rng.normal(size=(40, 61)) * 10.0 ** rng.integers(-3, 4, size=(40, 61))
+    first = rng.integers(0, 50, size=40)
+    got = ilqr._costs(sc, first)
+    want = np.array([sc[i, f:].sum() for i, f in enumerate(first)])
+    assert got.tobytes() == want.tobytes()
+    zero_led = np.where(np.arange(61) < first[:, None], 0.0, sc).sum(axis=1)
+    assert zero_led.tobytes() != want.tobytes()
+
+
 def test_one_lockstep_per_horizon_with_bounded_candidate_stack(toy_rc,
                                                                monkeypatch):
-    # BLOCK_ROWS bounds the line search's candidate stack to 4 searching
-    # problems, not the group: all 12 problems share each backward pass, and
-    # the 8 that search in the first iteration are rolled in two pieces
+    # 12 problems at mixed start times share one lockstep as long as the
+    # longest horizon: every backward pass spans t_max steps, and the first
+    # holds all 12 rows.  BLOCK_ROWS bounds the line search's candidate
+    # stack to 4 searching problems, so the 8 or more that search in the
+    # first iteration are rolled in two pieces or more
     model, field = toy_rc.model, toy_rc.field
     reg = RegularizerConfig(eps=toy_rc.train.reg_eps)
     monkeypatch.setattr(ilqr, "BLOCK_ROWS", 4 * model.t_max)
-    backward_rows, roll_rows, searches = [], [], []
+    backward_shapes, roll_rows, searches = [], [], []
     real_backward, real_roll = ilqr._backward, ilqr._roll
     real_search = ilqr._line_search
     monkeypatch.setattr(ilqr, "_backward", lambda system, cost, X, *args: (
-        backward_rows.append(X.shape[1]) or real_backward(system, cost, X, *args)))
+        backward_shapes.append(X.shape[:2]) or real_backward(system, cost, X, *args)))
     monkeypatch.setattr(ilqr, "_roll", lambda system, cost, u_bound, x0, *args: (
         roll_rows.append(len(x0)) or real_roll(system, cost, u_bound, x0, *args)))
     monkeypatch.setattr(ilqr, "_line_search", lambda *args: (
         searches.append(len(roll_rows)) or real_search(*args)))
-    starts = envs.sample_initial_states(model, 12, 6, Region.WORKSPACE)
-    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    times = (0, 7, 30, 0, 12, 45, 3, 21, 0, 59, 16, 38)
+    starts = [TimeState(s.x, t) for s, t in zip(
+        envs.sample_initial_states(model, 12, 6, Region.WORKSPACE), times)]
+    warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
     batch = solve_batch(model, field, starts, warms, max_iter=3, reg=reg)
-    assert backward_rows[0] == 12
-    assert len(backward_rows) <= 1 + max(r.iters_used for r in batch)
+    assert backward_shapes[0] == (model.t_max + 1, 12)
+    assert {t for t, _ in backward_shapes} == {model.t_max + 1}
+    assert len(backward_shapes) <= 1 + max(r.iters_used for r in batch)
     assert max(roll_rows) <= 10 * 4
     bounds = searches + [len(roll_rows)]
     assert max(b - a for a, b in zip(bounds, bounds[1:])) >= 3
@@ -694,24 +718,36 @@ def test_manipulator_failure_leaves_other_problems_bitwise(manipulator_rc):
 def test_failing_problems_never_reach_lapack_with_non_finite_input(
         manipulator_rc, monkeypatch):
     # problem 4 fails in its first backward pass and the NaN start in its
-    # initial rollout; the manipulator's dynamics call solve/inv and the
-    # solver eigh/solve, all on stacks shared with the other problems
+    # initial rollout, and problem 6 starts at t = 40, so it is held and its
+    # first steps inert; the manipulator's dynamics call np.linalg's solve
+    # and inv, and the solver numpy's LAPACK gufuncs eigh_lo and solve, all
+    # on stacks shared with the other problems
     model, field = manipulator_rc.model, manipulator_rc.field
-    non_finite = []
-    for name in ("solve", "inv", "eigh"):
-        def checked(*arrays, _name=name, _real=getattr(np.linalg, name)):
+    calls, non_finite = [], []
+
+    def checked(name, real):
+        def call(*arrays, **kwargs):
+            calls.append(name)
             if not all(np.isfinite(a).all() for a in arrays):
-                non_finite.append(_name)
-            return _real(*arrays)
-        monkeypatch.setattr(np.linalg, name, checked)
+                non_finite.append(name)
+            return real(*arrays, **kwargs)
+        return call
+
+    for name in ("solve", "inv", "eigh"):
+        monkeypatch.setattr(np.linalg, name, checked(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(ilqr, "_umath_linalg", types.SimpleNamespace(**{
+        name: checked(f"gufunc {name}", getattr(ilqr._umath_linalg, name))
+        for name in ("eigh_lo", "solve")}))
     starts = envs.sample_initial_states(model, 5, 12345, Region.WORKSPACE)
-    starts.append(TimeState(np.full(model.n, np.nan), 0))
-    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    starts += [TimeState(np.full(model.n, np.nan), 0), TimeState(starts[0].x, 40)]
+    warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
     with pytest.raises(BatchSolveError) as exc:
         solve_batch(model, field, starts, warms, max_iter=3,
                     reg=RegularizerConfig(eps=manipulator_rc.train.reg_eps))
     assert set(exc.value.errors) == {4, 5}
     assert non_finite == []
+    assert {"solve", "inv", "gufunc eigh_lo", "gufunc solve"} <= set(calls)
+
 
 @envs_base.register_system("pointmass-spike")
 class _SpikedPointMass(PointMass):
@@ -883,6 +919,10 @@ def test_split_call_equals_one_process_bitwise(pointmass_rc, monkeypatch, split)
     assert len(split) == 1
     assert set(one.errors) == {1, 5, 6}
     assert "Singular matrix" in str(one.errors[6])
+    # a message names the problem's own step, as when it is solved alone
+    with pytest.raises(SolverError) as alone:
+        solve(model, field, starts[6], warms[6], max_iter=10)
+    assert str(one.errors[6]) == str(alone.value)
     assert str(two) == str(one)
     assert {i: (type(e), str(e)) for i, e in two.errors.items()} == \
         {i: (type(e), str(e)) for i, e in one.errors.items()}

@@ -240,8 +240,7 @@ def test_report_fields_populated():
         assert np.isfinite(rep.std_loss_mean)
         assert np.isfinite(rep.eval_mean_cost) and rep.eval_failed == 0
         assert rep.to_failed == 0
-        assert min(rep.t_calibrate_s, rep.t_to_s, rep.t_nets_s,
-                   rep.t_eval_s) >= 0.0
+        assert min(rep.t_to_s, rep.t_nets_s, rep.t_eval_s) >= 0.0
 
 
 def test_checkpoint_callback_fires_every_iteration():
@@ -267,9 +266,8 @@ def test_phase_times_split_eval_from_to(monkeypatch):
     total = time.perf_counter() - t0
     for rep in reports:
         assert rep.t_eval_s >= 1000.0
-        assert max(rep.t_calibrate_s, rep.t_to_s, rep.t_nets_s) < 1000.0
-        assert rep.t_calibrate_s > 0.0          # both caps are calibrated
-    assert sum(rep.t_calibrate_s + rep.t_to_s + rep.t_nets_s + rep.t_eval_s
+        assert max(rep.t_to_s, rep.t_nets_s) < 1000.0
+    assert sum(rep.t_to_s + rep.t_nets_s + rep.t_eval_s
                for rep in reports) <= total
 
 
@@ -379,7 +377,7 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     cfg = state.config
     model, field, cap = cfg.model, cfg.field, cfg.calibration_cap
     starts, warms, probes = calibrate_max_iter(state, first, batch)
-    n = probes[0]
+    n = probes.n
     if probe_order is not None:
         starts[:n] = [starts[i] for i in probe_order]
         warms[:n] = [warms[i] for i in probe_order]
@@ -398,7 +396,7 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     ordered = sorted(r.iters_used if r is not None and r.converged else cap
                      for r in alone)
     oracle = nearest_rank(ordered, cfg.p_first if first else cfg.p_later)
-    assert oracle == ordered[probes[1] - 1]
+    assert oracle == ordered[probes.rank - 1]
     separate = solve_batch(model, field, starts[n:], warms[n:], oracle,
                            state.reg, cfg.tol)
     cap = None if first else trainer._calibrated_cap(cfg, joint[:n])
@@ -468,40 +466,61 @@ def test_first_cap_probes_stop_with_their_batch(pointmass_rc):
 
 
 def test_joint_calibration_with_mixed_start_times():
-    # other horizons are solved after the probes' group, at the cap it
-    # fixes, so the first cap's probes run until it is known
+    # the probes (at t = 0) and a batch at mixed start times share one
+    # lockstep: the batch stops at the cap the probes set, exactly as when
+    # solved alone at it, and with batch_only the probes stop with it
     cfg = _tiny_toy_config(max_iter_first=None, randomize_initial_time=True)
     state = TrainerState(cfg)
     model = cfg.model
     batch = trainer._assign_start_times(envs.sample_initial_states(
         model, 16, 24, Region.WORKSPACE), model, cfg, 1)
-    batch[0] = TimeState(batch[0].x, 0)       # one batch row in the probes' group
-    times = {s.t for s in batch}
-    assert len(times) > 2
+    assert len({s.t for s in batch}) > 2
     starts, warms, probes = calibrate_max_iter(state, True, batch)
-    n = probes[0]
-    joint = solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
-                        state.reg, cfg.tol, probes)
+    assert probes.batch_only
+    n = probes.n
+
+    def joint(batch_only):
+        return solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
+                           state.reg, cfg.tol,
+                           probes._replace(batch_only=batch_only))
+
+    until_cap, with_batch = joint(False), joint(True)
     cap = nearest_rank([r.iters_used if r.converged else cfg.calibration_cap
-                        for r in joint[:n]], cfg.p_first)
+                        for r in until_cap[:n]], cfg.p_first)
     assert cap == _probes_alone(state, True, cfg.calibration_cap)[2]
-    assert joint[n].iters_used < cap      # the probes' group ended before
-    for t in times:
-        ids = [i for i in range(n, len(starts)) if starts[i].t == t]
-        separate = solve_batch(model, cfg.field, [starts[i] for i in ids],
-                               [warms[i] for i in ids], cap, state.reg, cfg.tol)
-        _assert_same_results([joint[i] for i in ids], separate)
+    separate = solve_batch(model, cfg.field, batch, warms[n:], cap, state.reg,
+                           cfg.tol)
+    _assert_same_results(until_cap[n:], separate)
+    _assert_same_results(with_batch[n:], separate)
+    last = max(r.iters_used for r in separate)
+    assert max(r.iters_used for r in with_batch[:n]) <= last <= cap
 
 
 def test_joint_calibration_probes_share_one_horizon():
+    # probes need not share one horizon: at mixed start times they set the
+    # cap that they set when solved alone, and the others stop at it
     cfg = _tiny_toy_config()
     model = cfg.model
-    starts = [TimeState(np.array([x]), t) for x, t in ((0.5, 0), (0.7, 3), (0.9, 0))]
+    reg = ilqr.RegularizerConfig(cfg.reg_eps)
+    xs = np.linspace(-1.5, 1.5, 8)
+    starts = [TimeState(np.array([x]), t)
+              for x, t in zip(xs, (0, 3, 41, 17, 0, 25, 9, 0))]
     warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
-    with pytest.raises(ValueError, match="share one horizon"):
-        solve_batch(model, cfg.field, starts, warms, 10, probes=(2, 1))
+    n, rank, max_iter = 5, 3, 40
+
+    def cap_of(results):
+        return sorted(r.iters_used if r.converged else max_iter
+                      for r in results)[rank - 1]
+
+    cap = cap_of(solve_batch(model, cfg.field, starts[:n], warms[:n], max_iter,
+                             reg, cfg.tol))
+    joint = solve_batch(model, cfg.field, starts, warms, max_iter, reg, cfg.tol,
+                        ilqr.Probes(n, rank))
+    assert cap_of(joint[:n]) == cap < max_iter
+    _assert_same_results(joint[n:], solve_batch(
+        model, cfg.field, starts[n:], warms[n:], cap, reg, cfg.tol))
     with pytest.raises(ValueError, match="rank"):
-        solve_batch(model, cfg.field, starts, warms, 10, probes=(2, 3))
+        solve_batch(model, cfg.field, starts, warms, 10, probes=ilqr.Probes(2, 3))
 
 
 def _spoil_warmstarts(monkeypatch, rows):
@@ -509,7 +528,7 @@ def _spoil_warmstarts(monkeypatch, rows):
     solve non-finite."""
     def spoiled(state, first, starts):
         starts, warms, probes = calibrate_max_iter(state, first, starts)
-        for i in rows(probes[0], len(starts)):
+        for i in rows(probes.n, len(starts)):
             warms[i] = np.full_like(warms[i], np.nan)
         return starts, warms, probes
     monkeypatch.setattr(trainer, "calibrate_max_iter", spoiled)
@@ -522,7 +541,7 @@ def test_every_probe_failing_raises(monkeypatch):
 
 
 def test_every_probe_failing_fails_the_batch_without_iterating(monkeypatch):
-    # the batch rows in the probes' group and in other horizons fail at once
+    # the batch rows, at mixed start times, fail at once
     cfg = _tiny_toy_config(max_iter_first=None, randomize_initial_time=True)
     state = TrainerState(cfg)
     model = cfg.model

@@ -4,11 +4,12 @@
     python3 tools/solve_gate.py compare A B [--rtol R]
 
 `dump` imports `trajrl` from DIR (a checkout's `src/`), solves the problem
-sets of SETS from zero warm starts, and writes one JSON line per problem: its
-failure message, if any; its outcome class (converged, stalled or capped,
-derived as the benchmark's tracer does, or failed); repr(cost); iters_used;
-and sha256 hashes of X, U, the step costs and V_bar_x.  The configs are read
-from this repository, so both trees solve the same problems.
+sets of SETS from zero warm starts, each set in one `solve_batch` call, and
+writes one JSON line per problem: its failure message, if any; its outcome
+class (converged, stalled or capped, derived as the benchmark's tracer does,
+or failed); repr(cost); iters_used; and sha256 hashes of X, U, the step costs
+and V_bar_x (null for a calibration probe, which has none).  The configs are
+read from this repository, so both trees solve the same problems.
 
 `compare` reads two dumps, prints per set the problems whose failed status,
 outcome class, cost (beyond the relative tolerance R, and how many of those
@@ -30,14 +31,24 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 
-# name, config (relative to the repository), problems, sampling seed, cap
+# name, config (relative to the repository), problems, sampling seed, cap,
+# the seed of the start times (None: every problem starts at t = 0), and the
+# calibration probes (n, rank, batch_only) that lead the set, or None.  Probes
+# start at t = 0, as the trainer poses them; the start times, drawn uniformly
+# from [0, t_max), apply to the other problems.
 SETS = (
-    ("pointmass", "configs/pointmass.ini", 53, 11, 60),
-    ("manipulator", "configs/manipulator.ini", 32, 11, 30),
-    ("toy1d", "configs/toy1d.ini", 53, 11, 100),
-    ("dubins", "configs/dubins.ini", 24, 11, 40),
-    ("manipulator-solve", "perfbench/configs/manipulator.ini", 32, 12345, 15),
-    ("manipulator-solve-64", "perfbench/configs/manipulator.ini", 64, 12345, 15),
+    ("pointmass", "configs/pointmass.ini", 53, 11, 60, None, None),
+    ("manipulator", "configs/manipulator.ini", 32, 11, 30, None, None),
+    ("toy1d", "configs/toy1d.ini", 53, 11, 100, None, None),
+    ("dubins", "configs/dubins.ini", 24, 11, 40, None, None),
+    ("manipulator-solve", "perfbench/configs/manipulator.ini", 32, 12345, 15,
+     None, None),
+    ("manipulator-solve-64", "perfbench/configs/manipulator.ini", 64, 12345, 15,
+     None, None),
+    ("pointmass-mixed", "configs/pointmass.ini", 40, 11, 60, 13, None),
+    ("pointmass-calibrate-mixed", "configs/pointmass.ini", 40, 12, 60, 14,
+     (10, 5, False)),
+    ("toy1d-calibrate", "configs/toy1d.ini", 40, 12, 100, None, (10, 10, True)),
 )
 HASHED = ("X", "U", "step_costs", "V_bar_x")
 
@@ -52,7 +63,9 @@ def _import_trajrl(src: Path):
     return trajrl
 
 
-def _sha(a) -> str:
+def _sha(a) -> str | None:
+    if a is None:
+        return None
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
 
@@ -64,18 +77,23 @@ def _outcome(res, cap: int) -> str:
 
 def dump(src: Path, out: Path):
     trajrl = _import_trajrl(src.resolve())
-    from trajrl.envs import Region, sample_initial_states
+    from trajrl.envs import Region, TimeState, sample_initial_states
     ilqr = trajrl.ilqr
     with open(out, "w") as fh:
-        for name, config, count, seed, cap in SETS:
+        for name, config, count, seed, cap, t_seed, probes in SETS:
             rc = trajrl.config.load_config(REPO / config)
             model = rc.model
             starts = sample_initial_states(model, count, seed, Region.WORKSPACE)
+            if t_seed is not None:
+                times = np.random.default_rng(t_seed).integers(0, model.t_max, count)
+                times[:probes[0] if probes else 0] = 0
+                starts = [TimeState(s.x, int(t)) for s, t in zip(starts, times)]
             warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
             try:
                 results, errors = ilqr.solve_batch(
                     model, rc.field, starts, warms, cap,
-                    ilqr.RegularizerConfig(rc.train.reg_eps), rc.train.tol), {}
+                    ilqr.RegularizerConfig(rc.train.reg_eps), rc.train.tol,
+                    probes and ilqr.Probes(*probes)), {}
             except ilqr.BatchSolveError as err:
                 results, errors = err.results, err.errors
             for i, res in enumerate(results):
