@@ -4,7 +4,9 @@ Subcommands: train, eval, demo1d.  Every command writes its outputs
 plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
 3 checkpoint error, 4 model mismatch, 1 runtime failure.  `eval` writes nan
 for a start whose rollout or solve failed, and exits 1 only when every start
-failed.
+failed.  It costs the actor's rollouts, refined by a solve (capped at [solver]
+eval_max_iter) only under --with-to; [trainer] eval_use_to sets the same choice
+for the eval that closes each iteration of a `train` run.
 
 The run seed is taken from --seed when given, else from the CACTO_SEED
 environment variable when set, else from the config's trainer seed;
@@ -29,7 +31,6 @@ import numpy as np
 from . import __version__, nets
 from .config import ConfigError, RunConfig, load_config
 from .envs import Region, sample_initial_states, toy1d_cost
-from .ilqr import RegularizerConfig
 from .trainer import (IterationReport, evaluate_policy_costs,
                       toy1d_diagnostic, train)
 
@@ -174,10 +175,7 @@ def cmd_eval(args) -> int:
     starts = sample_initial_states(rc.model, rc.train.eval_count,
                                    seed, region)
     t0 = time.perf_counter()
-    costs = evaluate_policy_costs(
-        actor, rc.model, rc.field, starts, use_to=args.with_to,
-        max_iter=rc.train.eval_max_iter,
-        reg=RegularizerConfig(rc.train.reg_eps), tol=rc.train.tol)
+    costs = evaluate_policy_costs(actor, rc.train, starts, use_to=args.with_to)
     _write_timings(out, {"total_s": time.perf_counter() - t0})
 
     _write_csv(out / "eval_costs.csv",

@@ -3,15 +3,18 @@ cli) of key = value pairs, parsed into the spec/field/train dataclasses.
 
 Keys are optional; anything missing falls back to the defaults of the
 system class ([model]) or of the dataclass field.  Each key is parsed by the
-annotated type of the field it fills.  A key the parser does not read is an
-error, so a misspelt or retired key does not pass silently.  Errors carry the
-config line they came from where possible.
+annotated type of the field it fills.  A [solver], [nets] or [trainer] key
+fills the TrainConfig field of its name, and that field declares its section.
+A key the parser does not read is an error, so a misspelt or retired key does
+not pass silently; so is any [DEFAULT] key.  Errors carry the config line they
+came from where possible.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -44,12 +47,13 @@ def config_hash(text: str) -> str:
 
 
 def _find_line(text: str, section: str, key: str):
+    """The line of key in section, each compared as configparser reads it."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-        elif current == section and stripped.split("=")[0].strip() == key:
+            current = stripped[1:-1]
+        elif current == section and re.split("[=:]", stripped)[0].rstrip().lower() == key:
             return lineno
     return None
 
@@ -86,7 +90,9 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError("config file not found", path=path)
     text = path.read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header can name "", so [DEFAULT] is a section whose keys are unknown
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as err:
@@ -152,7 +158,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"invalid [cost] section: {err}", path=path) from None
 
     try:
-        train = _from_fields(TrainConfig, take, _TRAIN_SECTION.get,
+        train = _from_fields(TrainConfig, take, lambda f: f.metadata["section"],
                              lambda f: f.default, model=model, field=field)
     except ValueError as err:
         raise ConfigError(f"invalid trainer settings: {err}", path=path) from None
@@ -162,25 +168,13 @@ def load_config(path) -> RunConfig:
         for key in parser[sec]:
             if (sec, key) not in used:
                 raise ConfigError(f"unknown key [{sec}] {key}", path=path,
-                                  line=_find_line(text, sec.lower(), key))
+                                  line=_find_line(text, sec, key))
     raw_snapshot = {sec: dict(parser[sec]) for sec in parser.sections()}
     return RunConfig(model=model, field=field, train=train,
                      out_dir=out_dir,
                      config_hash=config_hash(text), raw=raw_snapshot)
 
 
-# The config section of each TrainConfig field a file may set.
-_TRAIN_KEYS = {
-    "trainer": ("n_episodes", "episode_fraction", "candidate_multiplier", "m_updates",
-                "k_lookahead", "minibatch", "iterations", "seed", "bic", "eval_count",
-                "eval_use_to", "buffer_capacity", "randomize_initial_time"),
-    "nets": ("k_s", "lr_actor", "lr_critic", "lr_std", "bootstrap", "tau", "sigma_min",
-             "hidden", "activation"),
-    "solver": ("reg_eps", "tol", "p_first", "p_later", "max_iter_first",
-               "max_iter_later", "calibration_probes", "calibration_cap",
-               "eval_max_iter"),
-}
-_TRAIN_SECTION = {key: sec for sec, keys in _TRAIN_KEYS.items() for key in keys}
 _PARSERS = {"int": int, "Optional[int]": int, "float": float, "bool": _bool,
             "str": str.strip, "Bounds": _bounds,
             "tuple[float, ...]": _floats, "tuple[float, float]": _floats,
@@ -189,8 +183,8 @@ _PARSERS = {"int": int, "Optional[int]": int, "float": float, "bool": _bool,
 
 def _from_fields(cls, take, section, default, **fixed):
     """cls(**fixed), every other field read from the key of its name in
-    config section section(name), parsed by the field's annotated type and
+    config section section(field), parsed by the field's annotated type and
     falling back to default(field) when the key is absent."""
     return cls(**fixed, **{
-        f.name: take(section(f.name), f.name, _PARSERS[f.type], default(f))
+        f.name: take(section(f), f.name, _PARSERS[f.type], default(f))
         for f in fields(cls) if f.name not in fixed})

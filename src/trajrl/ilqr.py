@@ -142,6 +142,12 @@ class Trajectory:
     step_costs: np.ndarray
     t0: int = 0
 
+    @classmethod
+    def row(cls, X, U, sc, r: int, first: int, t0: int) -> Trajectory:
+        """A copy of row r of a lockstep's X, U and sc from step first (time t0) on."""
+        return cls(X=X[first:, r].copy(), U=U[first:, r].copy(),
+                   step_costs=sc[r, first:].copy(), t0=int(t0))
+
     @property
     def horizon(self) -> int:
         return self.U.shape[0]
@@ -453,10 +459,9 @@ class _Lockstep:
         run iters iterations.  A probe's result has no V_bar_x (unread)."""
         for r in np.flatnonzero(rows):
             f = self.first[r]
-            traj = Trajectory(X=self.X[f:, r].copy(), U=self.U[f:, r].copy(),
-                              step_costs=self.sc[r, f:].copy(), t0=int(self.t0[r]))
             results[self.ids[r]] = SolveResult(
-                traj=traj, V_bar_x=None if self.probe[r] else V_x[f:, r].copy(),
+                traj=Trajectory.row(self.X, self.U, self.sc, r, f, self.t0[r]),
+                V_bar_x=None if self.probe[r] else V_x[f:, r].copy(),
                 iters_used=iters, converged=bool(self.converged[r]))
         if rows.any():
             self.take(~rows)

@@ -412,9 +412,7 @@ def actor_rollout(actor: Mlp, model: ModelSpec, field: CostField,
 
     X, U, sc = _roll(system, cost, model.u_bound, np.stack([s.x for s in starts]),
                      model.t_max - t_min, policy, first)
-    return [Trajectory(X=X[f:, r].copy(), U=U[f:, r].copy(),
-                       step_costs=sc[r, f:].copy(), t0=int(t_min + f))
-            for r, f in enumerate(first)]
+    return [Trajectory.row(X, U, sc, r, f, t_min + f) for r, f in enumerate(first)]
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,41 +28,46 @@ from .ilqr import (BatchSolveError, Probes, RegularizerConfig, SolveResult,
                    SolverError, solve_batch)
 
 
+def _key(section: str, default):
+    """A TrainConfig field that a config file sets as a key of [section]."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
     field: CostField
-    n_episodes: int = 300               # TO problems in iteration 1
-    episode_fraction: float = 0.25      # batch fraction from iteration 2 on
-    candidate_multiplier: int = 10      # candidate pool size per kept start
-    m_updates: int = 500                # network update cycles per iteration
-    k_lookahead: int = 10               # TD lookahead steps for targets
-    k_s: float = 1.0                    # weight of the gradient-matching term
-    lr_actor: float = 5e-4
-    lr_critic: float = 1e-3
-    lr_std: float = 1e-3
-    minibatch: int = 128
-    iterations: int = 5
-    seed: int = 0
-    bic: bool = True
-    bootstrap: bool = True
-    tau: float = 0.005
-    sigma_min: float = 1e-3
-    hidden: tuple[int, ...] = (64, 64, 64)
-    activation: str = "elu"
-    reg_eps: float = 1e-6
-    tol: float = 1e-6
-    p_first: float = 99.0
-    p_later: float = 50.0
-    max_iter_first: Optional[int] = None      # overrides calibration when set
-    max_iter_later: Optional[int] = None
-    calibration_probes: int = 100
-    calibration_cap: int = 1000
-    eval_count: int = 100
-    eval_use_to: bool = True
-    eval_max_iter: int = 300
-    buffer_capacity: int = 2**20
-    randomize_initial_time: bool = False
+    n_episodes: int = _key("trainer", 300)           # TO problems in iteration 1
+    episode_fraction: float = _key("trainer", 0.25)  # batch fraction from iteration 2 on
+    candidate_multiplier: int = _key("trainer", 10)  # candidate pool size per kept start
+    m_updates: int = _key("trainer", 500)            # network update cycles per iteration
+    k_lookahead: int = _key("trainer", 10)           # TD lookahead steps for targets
+    k_s: float = _key("nets", 1.0)                   # weight of the gradient-matching term
+    lr_actor: float = _key("nets", 5e-4)
+    lr_critic: float = _key("nets", 1e-3)
+    lr_std: float = _key("nets", 1e-3)
+    minibatch: int = _key("trainer", 128)
+    iterations: int = _key("trainer", 5)
+    seed: int = _key("trainer", 0)
+    bic: bool = _key("trainer", True)
+    bootstrap: bool = _key("nets", True)
+    tau: float = _key("nets", 0.005)
+    sigma_min: float = _key("nets", 1e-3)
+    hidden: tuple[int, ...] = _key("nets", (64, 64, 64))
+    activation: str = _key("nets", "elu")
+    reg_eps: float = _key("solver", 1e-6)
+    tol: float = _key("solver", 1e-6)
+    p_first: float = _key("solver", 99.0)
+    p_later: float = _key("solver", 50.0)
+    max_iter_first: Optional[int] = _key("solver", None)  # overrides calibration when set
+    max_iter_later: Optional[int] = _key("solver", None)
+    calibration_probes: int = _key("solver", 100)
+    calibration_cap: int = _key("solver", 1000)
+    eval_count: int = _key("trainer", 100)
+    eval_use_to: bool = _key("trainer", True)
+    eval_max_iter: int = _key("solver", 300)
+    buffer_capacity: int = _key("trainer", 2**20)
+    randomize_initial_time: bool = _key("trainer", False)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -157,7 +162,6 @@ class TrainerState:
         self.eval_starts = sample_initial_states(
             model, config.eval_count, _seed_int(config.seed, 3),
             Region.HARD_REGION)
-        self.reg = RegularizerConfig(eps=config.reg_eps)
         # the cap of iterations 2 on; None until calibrated.  Iteration 1's
         # cap is config.max_iter_first, or calibrated in its own solve and
         # not kept: nothing reads it afterwards
@@ -205,14 +209,14 @@ def _warmstarts(state: TrainerState, starts, first: bool) -> list[np.ndarray]:
                                             state.config.field, starts)]
 
 
-def _solve_each(model: ModelSpec, fld: CostField, starts, warms, max_iter: int,
-                reg: RegularizerConfig, tol: float,
+def _solve_each(cfg: TrainConfig, starts, warms, max_iter: int,
                 probes: Optional[Probes] = None) -> list[Optional[SolveResult]]:
-    """solve_batch where a problem fails alone: its result is None.  Only
-    when every problem fails -- every probe, or every problem after the
-    probes -- is a BatchSolveError raised, for those problems alone."""
+    """solve_batch on cfg's model, cost and solver keys, where a problem fails
+    alone: its result is None.  Only when every problem fails -- every probe,
+    or every one after the probes -- is a BatchSolveError raised, for them."""
     try:
-        return solve_batch(model, fld, starts, warms, max_iter, reg, tol, probes)
+        return solve_batch(cfg.model, cfg.field, starts, warms, max_iter,
+                           RegularizerConfig(cfg.reg_eps), cfg.tol, probes)
     except BatchSolveError as err:
         n = probes.n if probes else 0
         for lo, hi in ((0, n), (n, len(starts))):
@@ -314,8 +318,7 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         max_iter = cfg.calibration_cap
     else:
         warms = _warmstarts(state, starts, first)
-    results = _solve_each(model, fld, starts, warms, max_iter, state.reg,
-                          cfg.tol, probes)
+    results = _solve_each(cfg, starts, warms, max_iter, probes)
     if probes is not None:
         if not first:
             state.max_iter = _calibrated_cap(cfg, results[:probes.n])
@@ -358,10 +361,8 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     t_nets = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    eval_costs = evaluate_policy_costs(state.actor, model, fld,
-                                       state.eval_starts, cfg.eval_use_to,
-                                       max_iter=cfg.eval_max_iter,
-                                       reg=state.reg, tol=cfg.tol)
+    eval_costs = evaluate_policy_costs(state.actor, cfg, state.eval_starts,
+                                       cfg.eval_use_to)
     eval_ok = np.isfinite(eval_costs)
     t_eval = time.perf_counter() - t2
 
@@ -383,13 +384,10 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     return state, report
 
 
-def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
-                          eval_starts: list[TimeState], use_to: bool,
-                          max_iter: int = 300,
-                          reg: RegularizerConfig = RegularizerConfig(),
-                          tol: float = 1e-6) -> np.ndarray:
-    """Per-start cost of actor rollouts, optionally refined by a
-    full-convergence solve warm-started from the rollout.
+def evaluate_policy_costs(actor: nets.Mlp, cfg: TrainConfig,
+                          eval_starts: list[TimeState], use_to: bool) -> np.ndarray:
+    """Per-start cost of actor rollouts, optionally (use_to) refined by a
+    solve warm-started from the rollout, capped at cfg.eval_max_iter.
 
     A start fails alone: its cost is nan when its solve fails, or when its
     rollout cost is not finite and use_to is off.  Only when every start
@@ -397,10 +395,10 @@ def evaluate_policy_costs(actor: nets.Mlp, model: ModelSpec, fld: CostField,
     """
     if not eval_starts:
         raise ValueError("eval_starts must be non-empty")
-    results = nets.actor_rollout(actor, model, fld, eval_starts)
+    results = nets.actor_rollout(actor, cfg.model, cfg.field, eval_starts)
     if use_to:
-        results = _solve_each(model, fld, eval_starts, [r.U for r in results],
-                              max_iter, reg, tol)
+        results = _solve_each(cfg, eval_starts, [r.U for r in results],
+                              cfg.eval_max_iter)
     costs = np.array([np.nan if r is None else r.cost for r in results])
     costs[~np.isfinite(costs)] = np.nan
     if np.isnan(costs).all():
@@ -435,14 +433,15 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
     return state.actor, state.critic, state.std, reports
 
 
-def toy1d_diagnostic(config: TrainConfig, grid: int = 400,
+def toy1d_diagnostic(config: TrainConfig, grid: int,
                      naive_max_iter: int = 400) -> dict[str, np.ndarray]:
     """Value curves over a dense 1D grid of starts.
 
     Solves every grid start with the naive warm start to convergence (the
     piecewise-continuous reference value and the basin assignment via final
     states), then trains for one iteration and evaluates critic and
-    std-critic at t=0 on the same grid.
+    std-critic at t=0 on the same grid.  That run's eval is discarded, so it
+    takes rollouts only, which draw no randomness and change no network.
     """
     model = config.model
     if model.name != "toy1d":
@@ -456,7 +455,7 @@ def toy1d_diagnostic(config: TrainConfig, grid: int = 400,
     v_bar = np.array([r.cost for r in results])
     x_final = np.array([r.traj.X[-1, 0] for r in results])
 
-    actor, critic, std, _ = train(replace(config, iterations=1))
+    actor, critic, std, _ = train(replace(config, iterations=1, eval_use_to=False))
     xa = np.stack([s.augmented for s in starts])
     v_critic = nets.mlp_forward(critic, xa)[:, 0]
     v_std = nets.mlp_forward(std, xa)[:, 0]

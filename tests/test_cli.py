@@ -186,6 +186,12 @@ MALFORMED = {
                         "param_l1 = 4.0", "unknown key [model] param_l1"),
     "manipulator-param": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l4 = 1.0"),
                           "param_l4 = 1.0", "unknown key [model] param_l4"),
+    "key-case": (TINY_TOY1D.replace("n_episodes = 4", "N_Episodes = abc"),
+                 "N_Episodes = abc", "bad value for [trainer] n_episodes"),
+    "key-colon": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes: abc"),
+                  "n_episodes: abc", "bad value for [trainer] n_episodes"),
+    "default-section": ("[DEFAULT]\nseed = 3\n\n" + TINY_TOY1D, "seed = 3",
+                        "unknown key [DEFAULT] seed"),
     "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
                  "bad value for [model] dt: empty value"),
     "dt-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = nan"), None,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from trajrl import envs, ilqr, nets, trainer
 from trajrl.envs import Region, TimeState
-from trajrl.ilqr import BatchSolveError, SolverError, solve_batch
+from trajrl.ilqr import BatchSolveError, RegularizerConfig, SolverError, solve_batch
 from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
                             calibrate_max_iter, evaluate_policy_costs,
                             nearest_rank, select_initial_states_bic,
@@ -142,32 +142,29 @@ def test_evaluate_single_start_equals_trajectory_cost():
     cfg, actor = _trained_tiny()
     start = TimeState(np.array([1.0]), 0)
     traj = nets.actor_rollout(actor, cfg.model, cfg.field, [start])[0]
-    costs = evaluate_policy_costs(actor, cfg.model, cfg.field, [start],
-                                  use_to=False)
+    costs = evaluate_policy_costs(actor, cfg, [start], use_to=False)
     assert costs.mean() == pytest.approx(traj.cost, abs=1e-12)
 
 
 def test_evaluate_with_to_never_worse_than_rollout():
     cfg, actor = _trained_tiny()
     starts = envs.sample_initial_states(cfg.model, 6, 11, Region.HARD_REGION)
-    plain = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
-                                  use_to=False)
-    refined = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
-                                    use_to=True, max_iter=80)
+    plain = evaluate_policy_costs(actor, cfg, starts, use_to=False)
+    refined = evaluate_policy_costs(actor, replace(cfg, eval_max_iter=80), starts,
+                                    use_to=True)
     assert np.all(refined <= plain + 1e-9)
 
 
 def test_evaluate_requires_starts():
     cfg, actor = _trained_tiny()
     with pytest.raises(ValueError):
-        evaluate_policy_costs(actor, cfg.model, cfg.field, [], use_to=False)
+        evaluate_policy_costs(actor, cfg, [], use_to=False)
 
 
 def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
     cfg, actor = _trained_tiny()
     starts = envs.sample_initial_states(cfg.model, 4, 11, Region.HARD_REGION)
-    want = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
-                                 use_to=False)
+    want = evaluate_policy_costs(actor, cfg, starts, use_to=False)
     real = nets.actor_rollout
 
     def overflowing(bad):
@@ -179,14 +176,12 @@ def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
         return rollout
 
     monkeypatch.setattr(nets, "actor_rollout", overflowing({1}))
-    got = evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
-                                use_to=False)
+    got = evaluate_policy_costs(actor, cfg, starts, use_to=False)
     assert np.isnan(got[1])
     assert np.delete(got, 1).tobytes() == np.delete(want, 1).tobytes()
     monkeypatch.setattr(nets, "actor_rollout", overflowing(range(4)))
     with pytest.raises(BatchSolveError, match="4 of 4 problems failed"):
-        evaluate_policy_costs(actor, cfg.model, cfg.field, starts,
-                              use_to=False)
+        evaluate_policy_costs(actor, cfg, starts, use_to=False)
 
 
 def _failing_eval_solves(monkeypatch, cfg, failing):
@@ -297,7 +292,8 @@ def _probes_alone(state, first, cap):
     warms = ([np.zeros((model.t_max, model.m)) for _ in probes] if first
              else [r.U for r in nets.actor_rollout(state.actor, model, field,
                                                    probes)])
-    results = solve_batch(model, field, probes, warms, cap, state.reg, cfg.tol)
+    results = solve_batch(model, field, probes, warms, cap,
+                          RegularizerConfig(cfg.reg_eps), cfg.tol)
     counts = [r.iters_used if r.converged else cap for r in results]
     ordered = sorted(counts)
     pct = cfg.p_first if first else cfg.p_later
@@ -320,13 +316,13 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
     for first in (True, False):
         warms, _, oracle = _probes_alone(state, first, 60)
         starts, joint_warms, probes = calibrate_max_iter(state, first, batch)
-        results = trainer._solve_each(model, field, starts, joint_warms, 60,
-                                      state.reg, cfg.tol, probes)
+        results = trainer._solve_each(cfg, starts, joint_warms, 60, probes)
         n = probes.n
         if first:
             # the first cap is not read back: the batch is solved at it
             _assert_same_results(results[n:], solve_batch(
-                model, field, batch, joint_warms[n:], oracle, state.reg, cfg.tol))
+                model, field, batch, joint_warms[n:], oracle,
+                RegularizerConfig(cfg.reg_eps), cfg.tol))
         else:
             assert trainer._calibrated_cap(cfg, results[:n]) == oracle
         # zero warm starts for the first cap, actor rollouts for the later one
@@ -387,7 +383,7 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     def solve(rows, probes_arg):
         try:
             return solve_batch(model, field, starts[rows], warms[rows], cap,
-                               state.reg, cfg.tol, probes_arg)
+                               RegularizerConfig(cfg.reg_eps), cfg.tol, probes_arg)
         except BatchSolveError as err:
             assert set(err.errors) == set(spoil)
             return err.results
@@ -398,7 +394,7 @@ def _joint_and_separate(state, first, batch, probe_order=None, spoil=()):
     oracle = nearest_rank(ordered, cfg.p_first if first else cfg.p_later)
     assert oracle == ordered[probes.rank - 1]
     separate = solve_batch(model, field, starts[n:], warms[n:], oracle,
-                           state.reg, cfg.tol)
+                           RegularizerConfig(cfg.reg_eps), cfg.tol)
     cap = None if first else trainer._calibrated_cap(cfg, joint[:n])
     return cap, oracle, joint[:n], joint[n:], separate
 
@@ -481,15 +477,15 @@ def test_joint_calibration_with_mixed_start_times():
 
     def joint(batch_only):
         return solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
-                           state.reg, cfg.tol,
+                           RegularizerConfig(cfg.reg_eps), cfg.tol,
                            probes._replace(batch_only=batch_only))
 
     until_cap, with_batch = joint(False), joint(True)
     cap = nearest_rank([r.iters_used if r.converged else cfg.calibration_cap
                         for r in until_cap[:n]], cfg.p_first)
     assert cap == _probes_alone(state, True, cfg.calibration_cap)[2]
-    separate = solve_batch(model, cfg.field, batch, warms[n:], cap, state.reg,
-                           cfg.tol)
+    separate = solve_batch(model, cfg.field, batch, warms[n:], cap,
+                           RegularizerConfig(cfg.reg_eps), cfg.tol)
     _assert_same_results(until_cap[n:], separate)
     _assert_same_results(with_batch[n:], separate)
     last = max(r.iters_used for r in separate)
@@ -557,7 +553,7 @@ def test_every_probe_failing_fails_the_batch_without_iterating(monkeypatch):
         passes.append(args[2].shape[1]) or real(*args)))
     with pytest.raises(BatchSolveError) as exc:
         solve_batch(model, cfg.field, starts, warms, cfg.calibration_cap,
-                    state.reg, cfg.tol, probes)
+                    RegularizerConfig(cfg.reg_eps), cfg.tol, probes)
     assert passes == []
     assert sorted(exc.value.errors) == list(range(len(starts)))
     for i in range(probes.n, len(starts)):
@@ -635,6 +631,26 @@ def test_toy1d_diagnostic_structure():
     assert np.sum(left[:-1] != left[1:]) == 1     # exactly one basin flip
 
 
+def test_toy1d_diagnostic_eval_makes_no_solve(monkeypatch):
+    # the training run's eval is discarded, so it takes rollouts only
+    calls = []
+    real_eval, real_solve = trainer.evaluate_policy_costs, trainer.solve_batch
+
+    def evaluating(*args):
+        calls.append("eval")
+        return real_eval(*args)
+
+    def solving(*args):
+        calls.append("solve")
+        return real_solve(*args)
+
+    monkeypatch.setattr(trainer, "evaluate_policy_costs", evaluating)
+    monkeypatch.setattr(trainer, "solve_batch", solving)
+    toy1d_diagnostic(_tiny_toy_config(iterations=1, eval_use_to=True), grid=20,
+                     naive_max_iter=50)
+    assert calls == ["solve", "solve", "eval"]
+
+
 def test_toy1d_diagnostic_rejects_other_models():
     model = envs.default_model("pointmass")
     cfg = replace(_tiny_toy_config(), model=model,
@@ -644,4 +660,4 @@ def test_toy1d_diagnostic_rejects_other_models():
                       envs.Ellipse((1.2, 0.0), (2.2, 1.4))),
                       obstacle_weight=10.0, distance_weight=0.02))
     with pytest.raises(ValueError):
-        toy1d_diagnostic(cfg)
+        toy1d_diagnostic(cfg, grid=60)
