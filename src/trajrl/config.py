@@ -50,7 +50,7 @@ def _find_line(text: str, section: str, key: str):
     """The line of key in section, each compared as configparser reads it."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+        stripped = re.split(r"\s#", line)[0].strip()    # drops an inline comment
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1]
         elif current == section and re.split("[=:]", stripped)[0].rstrip().lower() == key:

@@ -190,6 +190,9 @@ MALFORMED = {
                  "N_Episodes = abc", "bad value for [trainer] n_episodes"),
     "key-colon": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes: abc"),
                   "n_episodes: abc", "bad value for [trainer] n_episodes"),
+    "header-comment": (TINY_TOY1D.replace("[trainer]", "[trainer]  # schedule")
+                       .replace("n_episodes = 4", "n_episodes = abc"),
+                       "n_episodes = abc", "bad value for [trainer] n_episodes"),
     "default-section": ("[DEFAULT]\nseed = 3\n\n" + TINY_TOY1D, "seed = 3",
                         "unknown key [DEFAULT] seed"),
     "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
