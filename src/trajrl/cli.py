@@ -142,6 +142,8 @@ def cmd_train(args) -> int:
         "total_s": time.perf_counter() - t0,
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
+        # where a spare CPU runs an eval in a child beside the next iteration,
+        # only the fork and the wait for it (see trainer.run_iteration)
         "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "

@@ -23,9 +23,6 @@ where `einsum` and `(a * b).sum(-1)` do not.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -34,6 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
+from .procs import Child, spare_cpu
 
 LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
 
@@ -63,6 +61,10 @@ class BatchSolveError(RuntimeError):
         self.results = results
         detail = "; ".join(f"[{i}] {e}" for i, e in sorted(errors.items()))
         super().__init__(f"{len(errors)} of {len(results)} problems failed: {detail}")
+
+    def __reduce__(self):
+        # as built, so that it crosses from a child process (see procs.Child)
+        return type(self), (self.errors, self.results)
 
 
 @dataclass(frozen=True)
@@ -599,59 +601,6 @@ def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
     return np.clip(U_init, -model.u_bound, model.u_bound)
 
 
-def _in_two_processes(solve, mine, theirs, results, errors):
-    """solve(mine, results, errors) here and solve(theirs, ...) in a forked
-    child, whose results and errors are merged into these.
-
-    The child sends (results, errors) as one pickle through a pipe, or the
-    exception it met, which is raised here.  Should this process's half
-    raise, the child is killed first; it is reaped in any case, and one that
-    exits with a non-zero status or without its pickle raises RuntimeError.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            out = [None] * len(results), {}
-            try:
-                solve(theirs, *out)
-            except BaseException as exc:  # noqa: BLE001 - sent to the parent
-                out = exc
-            with open(w, "wb") as pipe:
-                pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            # no atexit handlers, no flush of inherited buffers, no return
-            # into the caller's stack
-            os._exit(status)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            solve(mine, results, errors)
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status or not payload:
-        raise RuntimeError(f"the solver's child process exited with status "
-                           f"{status}{'' if payload else ' and sent no results'}")
-    out = pickle.loads(payload)
-    if isinstance(out, BaseException):
-        raise out
-    for i, _ in theirs:
-        results[i] = out[0][i]
-    errors.update(out[1])
-
-
 def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
                 warmstarts: Sequence[np.ndarray], max_iter: int,
                 reg: RegularizerConfig = RegularizerConfig(),
@@ -681,14 +630,15 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     bit-identical to solving each problem alone (a batch of one).
 
     Two processes: a call without probes whose valid problems hold at least
-    SPLIT_ROWS rows (the sum of their horizons) forks one child where
-    os.sched_getaffinity gives this process two or more CPUs.  The child
-    solves the second half of the valid problems, in input order, the parent
-    the first, each in its own lockstep; their results and failures are
-    merged by index, with the same bits and messages as in one process.  A
-    calibrating call stays in one process, because its cap is found in its
-    lockstep; so does a smaller call, where the fork and the second CPU's
-    load cost more than they save.
+    SPLIT_ROWS rows (the sum of their horizons) forks one procs.Child where
+    procs.spare_cpu allows: two or more CPUs, and no child alive on either
+    side, so a call made in a training eval's child, or beside one, stays
+    in one process.  The child solves the second half of the valid problems,
+    in input order, the parent the first, each in its own lockstep; their
+    results and failures are merged by index, with the same bits and
+    messages as in one process.  A calibrating call stays in one process,
+    because its cap is found in its lockstep; so does a smaller call, where
+    the fork and the second CPU's load cost more than they save.
 
     Calibration: with probes = Probes(n, rank, batch_only), the first n
     problems are probes, run up to max_iter, and the others' cap is the
@@ -743,12 +693,22 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     solve = partial(_solve_lockstep, system, cost, model.u_bound, starts, max_iter,
                     reg.eps, tol, probes or Probes(0, 1))
     if (probes or sum(len(u_nom) for _, u_nom in valid) < SPLIT_ROWS
-            or not hasattr(os, "sched_getaffinity")  # macOS, Windows
-            or len(os.sched_getaffinity(0)) < 2):
+            or not spare_cpu()):
         solve(valid, results, errors)
     else:
         half = len(valid) // 2
-        _in_two_processes(solve, valid[:half], valid[half:], results, errors)
+
+        def second_half():
+            out = [None] * len(results), {}
+            solve(valid[half:], *out)
+            return out
+
+        with Child(second_half) as child:
+            solve(valid[:half], results, errors)
+            theirs, their_errors = child.join()
+        for i, _ in valid[half:]:
+            results[i] = theirs[i]
+        errors.update(their_errors)
     if errors:
         raise BatchSolveError(dict(sorted(errors.items())), results)
     return results

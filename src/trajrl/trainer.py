@@ -8,6 +8,12 @@ their batch), and turns solved trajectories into K-step replay rows.  From
 iteration 2 on, the std-critic ranks a pool of candidate starts and the top
 fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
+
+Each iteration closes with an eval of its actor.  Where a second CPU is
+spare, the eval runs in a forked child beside the std-critic updates and the
+next iteration's solve, which read nothing it changes; its report, and the
+callbacks of `train`, follow once that solve is done.  The reports and
+networks are those of a run in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import nets
+from . import nets, procs
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
@@ -124,7 +131,7 @@ class IterationReport:
     std_loss_mean: float
     t_to_s: float           # sampling, BIC, probes, warm starts, solve, targets
     t_nets_s: float
-    t_eval_s: float
+    t_eval_s: float         # the eval, or the fork of its child and the wait
 
 
 class TrainerState:
@@ -296,7 +303,55 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
                        xa[np.minimum(steps + K, t_hor)], t_max)
 
 
-def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, IterationReport]:
+class _Eval:
+    """The eval that closes an iteration: evaluate_policy_costs of its actor,
+    forked into a procs.Child at once where procs.spare_cpu allows, else run
+    in this process when first waited for.  `seconds` is this process's own
+    time on it: the fork and the wait, or the whole eval."""
+
+    def __init__(self, state: TrainerState):
+        t = time.perf_counter()
+        cfg = state.config
+        self._run = partial(evaluate_policy_costs, state.actor, cfg,
+                            state.eval_starts, cfg.eval_use_to)
+        self.child = procs.Child(self._run) if procs.spare_cpu() else None
+        self._costs = None
+        self.report = None      # IterationReport but the eval's fields
+        self.seconds = time.perf_counter() - t
+
+    def costs(self) -> np.ndarray:
+        if self._costs is None:
+            t = time.perf_counter()
+            try:
+                self._costs = self._run() if self.child is None else self.child.join()
+            finally:
+                self.seconds += time.perf_counter() - t
+        return self._costs
+
+    def kill(self):
+        if self.child is not None:
+            self.child.kill()
+
+    def finish(self) -> IterationReport:
+        """The iteration's report; raises the eval's error."""
+        costs = self.costs()
+        ok = np.isfinite(costs)
+        return self.report(eval_mean_cost=float(costs[ok].mean()),
+                           eval_failed=int(np.count_nonzero(~ok)),
+                           t_eval_s=self.seconds)
+
+
+def run_iteration(state: TrainerState, iter_idx: int,
+                  join: Callable[[], None] = lambda: None
+                  ) -> tuple[TrainerState, _Eval]:
+    """One iteration: the TO batch and its replay rows, the network updates,
+    and the eval of the updated actor, whose finish() gives the report.
+
+    The eval is forked (see _Eval) once the actor's last update is done, so
+    it runs beside the std-critic updates and what the caller does next;
+    else it runs after them.  join() is called once this iteration's solve
+    has returned, before the state changes, and its time counts in no phase.
+    """
     cfg = state.config
     model, fld = cfg.model, cfg.field
     first = iter_idx == 1
@@ -319,6 +374,9 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
     else:
         warms = _warmstarts(state, starts, first)
     results = _solve_each(cfg, starts, warms, max_iter, probes)
+    t_join = time.perf_counter()
+    join()
+    t0 += time.perf_counter() - t_join
     if probes is not None:
         if not first:
             state.max_iter = _calibrated_cap(cfg, results[:probes.n])
@@ -351,22 +409,26 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
             state.actor.flat_params(), state.adam_actor, agrads)
         state.actor = state.actor.with_params(params)
         critic_losses[i] = closs
-    for i in range(cfg.m_updates):
-        batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
-        sloss, sgrads = nets.std_critic_loss(state.std, state.critic, batch)
-        params, state.adam_std = nets.adam_step(
-            state.std.flat_params(), state.adam_std, sgrads)
-        state.std = state.std.with_params(params)
-        std_losses[i] = sloss
     t_nets = time.perf_counter() - t1
+    evaluation = _Eval(state)
+    try:
+        t1 = time.perf_counter()
+        for i in range(cfg.m_updates):
+            batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
+            sloss, sgrads = nets.std_critic_loss(state.std, state.critic, batch)
+            params, state.adam_std = nets.adam_step(
+                state.std.flat_params(), state.adam_std, sgrads)
+            state.std = state.std.with_params(params)
+            std_losses[i] = sloss
+        t_nets += time.perf_counter() - t1
+        if evaluation.child is None:
+            evaluation.costs()
+    except BaseException:
+        evaluation.kill()
+        raise
 
-    t2 = time.perf_counter()
-    eval_costs = evaluate_policy_costs(state.actor, cfg, state.eval_starts,
-                                       cfg.eval_use_to)
-    eval_ok = np.isfinite(eval_costs)
-    t_eval = time.perf_counter() - t2
-
-    report = IterationReport(
+    evaluation.report = partial(
+        IterationReport,
         iteration=iter_idx,
         episodes_cum=state.episodes_cum,
         to_cost_mean=float(costs.mean()),
@@ -375,13 +437,10 @@ def run_iteration(state: TrainerState, iter_idx: int) -> tuple[TrainerState, Ite
         to_failed=len(results) - len(solved),
         critic_loss_mean=float(critic_losses.mean()),
         std_loss_mean=float(std_losses.mean()),
-        eval_mean_cost=float(eval_costs[eval_ok].mean()),
-        eval_failed=int(np.count_nonzero(~eval_ok)),
         t_to_s=t_to,
         t_nets_s=t_nets,
-        t_eval_s=t_eval,
     )
-    return state, report
+    return state, evaluation
 
 
 def evaluate_policy_costs(actor: nets.Mlp, cfg: TrainConfig,
@@ -412,24 +471,48 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
           report_cb: Optional[Callable] = None):
     """Full training run; returns (actor, critic, std_critic, reports).
 
-    checkpoint_cb(state) and report_cb(report) fire after every iteration,
-    and checkpoint_cb also fires when an iteration aborts, so partial
-    results survive.
+    checkpoint_cb(state) and report_cb(report) fire once per iteration, and
+    checkpoint_cb also fires when an iteration aborts, so partial results
+    survive.  Iteration j's eval may run in a child process beside iteration
+    j+1 (see run_iteration), so its callbacks fire once iteration j+1's solve
+    has returned or raised, or after the last iteration's updates.  The state
+    is then the state that closed iteration j, so they see what they would
+    see at once.  A failed eval aborts there, before a failed solve after it
+    would; an interrupt (a BaseException that is not an Exception) kills the
+    child at once.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []
+    pending: Optional[_Eval] = None
+
+    def deliver():
+        nonlocal pending
+        if pending is None:
+            return
+        evaluation, pending = pending, None
+        rep = evaluation.finish()
+        reports.append(rep)
+        if checkpoint_cb is not None:
+            checkpoint_cb(state)
+        if report_cb is not None:
+            report_cb(rep)
+
     try:
         for j in range(1, config.iterations + 1):
-            state, rep = run_iteration(state, j)
-            reports.append(rep)
-            if checkpoint_cb is not None:
-                checkpoint_cb(state)
-            if report_cb is not None:
-                report_cb(rep)
+            try:
+                state, evaluation = run_iteration(state, j, deliver)
+            except Exception:
+                deliver()
+                raise
+            pending = evaluation
+        deliver()
     except Exception:
         if checkpoint_cb is not None:
             checkpoint_cb(state)
         raise
+    finally:
+        if pending is not None:
+            pending.kill()
     return state.actor, state.critic, state.std, reports
 
 

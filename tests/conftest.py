@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,17 @@ from trajrl.config import load_config
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process{f' ({pid})' if pid else ''}")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -928,6 +929,22 @@ def test_split_call_equals_one_process_bitwise(pointmass_rc, monkeypatch, split)
         {i: (type(e), str(e)) for i, e in one.errors.items()}
     for got, want in zip(two.results, one.results):
         assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same_result(got, want)
+
+
+def test_batch_solve_error_survives_pickling(pointmass_rc):
+    # it crosses from a child process as a pickle (procs.Child)
+    model, field, starts, warms = _spiked_mixed_batch(pointmass_rc)
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=10, reg=REG)
+    err = exc.value
+    back = pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is BatchSolveError and str(back) == str(err)
+    assert {i: (type(e), str(e)) for i, e in back.errors.items()} == \
+        {i: (type(e), str(e)) for i, e in err.errors.items()}
+    assert [r is None for r in back.results] == [r is None for r in err.results]
+    for got, want in zip(back.results, err.results):
         if want is not None:
             _assert_same_result(got, want)
 

@@ -1,10 +1,12 @@
+import json
+import os
 import time
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from trajrl import envs, ilqr, nets, trainer
+from trajrl import envs, ilqr, nets, procs, trainer
 from trajrl.envs import Region, TimeState
 from trajrl.ilqr import BatchSolveError, RegularizerConfig, SolverError, solve_batch
 from trajrl.trainer import (IterationReport, TrainConfig, TrainerState,
@@ -24,6 +26,31 @@ def _tiny_toy_config(**overrides):
               calibration_cap=80)
     kw.update(overrides)
     return TrainConfig(**kw)
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Two CPUs on any machine.  Returns a function that lists the pids that
+    called os.fork, from any process."""
+    log, real_fork = tmp_path / "forks", os.fork
+
+    def fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    return lambda: [int(p) for p in log.read_text().split()] if log.exists() else []
+
+
+def _no_fork(monkeypatch):
+    """One CPU, and a fork fails the test."""
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
 
 
 # -- BIC selection ------------------------------------------------------------------
@@ -184,41 +211,199 @@ def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
         evaluate_policy_costs(actor, cfg, starts, use_to=False)
 
 
-def _failing_eval_solves(monkeypatch, cfg, failing):
-    """Make the eval solves (the only ones at eval_max_iter) fail the problems
-    failing(count) names; returns the costs of the others, per eval."""
-    others = []
-
+def _failing_eval_solves(monkeypatch, cfg, failing, log):
+    """Make the eval solves (the only ones at eval_max_iter) fail the
+    problems failing(count, evals_before) names.  An eval, in a child process
+    or not, appends the costs of the others to the file log as one line;
+    returns a function that reads them back, per eval."""
     def solve(model, field, starts, warms, max_iter, *args):
         results = solve_batch(model, field, starts, warms, max_iter, *args)
         if max_iter != cfg.eval_max_iter:
             return results
-        bad = set(failing(len(results)))
-        others.append([r.cost for i, r in enumerate(results) if i not in bad])
+        before = len(log.read_text().splitlines()) if log.exists() else 0
+        bad = set(failing(len(results), before))
+        with open(log, "a") as fh:
+            fh.write(json.dumps([r.cost for i, r in enumerate(results)
+                                 if i not in bad]) + "\n")
         for i in bad:
             results[i] = None
         raise BatchSolveError({i: SolverError(f"eval problem {i} failed")
                                for i in bad}, results)
 
     monkeypatch.setattr(trainer, "solve_batch", solve)
-    return others
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
 
 
-def test_failed_eval_problem_counts_and_leaves_the_mean(monkeypatch):
+def test_failed_eval_problem_counts_and_leaves_the_mean(monkeypatch, tmp_path):
     cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
-    others = _failing_eval_solves(monkeypatch, cfg, lambda n: {1})
+    others = _failing_eval_solves(monkeypatch, cfg, lambda n, _: {1},
+                                  tmp_path / "evals")
     reports = train(cfg)[3]
-    assert len(reports) == cfg.iterations == len(others)
-    for rep, costs in zip(reports, others):
+    assert len(reports) == cfg.iterations == len(others())
+    for rep, costs in zip(reports, others()):
         assert rep.eval_failed == 1 and len(costs) == cfg.eval_count - 1
         assert rep.eval_mean_cost == np.array(costs).mean()
 
 
-def test_run_ends_when_every_eval_problem_fails(monkeypatch):
+def test_run_ends_when_every_eval_problem_fails(monkeypatch, tmp_path):
     cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
-    _failing_eval_solves(monkeypatch, cfg, range)
+    _failing_eval_solves(monkeypatch, cfg, lambda n, _: range(n),
+                         tmp_path / "evals")
     with pytest.raises(BatchSolveError, match="4 of 4 problems failed"):
         train(cfg)
+
+
+# -- eval in a child process, beside the next iteration --------------------------------
+
+def _params(*mlps):
+    return [m.flat_params().tobytes() for m in mlps]
+
+
+def _recording_train(cfg):
+    """train(cfg); returns its outcome (the reports, or the exception it
+    raised), each checkpoint as (actor, nets' bytes, episodes_cum), and the
+    reports that report_cb saw."""
+    checkpoints, seen = [], []
+
+    def checkpoint(state):
+        checkpoints.append((state.actor, _params(state.actor, state.critic, state.std),
+                            state.episodes_cum))
+
+    try:
+        out = train(cfg, checkpoint_cb=checkpoint, report_cb=seen.append)[3]
+    except Exception as err:  # noqa: BLE001 - the outcome under test
+        out = err
+    return out, checkpoints, seen
+
+
+def _without_times(rep):
+    return {k: v for k, v in asdict(rep).items() if not k.endswith("_s")}
+
+
+def test_forked_evals_report_the_checkpointed_actor_bitwise(monkeypatch, forks):
+    # each report's eval equals an in-process eval of the actor checkpointed
+    # with it, and the reports equal those of a run on one CPU
+    cfg = _tiny_toy_config(iterations=3, eval_use_to=True, eval_max_iter=70)
+    reports, checkpoints, seen = _recording_train(cfg)
+    assert forks() == [os.getpid()] * cfg.iterations
+    assert seen == reports and len(checkpoints) == cfg.iterations
+    starts = TrainerState(cfg).eval_starts
+    for rep, (actor, _, episodes) in zip(reports, checkpoints):
+        costs = evaluate_policy_costs(actor, cfg, starts, True)
+        ok = np.isfinite(costs)
+        assert rep.eval_mean_cost == float(costs[ok].mean())
+        assert rep.eval_failed == np.count_nonzero(~ok)
+        assert rep.episodes_cum == episodes
+    _no_fork(monkeypatch)
+    one, one_checkpoints, _ = _recording_train(cfg)
+    assert [_without_times(r) for r in one] == [_without_times(r) for r in reports]
+    assert [c[1:] for c in one_checkpoints] == [c[1:] for c in checkpoints]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_eval_aborts_with_its_iterations_checkpoint(monkeypatch, tmp_path,
+                                                           cpus):
+    # the second of three evals fails, in a child or not: the run raises its
+    # error, and the last checkpoint holds iteration 2's networks
+    cfg = _tiny_toy_config(iterations=3, eval_use_to=True, eval_max_iter=70)
+    actor, critic, std, want = train(replace(cfg, iterations=2))
+    if cpus == 1:
+        _no_fork(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _failing_eval_solves(monkeypatch, cfg,
+                         lambda n, before: range(n) if before == 1 else (),
+                         tmp_path / "evals")
+    err, checkpoints, seen = _recording_train(cfg)
+    assert isinstance(err, BatchSolveError)
+    assert str(err).startswith("4 of 4 problems failed")
+    assert [_without_times(r) for r in seen] == [_without_times(want[0])]
+    assert len(checkpoints) == 2
+    assert checkpoints[-1][1:] == (_params(actor, critic, std), want[1].episodes_cum)
+
+
+@pytest.mark.parametrize("eval_fails", [False, True])
+def test_failed_next_solve_waits_for_the_eval(monkeypatch, tmp_path, forks,
+                                              eval_fails):
+    # iteration 2's solve raises: iteration 1's report and checkpoint still
+    # come first, unless its eval failed too, whose error is then raised
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
+    want = train(replace(cfg, iterations=1))[3]
+    _failing_eval_solves(monkeypatch, cfg,
+                         lambda n, _: range(n) if eval_fails else (),
+                         tmp_path / "evals")
+    evaluating = trainer.solve_batch
+
+    def solve(*args):
+        if args[4] == cfg.max_iter_later:
+            raise SolverError("iteration 2's solve failed")
+        return evaluating(*args)
+
+    monkeypatch.setattr(trainer, "solve_batch", solve)
+    err, checkpoints, seen = _recording_train(cfg)
+    assert len(forks()) == 2        # the evals of want's iteration and of iteration 1
+    if eval_fails:
+        assert isinstance(err, BatchSolveError) and seen == []
+        assert str(err).startswith("4 of 4 problems failed")
+        assert len(checkpoints) == 1
+    else:
+        assert str(err) == "iteration 2's solve failed"
+        assert [_without_times(r) for r in seen] == [_without_times(want[0])]
+        assert len(checkpoints) == 2 and checkpoints[0][1:] == checkpoints[1][1:]
+    assert checkpoints[-1][2] == cfg.n_episodes
+
+
+def _sleeping_eval(monkeypatch):
+    monkeypatch.setattr(trainer, "evaluate_policy_costs",
+                        lambda *args: time.sleep(60))
+
+
+@pytest.mark.parametrize("where", ["next solve", "std-critic updates"])
+def test_interrupt_kills_the_eval_child(monkeypatch, forks, where):
+    # a KeyboardInterrupt in iteration 2's solve, or in the std-critic updates
+    # that run beside the eval, ends the sleeping eval's child at once (and
+    # conftest's no_child_left finds none left)
+    cfg = _tiny_toy_config()
+    _sleeping_eval(monkeypatch)
+    if where == "next solve":
+        real = trainer.solve_batch
+
+        def solve(*args):
+            if args[4] == cfg.max_iter_later:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "solve_batch", solve)
+    else:
+        def std_loss(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(nets, "std_critic_loss", std_loss)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks()) == 1
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    # eval runs in this process on one CPU, and where os.sched_getaffinity is
+    # missing (macOS, Windows)
+    _no_fork(monkeypatch)
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
+    assert len(train(cfg)[3]) == cfg.iterations
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert len(train(cfg)[3]) == cfg.iterations
+
+
+def test_no_solve_splits_beside_an_eval_child(monkeypatch, forks):
+    # every call may split (SPLIT_ROWS 1): iteration 1's solve does, but not
+    # iteration 2's, beside eval 1, nor the evals' solves, in their children
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 1)
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
+    assert len(train(cfg)[3]) == cfg.iterations
+    assert forks() == [os.getpid()] * (1 + cfg.iterations)
+    assert procs._alive == 0
 
 
 # -- reports ---------------------------------------------------------------------------
@@ -245,25 +430,44 @@ def test_checkpoint_callback_fires_every_iteration():
     assert len(seen) == 3
 
 
-def test_phase_times_split_eval_from_to(monkeypatch):
-    # each eval moves the clock 1000 s on, so where that delay is counted
-    # shows whatever the host's speed
+def _check_phase_times(monkeypatch, cpus):
+    """On one CPU each eval moves the clock 1000 s on; on two, the fork of
+    its child and the wait for it each do.  Where that delay is counted
+    shows whatever the host's speed."""
     clock, skew = time.perf_counter, [0.0]
 
-    def slow_eval(*args, **kwargs):
-        skew[0] += 1000.0
-        return evaluate_policy_costs(*args, **kwargs)
+    def delay(fn):
+        def delayed(*args, **kwargs):
+            skew[0] += 1000.0
+            return fn(*args, **kwargs)
+        return delayed
 
-    monkeypatch.setattr(trainer, "evaluate_policy_costs", slow_eval)
+    if cpus == 1:
+        _no_fork(monkeypatch)
+        monkeypatch.setattr(trainer, "evaluate_policy_costs",
+                            delay(evaluate_policy_costs))
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", delay(os.fork))
+        monkeypatch.setattr(procs.Child, "join", delay(procs.Child.join))
     monkeypatch.setattr(trainer.time, "perf_counter", lambda: clock() + skew[0])
     t0 = time.perf_counter()
     reports = train(_tiny_toy_config(max_iter_first=None, max_iter_later=None))[3]
     total = time.perf_counter() - t0
     for rep in reports:
-        assert rep.t_eval_s >= 1000.0
+        assert rep.t_eval_s >= 1000.0 * cpus
         assert max(rep.t_to_s, rep.t_nets_s) < 1000.0
     assert sum(rep.t_to_s + rep.t_nets_s + rep.t_eval_s
                for rep in reports) <= total
+
+
+def test_phase_times_split_eval_from_to(monkeypatch):
+    # the eval in a child: the fork and the wait are the eval's time
+    _check_phase_times(monkeypatch, 2)
+
+
+def test_phase_times_split_inline_eval_from_to(monkeypatch):
+    _check_phase_times(monkeypatch, 1)
 
 
 def test_train_calibrates_each_cap_when_first_needed(monkeypatch):
@@ -334,7 +538,8 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
 
 def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
     cfg = _tiny_toy_config(max_iter_later=None, p_later=50.0)
-    state, _ = trainer.run_iteration(TrainerState(cfg), 1)
+    state, evaluation = trainer.run_iteration(TrainerState(cfg), 1)
+    evaluation.finish()
     counts = []
 
     def probe_3_fails(*args):
@@ -345,7 +550,7 @@ def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):
         raise BatchSolveError({3: SolverError("probe 3 failed")}, results)
 
     monkeypatch.setattr(trainer, "solve_batch", probe_3_fails)
-    trainer.run_iteration(state, 2)
+    trainer.run_iteration(state, 2)[1].finish()
     cap = state.max_iter
     counts[3] = cfg.calibration_cap
     assert len(counts) == cfg.calibration_probes
@@ -568,11 +773,13 @@ def test_every_batch_problem_failing_raises(monkeypatch):
 
 def test_one_failed_probe_counts_as_the_cap_and_fails_nothing_else(monkeypatch):
     cfg = _tiny_toy_config(max_iter_later=None, p_later=50.0)
-    state, _ = trainer.run_iteration(TrainerState(cfg), 1)
+    state, evaluation = trainer.run_iteration(TrainerState(cfg), 1)
+    evaluation.finish()
     counts = _probes_alone(state, False, cfg.calibration_cap)[1]
     counts[3] = cfg.calibration_cap
     _spoil_warmstarts(monkeypatch, lambda n, total: [3])
-    state, rep = trainer.run_iteration(state, 2)
+    state, evaluation = trainer.run_iteration(state, 2)
+    rep = evaluation.finish()
     assert state.max_iter == nearest_rank(counts, 50.0)
     assert rep.to_failed == 0
     assert rep.episodes_cum == cfg.n_episodes + cfg.later_batch
@@ -589,7 +796,8 @@ def test_failed_training_problem_is_dropped(monkeypatch):
         raise BatchSolveError({1: SolverError("problem 1 failed")}, results)
 
     monkeypatch.setattr(trainer, "solve_batch", problem_1_fails)
-    state, rep = trainer.run_iteration(TrainerState(cfg), 1)
+    state, evaluation = trainer.run_iteration(TrainerState(cfg), 1)
+    rep = evaluation.finish()
     kept = posed[:1] + posed[2:]
     assert len(posed) == rep.episodes_cum == cfg.n_episodes
     assert rep.to_failed == 1
@@ -631,24 +839,24 @@ def test_toy1d_diagnostic_structure():
     assert np.sum(left[:-1] != left[1:]) == 1     # exactly one basin flip
 
 
-def test_toy1d_diagnostic_eval_makes_no_solve(monkeypatch):
-    # the training run's eval is discarded, so it takes rollouts only
-    calls = []
+def test_toy1d_diagnostic_eval_makes_no_solve(monkeypatch, tmp_path):
+    # the training run's eval is discarded, so it takes rollouts only.  It
+    # may run in a child process, so calls are logged to a file
+    log = tmp_path / "calls"
     real_eval, real_solve = trainer.evaluate_policy_costs, trainer.solve_batch
 
-    def evaluating(*args):
-        calls.append("eval")
-        return real_eval(*args)
+    def logged(name, fn):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(name + "\n")
+            return fn(*args)
+        return call
 
-    def solving(*args):
-        calls.append("solve")
-        return real_solve(*args)
-
-    monkeypatch.setattr(trainer, "evaluate_policy_costs", evaluating)
-    monkeypatch.setattr(trainer, "solve_batch", solving)
+    monkeypatch.setattr(trainer, "evaluate_policy_costs", logged("eval", real_eval))
+    monkeypatch.setattr(trainer, "solve_batch", logged("solve", real_solve))
     toy1d_diagnostic(_tiny_toy_config(iterations=1, eval_use_to=True), grid=20,
                      naive_max_iter=50)
-    assert calls == ["solve", "solve", "eval"]
+    assert log.read_text().split() == ["solve", "solve", "eval"]
 
 
 def test_toy1d_diagnostic_rejects_other_models():
