@@ -10,7 +10,10 @@ import os
 import pickle
 import signal
 
-_alive = 0      # Children of this process, or of its parent, not yet reaped
+# Children of this process, or of its parent, not yet reaped.  Module state,
+# because the CPUs it rations belong to the whole process, whichever module
+# forks.
+_alive = 0
 
 
 def spare_cpu() -> bool:

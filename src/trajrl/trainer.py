@@ -475,11 +475,11 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
     checkpoint_cb also fires when an iteration aborts, so partial results
     survive.  Iteration j's eval may run in a child process beside iteration
     j+1 (see run_iteration), so its callbacks fire once iteration j+1's solve
-    has returned or raised, or after the last iteration's updates.  The state
-    is then the state that closed iteration j, so they see what they would
-    see at once.  A failed eval aborts there, before a failed solve after it
-    would; an interrupt (a BaseException that is not an Exception) kills the
-    child at once.
+    has returned, or iteration j+1 has raised before that, or after the last
+    iteration's updates.  The state is then the state that closed iteration
+    j, so they see what they would see at once.  A failed eval aborts there,
+    its error raised in place of a failed solve's; an interrupt (a
+    BaseException that is not an Exception) kills the child at once.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []

@@ -353,18 +353,14 @@ def test_failed_next_solve_waits_for_the_eval(monkeypatch, tmp_path, forks,
     assert checkpoints[-1][2] == cfg.n_episodes
 
 
-def _sleeping_eval(monkeypatch):
-    monkeypatch.setattr(trainer, "evaluate_policy_costs",
-                        lambda *args: time.sleep(60))
-
-
 @pytest.mark.parametrize("where", ["next solve", "std-critic updates"])
 def test_interrupt_kills_the_eval_child(monkeypatch, forks, where):
     # a KeyboardInterrupt in iteration 2's solve, or in the std-critic updates
     # that run beside the eval, ends the sleeping eval's child at once (and
     # conftest's no_child_left finds none left)
     cfg = _tiny_toy_config()
-    _sleeping_eval(monkeypatch)
+    monkeypatch.setattr(trainer, "evaluate_policy_costs",
+                        lambda *args: time.sleep(60))
     if where == "next solve":
         real = trainer.solve_batch
 
