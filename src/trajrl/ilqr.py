@@ -634,9 +634,9 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     procs.spare_cpu allows: two or more CPUs, and no child alive on either
     side, so a call made in a training eval's child, or beside one, stays
     in one process.  The child solves the second half of the valid problems,
-    in input order, the parent the first, each in its own lockstep; their
-    results and failures are merged by index, with the same bits and
-    messages as in one process.  A calibrating call stays in one process,
+    in input order, the parent the first, each in its own lockstep and on
+    one BLAS thread; their results and failures are merged by index, with
+    the same bits and messages as in one process.  A calibrating call stays in one process,
     because its cap is found in its lockstep; so does a smaller call, where
     the fork and the second CPU's load cost more than they save.
 

@@ -1,19 +1,62 @@
 """Work on the second CPU, in a forked child process: `solve_batch` solves half
-of a large call there, and `train` each iteration's eval, beside what
-follows it.  At most min(2, CPUs) processes run: while a Child is alive,
-neither it nor its parent forks another (`spare_cpu`).
+of a large call there, and `train` a small eval, beside what follows it.  At
+most min(2, CPUs) processes run: while a Child is alive, neither it nor its
+parent forks another (`spare_cpu`), and each runs numpy's OpenBLAS on one
+thread, so that neither process's BLAS threads wait on a CPU the other holds.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
+from pathlib import Path
 
 # Children of this process, or of its parent, not yet reaped.  Module state,
 # because the CPUs it rations belong to the whole process, whichever module
 # forks.
 _alive = 0
+_blas_threads = None    # the OpenBLAS thread count before the first Child
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    carry, or None where numpy links another BLAS."""
+    import ctypes
+
+    import numpy as np
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _one_blas_thread():
+    """As the first Child forks: numpy's OpenBLAS on one thread, here and,
+    inherited, in the child."""
+    global _blas_threads
+    blas = _openblas()
+    if blas and not _alive and blas[0]() > 1:
+        _blas_threads = blas[0]()
+        blas[1](1)
+
+
+def _restore_blas():
+    """Once no Child is alive: the thread count from before the first."""
+    global _blas_threads
+    if not _alive and _blas_threads is not None:
+        _openblas()[1](_blas_threads)
+        _blas_threads = None
 
 
 def spare_cpu() -> bool:
@@ -37,11 +80,13 @@ class Child:
     def __init__(self, fn):
         global _alive
         r, w = os.pipe()
+        _one_blas_thread()
         try:
             self.pid = os.fork()
         except BaseException:
             os.close(r)
             os.close(w)
+            _restore_blas()
             raise
         _alive += 1
         if self.pid == 0:
@@ -74,6 +119,7 @@ class Child:
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
         _alive -= 1
+        _restore_blas()
         return os.waitstatus_to_exitcode(status)
 
     def join(self):

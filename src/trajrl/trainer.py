@@ -9,10 +9,11 @@ iteration 2 on, the std-critic ranks a pool of candidate starts and the top
 fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
 
-Each iteration closes with an eval of its actor.  Where a second CPU is
-spare, the eval runs in a forked child beside the std-critic updates and the
-next iteration's solve, which read nothing it changes; its report, and the
-callbacks of `train`, follow once that solve is done.  The reports and
+Each iteration closes with an eval of its actor.  Where a second CPU would
+otherwise idle (neither that eval's solve nor the next one is large enough
+to split across processes), the eval runs in a forked child beside the
+std-critic updates and the next iteration's solve, which read nothing it
+changes; its report follows once that solve is done.  The reports and
 networks are those of a run in one process, bit for bit.
 """
 
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import nets, procs
+from . import ilqr, nets, procs
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
@@ -303,54 +304,60 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
                        xa[np.minimum(steps + K, t_hor)], t_max)
 
 
+def _eval_forks(state: TrainerState, iter_idx: int) -> bool:
+    """Whether iteration iter_idx's eval runs in a procs.Child: a CPU is
+    spare, and neither the eval's solve nor the next iteration's holds
+    SPLIT_ROWS rows, so neither would take that CPU by splitting (see
+    solve_batch).  The next solve's rows are at most its batch at the full
+    horizon; a calibrating solve never splits."""
+    cfg = state.config
+    t_max = cfg.model.t_max
+    rows = sum(t_max - s.t for s in state.eval_starts) if cfg.eval_use_to else 0
+    if iter_idx < cfg.iterations and state.max_iter is not None:
+        rows = max(rows, cfg.later_batch * t_max)
+    return rows < ilqr.SPLIT_ROWS and procs.spare_cpu()
+
+
 class _Eval:
     """The eval that closes an iteration: evaluate_policy_costs of its actor,
-    forked into a procs.Child at once where procs.spare_cpu allows, else run
-    in this process when first waited for.  `seconds` is this process's own
-    time on it: the fork and the wait, or the whole eval."""
+    forked into a procs.Child at once (fork), else run in this process by
+    finish().  t_eval_s is this process's own time on it: the fork and the
+    wait, or the whole eval."""
 
-    def __init__(self, state: TrainerState):
+    def __init__(self, state: TrainerState, fork: bool):
         t = time.perf_counter()
         cfg = state.config
         self._run = partial(evaluate_policy_costs, state.actor, cfg,
                             state.eval_starts, cfg.eval_use_to)
-        self.child = procs.Child(self._run) if procs.spare_cpu() else None
-        self._costs = None
+        self.child = procs.Child(self._run) if fork else None
         self.report = None      # IterationReport but the eval's fields
-        self.seconds = time.perf_counter() - t
-
-    def costs(self) -> np.ndarray:
-        if self._costs is None:
-            t = time.perf_counter()
-            try:
-                self._costs = self._run() if self.child is None else self.child.join()
-            finally:
-                self.seconds += time.perf_counter() - t
-        return self._costs
+        self._seconds = time.perf_counter() - t
 
     def kill(self):
         if self.child is not None:
             self.child.kill()
 
     def finish(self) -> IterationReport:
-        """The iteration's report; raises the eval's error."""
-        costs = self.costs()
+        """The iteration's report, once; raises the eval's error."""
+        t = time.perf_counter()
+        costs = self._run() if self.child is None else self.child.join()
         ok = np.isfinite(costs)
         return self.report(eval_mean_cost=float(costs[ok].mean()),
                            eval_failed=int(np.count_nonzero(~ok)),
-                           t_eval_s=self.seconds)
+                           t_eval_s=self._seconds + time.perf_counter() - t)
 
 
 def run_iteration(state: TrainerState, iter_idx: int,
                   join: Callable[[], None] = lambda: None
                   ) -> tuple[TrainerState, _Eval]:
     """One iteration: the TO batch and its replay rows, the network updates,
-    and the eval of the updated actor, whose finish() gives the report.
+    and the eval of the updated actor, whose finish() runs or waits for it
+    and gives the report.
 
-    The eval is forked (see _Eval) once the actor's last update is done, so
-    it runs beside the std-critic updates and what the caller does next;
-    else it runs after them.  join() is called once this iteration's solve
-    has returned, before the state changes, and its time counts in no phase.
+    Where _eval_forks allows, the eval is forked once the actor's last
+    update is done, so it runs beside the std-critic updates and what the
+    caller does next.  join() is called once this iteration's solve has
+    returned, before the state changes, and its time counts in no phase.
     """
     cfg = state.config
     model, fld = cfg.model, cfg.field
@@ -410,7 +417,7 @@ def run_iteration(state: TrainerState, iter_idx: int,
         state.actor = state.actor.with_params(params)
         critic_losses[i] = closs
     t_nets = time.perf_counter() - t1
-    evaluation = _Eval(state)
+    evaluation = _Eval(state, _eval_forks(state, iter_idx))
     try:
         t1 = time.perf_counter()
         for i in range(cfg.m_updates):
@@ -421,8 +428,6 @@ def run_iteration(state: TrainerState, iter_idx: int,
             state.std = state.std.with_params(params)
             std_losses[i] = sloss
         t_nets += time.perf_counter() - t1
-        if evaluation.child is None:
-            evaluation.costs()
     except BaseException:
         evaluation.kill()
         raise
@@ -471,41 +476,43 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
           report_cb: Optional[Callable] = None):
     """Full training run; returns (actor, critic, std_critic, reports).
 
-    checkpoint_cb(state) and report_cb(report) fire once per iteration, and
-    checkpoint_cb also fires when an iteration aborts, so partial results
-    survive.  Iteration j's eval may run in a child process beside iteration
-    j+1 (see run_iteration), so its callbacks fire once iteration j+1's solve
-    has returned, or iteration j+1 has raised before that, or after the last
-    iteration's updates.  The state is then the state that closed iteration
-    j, so they see what they would see at once.  A failed eval aborts there,
-    its error raised in place of a failed solve's; an interrupt (a
-    BaseException that is not an Exception) kills the child at once.
+    checkpoint_cb(state) fires after every iteration's updates, before its
+    eval is done, and again when an iteration or eval aborts, so partial
+    results survive.  report_cb(report) fires once the eval is done: at
+    once in this process, or, where the eval runs in a child beside
+    iteration j+1 (see run_iteration), once iteration j+1's solve has
+    returned, or iteration j+1 has raised before that, or after the last
+    iteration's updates.  A failed eval aborts there, its error raised in
+    place of a failed solve's, with the state that closed iteration j.  An
+    interrupt (a BaseException that is not an Exception) kills the child at
+    once, and its report is lost.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []
     pending: Optional[_Eval] = None
 
-    def deliver():
+    def report():
+        # the pending eval's report, once it is done; raises the eval's error
         nonlocal pending
         if pending is None:
             return
         evaluation, pending = pending, None
-        rep = evaluation.finish()
-        reports.append(rep)
-        if checkpoint_cb is not None:
-            checkpoint_cb(state)
+        reports.append(evaluation.finish())
         if report_cb is not None:
-            report_cb(rep)
+            report_cb(reports[-1])
 
     try:
         for j in range(1, config.iterations + 1):
             try:
-                state, evaluation = run_iteration(state, j, deliver)
+                state, pending = run_iteration(state, j, report)
             except Exception:
-                deliver()
+                report()
                 raise
-            pending = evaluation
-        deliver()
+            if checkpoint_cb is not None:
+                checkpoint_cb(state)
+            if pending.child is None:
+                report()
+        report()
     except Exception:
         if checkpoint_cb is not None:
             checkpoint_cb(state)

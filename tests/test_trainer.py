@@ -304,7 +304,8 @@ def test_forked_evals_report_the_checkpointed_actor_bitwise(monkeypatch, forks):
 def test_failed_eval_aborts_with_its_iterations_checkpoint(monkeypatch, tmp_path,
                                                            cpus):
     # the second of three evals fails, in a child or not: the run raises its
-    # error, and the last checkpoint holds iteration 2's networks
+    # error, and the last checkpoint holds iteration 2's networks.  Iteration
+    # 2's checkpoint came before its eval was done, so the abort repeats it
     cfg = _tiny_toy_config(iterations=3, eval_use_to=True, eval_max_iter=70)
     actor, critic, std, want = train(replace(cfg, iterations=2))
     if cpus == 1:
@@ -318,15 +319,16 @@ def test_failed_eval_aborts_with_its_iterations_checkpoint(monkeypatch, tmp_path
     assert isinstance(err, BatchSolveError)
     assert str(err).startswith("4 of 4 problems failed")
     assert [_without_times(r) for r in seen] == [_without_times(want[0])]
-    assert len(checkpoints) == 2
+    assert len(checkpoints) == 3 and checkpoints[1][1:] == checkpoints[2][1:]
     assert checkpoints[-1][1:] == (_params(actor, critic, std), want[1].episodes_cum)
 
 
 @pytest.mark.parametrize("eval_fails", [False, True])
 def test_failed_next_solve_waits_for_the_eval(monkeypatch, tmp_path, forks,
                                               eval_fails):
-    # iteration 2's solve raises: iteration 1's report and checkpoint still
-    # come first, unless its eval failed too, whose error is then raised
+    # iteration 2's solve raises: iteration 1's checkpoint came first, and
+    # its report follows, unless its eval failed too, whose error is then
+    # raised.  The abort checkpoint repeats iteration 1's
     cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
     want = train(replace(cfg, iterations=1))[3]
     _failing_eval_solves(monkeypatch, cfg,
@@ -345,11 +347,10 @@ def test_failed_next_solve_waits_for_the_eval(monkeypatch, tmp_path, forks,
     if eval_fails:
         assert isinstance(err, BatchSolveError) and seen == []
         assert str(err).startswith("4 of 4 problems failed")
-        assert len(checkpoints) == 1
     else:
         assert str(err) == "iteration 2's solve failed"
         assert [_without_times(r) for r in seen] == [_without_times(want[0])]
-        assert len(checkpoints) == 2 and checkpoints[0][1:] == checkpoints[1][1:]
+    assert len(checkpoints) == 2 and checkpoints[0][1:] == checkpoints[1][1:]
     assert checkpoints[-1][2] == cfg.n_episodes
 
 
@@ -357,10 +358,24 @@ def test_failed_next_solve_waits_for_the_eval(monkeypatch, tmp_path, forks,
 def test_interrupt_kills_the_eval_child(monkeypatch, forks, where):
     # a KeyboardInterrupt in iteration 2's solve, or in the std-critic updates
     # that run beside the eval, ends the sleeping eval's child at once (and
-    # conftest's no_child_left finds none left)
+    # conftest's no_child_left finds none left).  Iteration 1's checkpoint,
+    # which does not wait for its eval, survives an interrupt in iteration 2
     cfg = _tiny_toy_config()
     monkeypatch.setattr(trainer, "evaluate_policy_costs",
                         lambda *args: time.sleep(60))
+    _interrupt(monkeypatch, cfg, where)
+    checkpoints = []
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, checkpoint_cb=lambda state: checkpoints.append(state.episodes_cum))
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks()) == 1
+    assert checkpoints == ([cfg.n_episodes] if where == "next solve" else [])
+
+
+def _interrupt(monkeypatch, cfg, where):
+    """A KeyboardInterrupt in iteration 2's solve, or in the first std-critic
+    update."""
     if where == "next solve":
         real = trainer.solve_batch
 
@@ -375,11 +390,20 @@ def test_interrupt_kills_the_eval_child(monkeypatch, forks, where):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(nets, "std_critic_loss", std_loss)
-    t0 = time.perf_counter()
+
+
+def test_interrupt_on_one_cpu_keeps_the_finished_iteration(monkeypatch):
+    # on one CPU the eval is done before the iteration returns, so its report
+    # and checkpoint both come before iteration 2 starts
+    _no_fork(monkeypatch)
+    cfg = _tiny_toy_config()
+    _interrupt(monkeypatch, cfg, "next solve")
+    checkpoints, seen = [], []
     with pytest.raises(KeyboardInterrupt):
-        train(cfg)
-    assert time.perf_counter() - t0 < 30.0
-    assert len(forks()) == 1
+        train(cfg, checkpoint_cb=lambda state: checkpoints.append(state.episodes_cum),
+              report_cb=seen.append)
+    assert checkpoints == [cfg.n_episodes]
+    assert [rep.iteration for rep in seen] == [1]
 
 
 def test_one_cpu_forks_nothing(monkeypatch):
@@ -393,13 +417,51 @@ def test_one_cpu_forks_nothing(monkeypatch):
 
 
 def test_no_solve_splits_beside_an_eval_child(monkeypatch, forks):
-    # every call may split (SPLIT_ROWS 1): iteration 1's solve does, but not
-    # iteration 2's, beside eval 1, nor the evals' solves, in their children
+    # the cap holds even where a call could split beside an eval's child: at
+    # SPLIT_ROWS 1, iteration 2's solve beside eval 1 does not split, nor do
+    # the evals' solves in their children
+    monkeypatch.setattr(trainer, "_eval_forks", lambda state, j: procs.spare_cpu())
     monkeypatch.setattr(ilqr, "SPLIT_ROWS", 1)
     cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
     assert len(train(cfg)[3]) == cfg.iterations
     assert forks() == [os.getpid()] * (1 + cfg.iterations)
     assert procs._alive == 0
+
+
+@pytest.mark.parametrize("rows, eval_forks, splits", [
+    # the evals' 2 starts hold 120 rows, iteration 2's 4 starts 240 and
+    # iteration 1's 16 starts 960, all at the full horizon of 60 steps
+    (120, [False, False], 4),   # every solve splits
+    (121, [False, True], 2),    # eval 1 stays, as iteration 2's solve splits
+    (241, [True, True], 1),     # iteration 1's solve alone splits
+    (961, [True, True], 0)])
+def test_eval_forks_only_beside_solves_that_do_not_split(monkeypatch, forks, rows,
+                                                         eval_forks, splits):
+    # an eval forks where neither its solve nor the next one could split;
+    # the last eval has no next solve.  Each split or forked eval forks once
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", rows)
+    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70, eval_count=2)
+    seen = []
+    real = trainer._eval_forks
+    monkeypatch.setattr(trainer, "_eval_forks",
+                        lambda state, j: seen.append(real(state, j)) or seen[-1])
+    train(cfg)
+    assert seen == eval_forks
+    assert len(forks()) == sum(eval_forks) + splits
+
+
+def test_eval_fork_rule_reads_the_next_solve(monkeypatch, forks):
+    # at SPLIT_ROWS 240, the 4 eval starts' solve would split, and so would
+    # iteration 2's batch of 4 at a fixed cap, but not when it calibrates its
+    # cap; an eval without TO makes no solve, and the last has no next one
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 4 * 60)
+    cfg = _tiny_toy_config(max_iter_later=None)
+    assert trainer._eval_forks(TrainerState(cfg), 1)
+    assert not trainer._eval_forks(TrainerState(replace(cfg, eval_use_to=True)), 1)
+    cfg = replace(cfg, max_iter_later=30)
+    assert not trainer._eval_forks(TrainerState(cfg), 1)
+    assert trainer._eval_forks(TrainerState(cfg), 2)
+    assert forks() == []
 
 
 # -- reports ---------------------------------------------------------------------------
