@@ -632,13 +632,15 @@ def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],
     Two processes: a call without probes whose valid problems hold at least
     SPLIT_ROWS rows (the sum of their horizons) forks one procs.Child where
     procs.spare_cpu allows: two or more CPUs, and no child alive on either
-    side, so a call made in a training eval's child, or beside one, stays
-    in one process.  The child solves the second half of the valid problems,
-    in input order, the parent the first, each in its own lockstep and on
-    one BLAS thread; their results and failures are merged by index, with
-    the same bits and messages as in one process.  A calibrating call stays in one process,
-    because its cap is found in its lockstep; so does a smaller call, where
-    the fork and the second CPU's load cost more than they save.
+    side.  So a call made in a training eval's child, or beside one, stays
+    in one process: in a 2-CPU train, where every eval forks, only a
+    fixed-cap iteration 1 can split.  The child solves the second half of
+    the valid problems, in input order, the parent the first, each in its
+    own lockstep and on one BLAS thread; their results and failures are
+    merged by index, with the same bits and messages as in one process.  A
+    calibrating call stays in one process, because its cap is found in its
+    lockstep; so does a smaller call, where the fork and the second CPU's
+    load cost more than they save.
 
     Calibration: with probes = Probes(n, rank, batch_only), the first n
     problems are probes, run up to max_iter, and the others' cap is the

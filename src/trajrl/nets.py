@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -418,6 +419,9 @@ def actor_rollout(actor: Mlp, model: ModelSpec, field: CostField,
 # -- checkpoints ----------------------------------------------------------------
 
 def save_checkpoint(path, mlp: Mlp, kind: str, model_name: str, config_hash: str):
+    """Write the network to path whole or not at all: through a sibling temp
+    file, synced and then renamed over it, so that a save that fails keeps
+    the previous checkpoint."""
     doc = {
         "kind": kind,
         "model": model_name,
@@ -432,8 +436,17 @@ def save_checkpoint(path, mlp: Mlp, kind: str, model_name: str, config_hash: str
         "biases": [b.tolist() for b in mlp.biases],
         "config_hash": config_hash,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:

@@ -1,8 +1,10 @@
 """Work on the second CPU, in a forked child process: `solve_batch` solves half
-of a large call there, and `train` a small eval, beside what follows it.  At
-most min(2, CPUs) processes run: while a Child is alive, neither it nor its
-parent forks another (`spare_cpu`), and each runs numpy's OpenBLAS on one
-thread, so that neither process's BLAS threads wait on a CPU the other holds.
+of a large call there, and `train` each iteration's eval, beside what follows
+it.  At most min(2, CPUs) processes run: while a Child is alive, neither it nor
+its parent forks another (`spare_cpu`).  From the first fork on, numpy's
+OpenBLAS runs on one thread in both, so that neither process's BLAS threads
+wait on a CPU the other holds; between children it stays there, as a second
+BLAS thread gains nothing on this code's small matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 # because the CPUs it rations belong to the whole process, whichever module
 # forks.
 _alive = 0
-_blas_threads = None    # the OpenBLAS thread count before the first Child
 
 
 @functools.cache
@@ -42,21 +43,11 @@ def _openblas():
 
 
 def _one_blas_thread():
-    """As the first Child forks: numpy's OpenBLAS on one thread, here and,
-    inherited, in the child."""
-    global _blas_threads
+    """As a Child forks: numpy's OpenBLAS on one thread, here and, inherited,
+    in the child, and left so once the child is reaped."""
     blas = _openblas()
-    if blas and not _alive and blas[0]() > 1:
-        _blas_threads = blas[0]()
+    if blas and blas[0]() > 1:
         blas[1](1)
-
-
-def _restore_blas():
-    """Once no Child is alive: the thread count from before the first."""
-    global _blas_threads
-    if not _alive and _blas_threads is not None:
-        _openblas()[1](_blas_threads)
-        _blas_threads = None
 
 
 def spare_cpu() -> bool:
@@ -86,7 +77,6 @@ class Child:
         except BaseException:
             os.close(r)
             os.close(w)
-            _restore_blas()
             raise
         _alive += 1
         if self.pid == 0:
@@ -119,7 +109,6 @@ class Child:
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
         _alive -= 1
-        _restore_blas()
         return os.waitstatus_to_exitcode(status)
 
     def join(self):

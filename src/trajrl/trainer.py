@@ -9,12 +9,12 @@ iteration 2 on, the std-critic ranks a pool of candidate starts and the top
 fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
 
-Each iteration closes with an eval of its actor.  Where a second CPU would
-otherwise idle (neither that eval's solve nor the next one is large enough
-to split across processes), the eval runs in a forked child beside the
-std-critic updates and the next iteration's solve, which read nothing it
-changes; its report follows once that solve is done.  The reports and
-networks are those of a run in one process, bit for bit.
+Each iteration closes with an eval of its actor.  Where a second CPU is
+spare, the eval runs in a forked child beside the std-critic updates and the
+next iteration's solve, which read nothing it changes, and neither the eval's
+solve nor that one splits across processes; its report follows once that
+solve is done.  The reports and networks are those of a run in one process,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ilqr, nets, procs
+from . import nets, procs
 from .buffer import ReplayBuffer, SampleBatch
 from .envs import (CostField, ModelSpec, Region, TimeState,
                    sample_initial_states)
@@ -304,32 +304,18 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
                        xa[np.minimum(steps + K, t_hor)], t_max)
 
 
-def _eval_forks(state: TrainerState, iter_idx: int) -> bool:
-    """Whether iteration iter_idx's eval runs in a procs.Child: a CPU is
-    spare, and neither the eval's solve nor the next iteration's holds
-    SPLIT_ROWS rows, so neither would take that CPU by splitting (see
-    solve_batch).  The next solve's rows are at most its batch at the full
-    horizon; a calibrating solve never splits."""
-    cfg = state.config
-    t_max = cfg.model.t_max
-    rows = sum(t_max - s.t for s in state.eval_starts) if cfg.eval_use_to else 0
-    if iter_idx < cfg.iterations and state.max_iter is not None:
-        rows = max(rows, cfg.later_batch * t_max)
-    return rows < ilqr.SPLIT_ROWS and procs.spare_cpu()
-
-
 class _Eval:
     """The eval that closes an iteration: evaluate_policy_costs of its actor,
-    forked into a procs.Child at once (fork), else run in this process by
-    finish().  t_eval_s is this process's own time on it: the fork and the
-    wait, or the whole eval."""
+    forked into a procs.Child at once where procs.spare_cpu allows, else run
+    in this process by finish().  t_eval_s is this process's own time on it:
+    the fork and the wait, or the whole eval."""
 
-    def __init__(self, state: TrainerState, fork: bool):
+    def __init__(self, state: TrainerState):
         t = time.perf_counter()
         cfg = state.config
         self._run = partial(evaluate_policy_costs, state.actor, cfg,
                             state.eval_starts, cfg.eval_use_to)
-        self.child = procs.Child(self._run) if fork else None
+        self.child = procs.Child(self._run) if procs.spare_cpu() else None
         self.report = None      # IterationReport but the eval's fields
         self._seconds = time.perf_counter() - t
 
@@ -354,10 +340,11 @@ def run_iteration(state: TrainerState, iter_idx: int,
     and the eval of the updated actor, whose finish() runs or waits for it
     and gives the report.
 
-    Where _eval_forks allows, the eval is forked once the actor's last
-    update is done, so it runs beside the std-critic updates and what the
-    caller does next.  join() is called once this iteration's solve has
-    returned, before the state changes, and its time counts in no phase.
+    Where a CPU is spare, the eval is forked once the actor's last update is
+    done, so it runs beside the std-critic updates and what the caller does
+    next; while it runs, no solve splits (see solve_batch).  join() is called
+    once this iteration's solve has returned, before the state changes, and
+    its time counts in no phase.
     """
     cfg = state.config
     model, fld = cfg.model, cfg.field
@@ -417,7 +404,7 @@ def run_iteration(state: TrainerState, iter_idx: int,
         state.actor = state.actor.with_params(params)
         critic_losses[i] = closs
     t_nets = time.perf_counter() - t1
-    evaluation = _Eval(state, _eval_forks(state, iter_idx))
+    evaluation = _Eval(state)
     try:
         t1 = time.perf_counter()
         for i in range(cfg.m_updates):
@@ -479,8 +466,8 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
     checkpoint_cb(state) fires after every iteration's updates, before its
     eval is done, and again when an iteration or eval aborts, so partial
     results survive.  report_cb(report) fires once the eval is done: at
-    once in this process, or, where the eval runs in a child beside
-    iteration j+1 (see run_iteration), once iteration j+1's solve has
+    once in this process, or, where a spare CPU runs the eval in a child
+    beside iteration j+1 (see run_iteration), once iteration j+1's solve has
     returned, or iteration j+1 has raised before that, or after the last
     iteration's updates.  A failed eval aborts there, its error raised in
     place of a failed solve's, with the state that closed iteration j.  An

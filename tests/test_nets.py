@@ -515,6 +515,30 @@ def test_checkpoint_roundtrip(tmp_path):
                                   mlp_forward(loaded, xs))
 
 
+def test_failed_checkpoint_save_keeps_the_previous_one(tmp_path, monkeypatch):
+    # a save that dies partway, as on an interrupt or a full disk, leaves the
+    # earlier checkpoint loadable bit for bit and no temp file behind
+    rng = np.random.default_rng(25)
+    net = init_mlp([3, 8, 2], rng)
+    path = tmp_path / "actor.json"
+    save_checkpoint(path, net, "actor", "toy1d", "cafebabe")
+    saved = path.read_bytes()
+
+    def dump_a_fragment(doc, fh):
+        fh.write('{"kind": ')
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(nets.json, "dump", dump_a_fragment)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, init_mlp([3, 8, 2], rng), "actor", "toy1d",
+                        "cafebabe")
+    monkeypatch.undo()
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["actor.json"]
+    loaded, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.flat_params(), net.flat_params())
+
+
 def test_update_determinism_from_seed():
     def run():
         rng = np.random.default_rng(33)

@@ -416,52 +416,18 @@ def test_one_cpu_forks_nothing(monkeypatch):
     assert len(train(cfg)[3]) == cfg.iterations
 
 
-def test_no_solve_splits_beside_an_eval_child(monkeypatch, forks):
-    # the cap holds even where a call could split beside an eval's child: at
-    # SPLIT_ROWS 1, iteration 2's solve beside eval 1 does not split, nor do
-    # the evals' solves in their children
-    monkeypatch.setattr(trainer, "_eval_forks", lambda state, j: procs.spare_cpu())
-    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 1)
+@pytest.mark.parametrize("split_rows", [1, 961, 10**6])
+def test_no_solve_splits_beside_an_eval_child(monkeypatch, forks, split_rows):
+    # every eval forks, and the cap holds wherever a call could split: beside
+    # eval 1's child, iteration 2's solve does not, nor do the evals' solves
+    # in their children.  Only iteration 1's solve of 16 starts at the full
+    # horizon of 60 steps, 960 rows, splits where it reaches SPLIT_ROWS
+    monkeypatch.setattr(ilqr, "SPLIT_ROWS", split_rows)
     cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70)
     assert len(train(cfg)[3]) == cfg.iterations
-    assert forks() == [os.getpid()] * (1 + cfg.iterations)
+    splits = int(960 >= split_rows)
+    assert forks() == [os.getpid()] * (splits + cfg.iterations)
     assert procs._alive == 0
-
-
-@pytest.mark.parametrize("rows, eval_forks, splits", [
-    # the evals' 2 starts hold 120 rows, iteration 2's 4 starts 240 and
-    # iteration 1's 16 starts 960, all at the full horizon of 60 steps
-    (120, [False, False], 4),   # every solve splits
-    (121, [False, True], 2),    # eval 1 stays, as iteration 2's solve splits
-    (241, [True, True], 1),     # iteration 1's solve alone splits
-    (961, [True, True], 0)])
-def test_eval_forks_only_beside_solves_that_do_not_split(monkeypatch, forks, rows,
-                                                         eval_forks, splits):
-    # an eval forks where neither its solve nor the next one could split;
-    # the last eval has no next solve.  Each split or forked eval forks once
-    monkeypatch.setattr(ilqr, "SPLIT_ROWS", rows)
-    cfg = _tiny_toy_config(eval_use_to=True, eval_max_iter=70, eval_count=2)
-    seen = []
-    real = trainer._eval_forks
-    monkeypatch.setattr(trainer, "_eval_forks",
-                        lambda state, j: seen.append(real(state, j)) or seen[-1])
-    train(cfg)
-    assert seen == eval_forks
-    assert len(forks()) == sum(eval_forks) + splits
-
-
-def test_eval_fork_rule_reads_the_next_solve(monkeypatch, forks):
-    # at SPLIT_ROWS 240, the 4 eval starts' solve would split, and so would
-    # iteration 2's batch of 4 at a fixed cap, but not when it calibrates its
-    # cap; an eval without TO makes no solve, and the last has no next one
-    monkeypatch.setattr(ilqr, "SPLIT_ROWS", 4 * 60)
-    cfg = _tiny_toy_config(max_iter_later=None)
-    assert trainer._eval_forks(TrainerState(cfg), 1)
-    assert not trainer._eval_forks(TrainerState(replace(cfg, eval_use_to=True)), 1)
-    cfg = replace(cfg, max_iter_later=30)
-    assert not trainer._eval_forks(TrainerState(cfg), 1)
-    assert trainer._eval_forks(TrainerState(cfg), 2)
-    assert forks() == []
 
 
 # -- reports ---------------------------------------------------------------------------
