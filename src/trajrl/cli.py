@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
         # where a spare CPU runs an eval in a child beside the next iteration,
-        # only the fork and the wait for it (see trainer.run_iteration)
+        # only the fork and the wait for it (see trainer.learn_iteration)
         "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "
@@ -212,6 +212,13 @@ def cmd_demo1d(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajrl",
@@ -238,7 +245,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo1d", help="1D value-discontinuity diagnostic")
     p_demo.add_argument("config")
-    p_demo.add_argument("--grid", type=int, default=400)
+    p_demo.add_argument("--grid", type=_positive_int, default=400)
     p_demo.add_argument("--seed", type=int, default=None)
     p_demo.add_argument("--out", default=None)
     p_demo.set_defaults(func=cmd_demo1d)

@@ -511,7 +511,7 @@ def _line_search(system, cost, u_bound, st, gains, prev) -> np.ndarray:
 
 def _solve_lockstep(system, cost, u_bound, starts, max_iter, eps, tol, probes,
                     members, results, errors):
-    """Solve the problems members, pairs (index, clamped warm start), in one
+    """Solve the problems members, pairs (index, warm start), in one
     lockstep as long as their longest horizon; fill results and errors.
 
     The indices index starts, results and errors; those below probes.n are
@@ -598,7 +598,7 @@ def _initial_controls(model: ModelSpec, x0: TimeState, U_init) -> np.ndarray:
                          f"t_max={model.t_max}")
     if x0.x.shape != (model.n,):
         raise ValueError(f"state dim {x0.x.shape} != ({model.n},)")
-    return np.clip(U_init, -model.u_bound, model.u_bound)
+    return U_init
 
 
 def solve_batch(model: ModelSpec, field: CostField, starts: Sequence[TimeState],

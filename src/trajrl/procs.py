@@ -4,7 +4,8 @@ it.  At most min(2, CPUs) processes run: while a Child is alive, neither it nor
 its parent forks another (`spare_cpu`).  From the first fork on, numpy's
 OpenBLAS runs on one thread in both, so that neither process's BLAS threads
 wait on a CPU the other holds; between children it stays there, as a second
-BLAS thread gains nothing on this code's small matrices.
+BLAS thread gains nothing on this code's small matrices.  A child dies with
+its parent, so a killed run leaves no solve or eval computing.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ def _one_blas_thread():
         blas[1](1)
 
 
+def _die_with(parent: int):
+    """In a child: SIGKILL once the parent dies (prctl's PR_SET_PDEATHSIG,
+    where libc has it), and exit now if the parent died before that."""
+    import ctypes
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)    # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def spare_cpu() -> bool:
     """Whether to fork a Child: os.sched_getaffinity (missing on macOS and
     Windows) gives two or more CPUs, and no Child is alive on either side."""
@@ -72,6 +86,7 @@ class Child:
         global _alive
         r, w = os.pipe()
         _one_blas_thread()
+        parent = os.getpid()
         try:
             self.pid = os.fork()
         except BaseException:
@@ -83,6 +98,7 @@ class Child:
             status = 1
             try:
                 os.close(r)
+                _die_with(parent)
                 try:
                     out = fn()
                 except BaseException as exc:  # noqa: BLE001 - sent to the parent

@@ -9,12 +9,12 @@ iteration 2 on, the std-critic ranks a pool of candidate starts and the top
 fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
 
-Each iteration closes with an eval of its actor.  Where a second CPU is
-spare, the eval runs in a forked child beside the std-critic updates and the
-next iteration's solve, which read nothing it changes, and neither the eval's
-solve nor that one splits across processes; its report follows once that
-solve is done.  The reports and networks are those of a run in one process,
-bit for bit.
+Each iteration solves (solve_iteration, which changes no state), learns
+(learn_iteration) and closes with an eval of its actor.  Where a second CPU
+is spare, the eval runs in a forked child beside the std-critic updates and
+the next solve, which read nothing it changes, and neither solve splits
+across processes; its report follows once that solve is done.  The reports
+and networks are those of a run in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -316,38 +316,30 @@ class _Eval:
         self._run = partial(evaluate_policy_costs, state.actor, cfg,
                             state.eval_starts, cfg.eval_use_to)
         self.child = procs.Child(self._run) if procs.spare_cpu() else None
-        self.report = None      # IterationReport but the eval's fields
         self._seconds = time.perf_counter() - t
 
     def kill(self):
         if self.child is not None:
             self.child.kill()
 
-    def finish(self) -> IterationReport:
-        """The iteration's report, once; raises the eval's error."""
+    def finish(self, report) -> IterationReport:
+        """report given the eval's fields; called once, raises the eval's error."""
         t = time.perf_counter()
         costs = self._run() if self.child is None else self.child.join()
         ok = np.isfinite(costs)
-        return self.report(eval_mean_cost=float(costs[ok].mean()),
-                           eval_failed=int(np.count_nonzero(~ok)),
-                           t_eval_s=self._seconds + time.perf_counter() - t)
+        return report(eval_mean_cost=float(costs[ok].mean()),
+                      eval_failed=int(np.count_nonzero(~ok)),
+                      t_eval_s=self._seconds + time.perf_counter() - t)
 
 
-def run_iteration(state: TrainerState, iter_idx: int,
-                  join: Callable[[], None] = lambda: None
-                  ) -> tuple[TrainerState, _Eval]:
-    """One iteration: the TO batch and its replay rows, the network updates,
-    and the eval of the updated actor, whose finish() runs or waits for it
-    and gives the report.
-
-    Where a CPU is spare, the eval is forked once the actor's last update is
-    done, so it runs beside the std-critic updates and what the caller does
-    next; while it runs, no solve splits (see solve_batch).  join() is called
-    once this iteration's solve has returned, before the state changes, and
-    its time counts in no phase.
+def solve_iteration(state: TrainerState, iter_idx: int):
+    """An iteration's first phase: sample the starts, apply BIC, pose the
+    probes and warm starts, and solve.  It changes no state, so the previous
+    iteration's eval may run beside it.  Returns the results (see
+    _solve_each), solve_batch's probes or None, and its time.
     """
     cfg = state.config
-    model, fld = cfg.model, cfg.field
+    model = cfg.model
     first = iter_idx == 1
     t0 = time.perf_counter()
     n_sel = cfg.n_episodes if first else cfg.later_batch
@@ -368,11 +360,22 @@ def run_iteration(state: TrainerState, iter_idx: int,
     else:
         warms = _warmstarts(state, starts, first)
     results = _solve_each(cfg, starts, warms, max_iter, probes)
-    t_join = time.perf_counter()
-    join()
-    t0 += time.perf_counter() - t_join
+    return results, probes, time.perf_counter() - t0
+
+
+def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve):
+    """An iteration's second phase, on solve_iteration's outcome: the later
+    cap's readback, the replay rows, the network updates, and the eval of the
+    updated actor.  Returns the _Eval and the report but the eval's fields.
+    Where a CPU is spare, the eval is forked once the actor's last update is
+    done, so it runs beside the std-critic updates and the next solve; while
+    it runs, no solve splits (see solve_batch).
+    """
+    cfg = state.config
+    model, fld = cfg.model, cfg.field
+    t0 = time.perf_counter()
     if probes is not None:
-        if not first:
+        if iter_idx > 1:
             state.max_iter = _calibrated_cap(cfg, results[:probes.n])
         results = results[probes.n:]
     solved = [r for r in results if r is not None]
@@ -382,7 +385,7 @@ def run_iteration(state: TrainerState, iter_idx: int,
 
     costs = np.array([r.cost for r in solved])
     conv = float(np.mean([r.converged for r in solved]))
-    t_to = time.perf_counter() - t0
+    t_to = t_solve + time.perf_counter() - t0
 
     t1 = time.perf_counter()
     critic_losses = np.empty(cfg.m_updates)
@@ -419,7 +422,7 @@ def run_iteration(state: TrainerState, iter_idx: int,
         evaluation.kill()
         raise
 
-    evaluation.report = partial(
+    return evaluation, partial(
         IterationReport,
         iteration=iter_idx,
         episodes_cum=state.episodes_cum,
@@ -432,7 +435,6 @@ def run_iteration(state: TrainerState, iter_idx: int,
         t_to_s=t_to,
         t_nets_s=t_nets,
     )
-    return state, evaluation
 
 
 def evaluate_policy_costs(actor: nets.Mlp, cfg: TrainConfig,
@@ -463,50 +465,48 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
           report_cb: Optional[Callable] = None):
     """Full training run; returns (actor, critic, std_critic, reports).
 
-    checkpoint_cb(state) fires after every iteration's updates, before its
-    eval is done, and again when an iteration or eval aborts, so partial
-    results survive.  report_cb(report) fires once the eval is done: at
-    once in this process, or, where a spare CPU runs the eval in a child
-    beside iteration j+1 (see run_iteration), once iteration j+1's solve has
-    returned, or iteration j+1 has raised before that, or after the last
-    iteration's updates.  A failed eval aborts there, its error raised in
-    place of a failed solve's, with the state that closed iteration j.  An
-    interrupt (a BaseException that is not an Exception) kills the child at
-    once, and its report is lost.
+    Iteration j runs solve_iteration, reports iteration j-1, runs
+    learn_iteration, calls checkpoint_cb(state), and reports at once where
+    its eval ran in this process.  So checkpoint_cb fires once per completed
+    iteration, and an abort leaves the last completed iteration's networks.
+    Where a spare CPU runs the eval in a child, report_cb(report) fires once
+    the next solve has returned or raised, or after the last iteration; a
+    failed eval aborts there, its error raised in place of a failed solve's.
+    An interrupt (a BaseException that is not an Exception) kills the child
+    at once, and its report is lost.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []
-    pending: Optional[_Eval] = None
+    pending = None      # an _Eval not yet finished, and its report
 
     def report():
         # the pending eval's report, once it is done; raises the eval's error
         nonlocal pending
         if pending is None:
             return
-        evaluation, pending = pending, None
-        reports.append(evaluation.finish())
+        (evaluation, fields), pending = pending, None
+        reports.append(evaluation.finish(fields))
         if report_cb is not None:
             report_cb(reports[-1])
 
     try:
         for j in range(1, config.iterations + 1):
             try:
-                state, pending = run_iteration(state, j, report)
+                solved = solve_iteration(state, j)
             except Exception:
                 report()
                 raise
+            report()
+            pending = learn_iteration(state, j, *solved)
+            del solved      # so the results are freed before the next solve
             if checkpoint_cb is not None:
                 checkpoint_cb(state)
-            if pending.child is None:
+            if pending[0].child is None:
                 report()
         report()
-    except Exception:
-        if checkpoint_cb is not None:
-            checkpoint_cb(state)
-        raise
     finally:
         if pending is not None:
-            pending.kill()
+            pending[0].kill()
     return state.actor, state.critic, state.std, reports
 
 

@@ -361,6 +361,17 @@ def test_demo1d_on_pointmass_exits_model_mismatch(tmp_path, capsys):
     assert "model mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0", "-3", "many"])
+def test_demo1d_bad_grid_exits_usage_before_writing(toy_config, tmp_path, capsys,
+                                                     grid):
+    out = tmp_path / "demo"
+    with pytest.raises(SystemExit) as exc:
+        main(["demo1d", str(toy_config), "--grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _csv_rows(path):
     return path.read_text().splitlines()
 

@@ -1,6 +1,15 @@
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from trajrl import procs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class _FakeBlas:
@@ -49,3 +58,37 @@ def test_numpys_openblas_runs_one_thread_in_a_child():
         return
     assert procs.Child(blas[0]).join() == 1
     assert blas[0]() == 1
+
+
+def _proc_state(pid):
+    """The state letter of /proc/<pid>/stat, or None once pid is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_child_dies_with_its_killed_parent():
+    # a parent killed while its Child sleeps takes the child with it; the
+    # child prints its pid once it runs fn, after it has armed that
+    script = ("import os, time\n"
+              "from trajrl import procs\n"
+              "procs.Child(lambda: print(os.getpid(), flush=True) or time.sleep(60))\n"
+              "time.sleep(60)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-c", script], env=env,
+                          stdout=subprocess.PIPE, text=True) as parent:
+        try:
+            child = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+            parent.wait()
+    deadline = time.monotonic() + 5.0
+    while _proc_state(child) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    outlived = _proc_state(child) not in (None, "Z")
+    if outlived:
+        os.kill(child, signal.SIGKILL)
+    assert not outlived, f"child {child} outlived its parent"

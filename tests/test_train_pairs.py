@@ -1,6 +1,7 @@
 """`tools/train_pairs.py` on this repository against itself, and its bit check."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -41,11 +42,16 @@ def test_pairs_of_one_tree_keep_the_bits(tmp_path, capsys):
     args = [str(REPO), str(REPO), str(config), "--pairs", "2", "--seed", "3"]
     assert train_pairs.main(args) == 0
     out = capsys.readouterr().out.splitlines()
-    heads = ("seed 3: ", "seed 4: ", "parent: median ", "change: median ",
-             "change lower in ")
-    assert len(out) == len(heads)
-    assert all(line.startswith(head) for line, head in zip(out, heads))
-    assert out[-1].endswith(" of 2 pairs")
+    run = r"([\d.]+) s \(cpu ([\d.]+) s\)"
+    spread = r"median [\d.]+ s, IQR [\d.]+ s"
+    assert len(out) == 5
+    for seed, line in zip((3, 4), out):
+        times = re.fullmatch(f"seed {seed}: parent {run}, change {run}", line)
+        assert times and all(float(t) > 0.0 for t in times.groups())
+    for side, line in zip(("parent", "change"), out[2:4]):
+        assert re.fullmatch(f"{side}: total_s {spread}; cpu_s {spread}", line)
+    assert re.fullmatch(r"change lower in [0-2] of 2 pairs on total_s, [0-2] on cpu_s",
+                        out[-1])
 
 
 def test_differences_skip_phase_times_only(tmp_path):
