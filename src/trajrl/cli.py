@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
         # where a spare CPU runs an eval in a child beside the next iteration,
-        # only the fork and the wait for it (see trainer.learn_iteration)
+        # only the wait for its result (see trainer.learn_iteration)
         "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "

@@ -340,15 +340,15 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     return loss, grads, skipped
 
 
-def std_critic_loss(std_net: Mlp, critic: Mlp, batch: SampleBatch):
-    """Gaussian negative log-likelihood of the critic error; the error is a
-    constant w.r.t. the std network's parameters."""
-    if len(batch) == 0:
+def std_critic_loss(std_net: Mlp, err: np.ndarray, xa: np.ndarray):
+    """Gaussian negative log-likelihood of the critic's errors err (B,) at the
+    augmented states xa (B, n+1); the errors are constant w.r.t. the std
+    network's parameters."""
+    if len(err) == 0:
         raise ValueError("empty batch")
-    bsz = len(batch)
-    err = batch.v_bar - mlp_forward(critic, batch.xa)[:, 0]
+    bsz = len(err)
 
-    zs, a, o = _forward_caches(std_net, batch.xa)
+    zs, a, o = _forward_caches(std_net, xa)
     sigma, dsigma_do = (h[:, 0] for h in _head(std_net, o))
     loss = float((np.log(sigma) + 0.5 * err**2 / sigma**2).mean())
 

@@ -11,10 +11,11 @@ the run seed, so fixed-seed runs repeat exactly.
 
 Each iteration solves (solve_iteration, which changes no state), learns
 (learn_iteration) and closes with an eval of its actor.  Where a second CPU
-is spare, the eval runs in a forked child beside the std-critic updates and
-the next solve, which read nothing it changes, and neither solve splits
-across processes; its report follows once that solve is done.  The reports
-and networks are those of a run in one process, bit for bit.
+is spare, a forked child runs the actor's updates beside the critic's and
+the std-critic's, and then the eval beside the next solve, which reads
+nothing it changes; while it runs, no solve splits across processes, and
+the eval's report follows once the next solve is done.  The reports and
+networks are those of a run in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ class IterationReport:
     critic_loss_mean: float
     std_loss_mean: float
     t_to_s: float           # sampling, BIC, probes, warm starts, solve, targets
-    t_nets_s: float
-    t_eval_s: float         # the eval, or the fork of its child and the wait
+    t_nets_s: float         # the updates, or a child's fork and the wait for its actor
+    t_eval_s: float         # the eval, or the wait for the child's result
 
 
 class TrainerState:
@@ -306,17 +307,16 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
 
 class _Eval:
     """The eval that closes an iteration: evaluate_policy_costs of its actor,
-    forked into a procs.Child at once where procs.spare_cpu allows, else run
-    in this process by finish().  t_eval_s is this process's own time on it:
-    the fork and the wait, or the whole eval."""
+    which the actor's child sends once its updates are done (see
+    learn_iteration), or which finish() runs in this process where no child
+    was forked.  t_eval_s is this process's own time on it: the wait for the
+    child's result, or the whole eval."""
 
-    def __init__(self, state: TrainerState):
-        t = time.perf_counter()
+    def __init__(self, state: TrainerState, child: Optional[procs.Child]):
         cfg = state.config
         self._run = partial(evaluate_policy_costs, state.actor, cfg,
                             state.eval_starts, cfg.eval_use_to)
-        self.child = procs.Child(self._run) if procs.spare_cpu() else None
-        self._seconds = time.perf_counter() - t
+        self.child = child
 
     def kill(self):
         if self.child is not None:
@@ -329,7 +329,42 @@ class _Eval:
         ok = np.isfinite(costs)
         return report(eval_mean_cost=float(costs[ok].mean()),
                       eval_failed=int(np.count_nonzero(~ok)),
-                      t_eval_s=self._seconds + time.perf_counter() - t)
+                      t_eval_s=time.perf_counter() - t)
+
+
+def _actor_update(state: TrainerState, xa: np.ndarray):
+    """One actor update on the minibatch states xa, against state.critic."""
+    cfg = state.config
+    _, grads, _ = nets.actor_loss(state.actor, state.critic, cfg.model, cfg.field, xa)
+    params, state.adam_actor = nets.adam_step(state.actor.flat_params(),
+                                              state.adam_actor, grads)
+    state.actor = state.actor.with_params(params)
+
+
+def _critic_error(critic: nets.Mlp, batch: SampleBatch) -> np.ndarray:
+    """The critic's error on batch's values, which the std-critic learns."""
+    return batch.v_bar - nets.mlp_forward(critic, batch.xa)[:, 0]
+
+
+def _actor_child(state: TrainerState, read_into):
+    """The actor's process (see learn_iteration), in its forked copy of state,
+    drawing the minibatches that the parent draws beside it: the actor
+    updates, each on the critic the parent sends; then the actor and its
+    Adam state, the final critic's error on each std-critic minibatch, and
+    the eval's costs."""
+    cfg = state.config
+    for _ in range(cfg.m_updates):
+        batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
+        theta = np.empty_like(state.critic.flat_params())
+        read_into(theta)
+        state.critic = state.critic.with_params(theta)
+        _actor_update(state, batch.xa)
+    yield state.actor.flat_params(), state.adam_actor
+    for _ in range(cfg.m_updates):
+        yield _critic_error(state.critic, state.buffer.sample_minibatch(
+            cfg.minibatch, state.rng_batches))
+    return evaluate_policy_costs(state.actor, cfg, state.eval_starts,
+                                 cfg.eval_use_to)
 
 
 def solve_iteration(state: TrainerState, iter_idx: int):
@@ -367,12 +402,22 @@ def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve
     """An iteration's second phase, on solve_iteration's outcome: the later
     cap's readback, the replay rows, the network updates, and the eval of the
     updated actor.  Returns the _Eval and the report but the eval's fields.
-    Where a CPU is spare, the eval is forked once the actor's last update is
-    done, so it runs beside the std-critic updates and the next solve; while
-    it runs, no solve splits (see solve_batch).
+
+    Update i draws minibatch i, steps the critic (and its target) on it, and
+    then the actor against that new critic; the std-critic's updates follow,
+    on minibatches drawn after the m_updates of the loop, each learning the
+    final critic's error on its minibatch.  Where a CPU is spare, the
+    actor's updates run in a forked child (_actor_child) beside the
+    critic's: the parent sends each updated critic through the child's feed,
+    and the child draws the same minibatches from its copy of rng_batches
+    and the buffer.  It sends back the actor and its Adam state, then the
+    critic's errors as the parent's std-critic updates take them, and goes
+    on to the eval, beside those updates and the next solve; while it runs,
+    no solve splits (see solve_batch).  The bits are those of the loop in
+    one process.
     """
     cfg = state.config
-    model, fld = cfg.model, cfg.field
+    model = cfg.model
     t0 = time.perf_counter()
     if probes is not None:
         if iter_idx > 1:
@@ -388,41 +433,42 @@ def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve
     t_to = t_solve + time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    child = (procs.Child(partial(_actor_child, state), feed=True)
+             if procs.spare_cpu() else None)
     critic_losses = np.empty(cfg.m_updates)
     std_losses = np.empty(cfg.m_updates)
-    for i in range(cfg.m_updates):
-        batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
-        closs, cgrads = nets.critic_loss(
-            state.critic, state.critic_target if cfg.bootstrap else None,
-            batch, cfg.k_s)
-        params, state.adam_critic = nets.adam_step(
-            state.critic.flat_params(), state.adam_critic, cgrads)
-        state.critic = state.critic.with_params(params)
-        state.critic_target = nets.polyak(state.critic_target, state.critic,
-                                          cfg.tau)
-        aloss, agrads, _ = nets.actor_loss(state.actor, state.critic,
-                                           model, fld, batch.xa)
-        params, state.adam_actor = nets.adam_step(
-            state.actor.flat_params(), state.adam_actor, agrads)
-        state.actor = state.actor.with_params(params)
-        critic_losses[i] = closs
-    t_nets = time.perf_counter() - t1
-    evaluation = _Eval(state)
     try:
-        t1 = time.perf_counter()
         for i in range(cfg.m_updates):
             batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
-            sloss, sgrads = nets.std_critic_loss(state.std, state.critic, batch)
+            critic_losses[i], cgrads = nets.critic_loss(
+                state.critic, state.critic_target if cfg.bootstrap else None,
+                batch, cfg.k_s)
+            params, state.adam_critic = nets.adam_step(
+                state.critic.flat_params(), state.adam_critic, cgrads)
+            state.critic = state.critic.with_params(params)
+            state.critic_target = nets.polyak(state.critic_target, state.critic,
+                                              cfg.tau)
+            if child is None:
+                _actor_update(state, batch.xa)
+            else:
+                child.send(params)
+        if child is not None:
+            params, state.adam_actor = child.recv()
+            state.actor = state.actor.with_params(params)
+        for i in range(cfg.m_updates):
+            batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
+            err = _critic_error(state.critic, batch) if child is None else child.recv()
+            std_losses[i], sgrads = nets.std_critic_loss(state.std, err, batch.xa)
             params, state.adam_std = nets.adam_step(
                 state.std.flat_params(), state.adam_std, sgrads)
             state.std = state.std.with_params(params)
-            std_losses[i] = sloss
-        t_nets += time.perf_counter() - t1
     except BaseException:
-        evaluation.kill()
+        if child is not None:
+            child.kill()
         raise
+    t_nets = time.perf_counter() - t1
 
-    return evaluation, partial(
+    return _Eval(state, child), partial(
         IterationReport,
         iteration=iter_idx,
         episodes_cum=state.episodes_cum,
@@ -469,11 +515,12 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
     learn_iteration, calls checkpoint_cb(state), and reports at once where
     its eval ran in this process.  So checkpoint_cb fires once per completed
     iteration, and an abort leaves the last completed iteration's networks.
-    Where a spare CPU runs the eval in a child, report_cb(report) fires once
-    the next solve has returned or raised, or after the last iteration; a
-    failed eval aborts there, its error raised in place of a failed solve's.
-    An interrupt (a BaseException that is not an Exception) kills the child
-    at once, and its report is lost.
+    Where a spare CPU runs the actor's updates and the eval in a child,
+    report_cb(report) fires once the next solve has returned or raised, or
+    after the last iteration; a failed eval aborts there, its error raised
+    in place of a failed solve's, and a failed actor update aborts the
+    iteration it belongs to.  An interrupt (a BaseException that is not an
+    Exception) kills the child at once, and its report is lost.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []

@@ -295,7 +295,7 @@ def test_std_loss_stationary_at_absolute_error():
     def loss_at_sigma(sigma):
         raw = np.log(np.expm1(sigma - 1e-3))   # invert softplus + floor
         net = _const_sigma_net(raw)
-        return std_critic_loss(net, critic, batch)[0]
+        return std_critic_loss(net, batch.v_bar - v, xa)[0]
 
     at_err = loss_at_sigma(err)
     assert at_err < loss_at_sigma(0.8 * err)
@@ -310,7 +310,7 @@ def test_std_loss_zero_error_at_floor():
     v = mlp_forward(critic, xa)[:, 0]
     batch = SampleBatch(xa, v, np.zeros((5, 3)), xa, t_max=9)
     net = _const_sigma_net(-40.0)          # softplus(-40) ~ 0 -> sigma ~ floor
-    loss, _ = std_critic_loss(net, critic, batch)
+    loss, _ = std_critic_loss(net, batch.v_bar - v, xa)
     assert loss == pytest.approx(np.log(1e-3), abs=1e-9)
 
 
@@ -319,8 +319,9 @@ def test_std_loss_gradients_match_finite_differences():
     critic = init_mlp([4, 8, 1], rng)
     std_net = init_mlp([4, 10, 6, 1], rng, head="std")
     batch = _rand_batch(rng, 3, 10)
-    _, grads = std_critic_loss(std_net, critic, batch)
-    fd = _fd_grads(lambda m: std_critic_loss(m, critic, batch)[0], std_net,
+    err = batch.v_bar - mlp_forward(critic, batch.xa)[:, 0]
+    _, grads = std_critic_loss(std_net, err, batch.xa)
+    fd = _fd_grads(lambda m: std_critic_loss(m, err, batch.xa)[0], std_net,
                    rng=rng)
     _assert_grads_close(grads, fd)
 

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajrl import procs
@@ -58,6 +59,62 @@ def test_numpys_openblas_runs_one_thread_in_a_child():
         return
     assert procs.Child(blas[0]).join() == 1
     assert blas[0]() == 1
+
+
+def _echo(read_into):
+    """A fed child: yields each of two arrays it reads, of 3 and of 200,000
+    doubles, then returns their count."""
+    for n in (3, 200_000):
+        buf = np.empty(n)
+        read_into(buf)
+        yield buf
+    return 2
+
+
+@pytest.mark.parametrize("pipe", ["1 MB", "default"])
+def test_a_fed_child_streams_both_ways(monkeypatch, pipe):
+    # bytes in, pickles out, in order, through pipes of either size; the
+    # second array (1.6 MB) is more than either pipe holds
+    if pipe == "default":
+        import fcntl
+
+        def refused(*args):
+            raise OSError("F_SETPIPE_SZ refused")
+
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+    data = [np.arange(3.0), np.random.default_rng(0).normal(size=200_000)]
+    with procs.Child(_echo, feed=True) as child:
+        for arr in data:
+            child.send(arr)
+        got = [child.recv() for _ in data]
+        assert child.join() == 2
+    assert [g.tobytes() for g in got] == [d.tobytes() for d in data]
+    assert procs._alive == 0
+
+
+def test_a_send_to_an_ended_child_raises_its_error():
+    # the child fails before it reads: the parent's send meets a closed pipe
+    # and raises the child's error, not BrokenPipeError, and reaps it
+    def fails(read_into):
+        raise ValueError("the child failed")
+
+    child = procs.Child(fails, feed=True)
+    with pytest.raises(ValueError, match="the child failed"):
+        for _ in range(100):
+            child.send(np.zeros(100_000))
+    assert child.pid is None and procs._alive == 0
+
+
+def test_a_child_that_ends_mid_stream_raises_runtime_error():
+    def leaves():
+        yield 1
+        os._exit(3)
+
+    child = procs.Child(leaves)
+    assert child.recv() == 1
+    with pytest.raises(RuntimeError, match="exited with status 3 and sent no result"):
+        child.recv()
+    assert child.pid is None and procs._alive == 0
 
 
 def _proc_state(pid):

@@ -1,3 +1,5 @@
+import copy
+import fcntl
 import json
 import os
 import time
@@ -31,10 +33,11 @@ def _tiny_toy_config(**overrides):
 @pytest.fixture
 def forks(monkeypatch, tmp_path):
     """Two CPUs on any machine.  Returns a function that lists the pids that
-    called os.fork, from any process."""
+    called os.fork, from any process; a fork while a child is alive fails."""
     log, real_fork = tmp_path / "forks", os.fork
 
     def fork():
+        assert procs._alive == 0, "forked beside a live child"
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return real_fork()
@@ -261,13 +264,13 @@ def _params(*mlps):
 
 def _recording_train(cfg):
     """train(cfg); returns its outcome (the reports, or the exception it
-    raised), each checkpoint as (actor, nets' bytes, episodes_cum), and the
-    reports that report_cb saw."""
+    raised), each checkpoint as (actor, nets' bytes, episodes_cum, the
+    whole state's bytes), and the reports that report_cb saw."""
     checkpoints, seen = [], []
 
     def checkpoint(state):
         checkpoints.append((state.actor, _params(state.actor, state.critic, state.std),
-                            state.episodes_cum))
+                            state.episodes_cum, _state_bytes(state)))
 
     try:
         out = train(cfg, checkpoint_cb=checkpoint, report_cb=seen.append)[3]
@@ -282,13 +285,14 @@ def _without_times(rep):
 
 def test_forked_evals_report_the_checkpointed_actor_bitwise(monkeypatch, forks):
     # each report's eval equals an in-process eval of the actor checkpointed
-    # with it, and the reports equal those of a run on one CPU
+    # with it, and the reports and checkpoints (networks, critic target, Adam
+    # states, rng_batches) equal those of a run on one CPU
     cfg = _tiny_toy_config(iterations=3, eval_use_to=True, eval_max_iter=70)
     reports, checkpoints, seen = _recording_train(cfg)
     assert forks() == [os.getpid()] * cfg.iterations
     assert seen == reports and len(checkpoints) == cfg.iterations
     starts = TrainerState(cfg).eval_starts
-    for rep, (actor, _, episodes) in zip(reports, checkpoints):
+    for rep, (actor, _, episodes, _) in zip(reports, checkpoints):
         costs = evaluate_policy_costs(actor, cfg, starts, True)
         ok = np.isfinite(costs)
         assert rep.eval_mean_cost == float(costs[ok].mean())
@@ -320,7 +324,7 @@ def test_failed_eval_aborts_with_its_iterations_checkpoint(monkeypatch, tmp_path
     assert str(err).startswith("4 of 4 problems failed")
     assert [_without_times(r) for r in seen] == [_without_times(want[0])]
     assert len(checkpoints) == 2
-    assert checkpoints[-1][1:] == (_params(actor, critic, std), want[1].episodes_cum)
+    assert checkpoints[-1][1:3] == (_params(actor, critic, std), want[1].episodes_cum)
 
 
 @pytest.mark.parametrize("eval_fails", [False, True])
@@ -377,12 +381,47 @@ def test_solve_iteration_changes_no_state():
     assert state.max_iter is not None
 
 
+@pytest.mark.parametrize("pipe", ["1 MB", "default"])
+@pytest.mark.parametrize("system", ["toy1d", "pointmass"])
+def test_forked_learn_iteration_equals_one_process(monkeypatch, forks, pointmass_rc,
+                                                   system, pipe):
+    # the actor's updates in a child, fed each critic through a pipe that
+    # holds about 15 of them or (where F_SETPIPE_SZ fails) less than one:
+    # the networks, the critic target, the three Adam states, rng_batches and
+    # the report, eval included, equal those of the loop in one process
+    if system == "toy1d":
+        cfg = _tiny_toy_config(m_updates=40, minibatch=64)
+    else:
+        cfg = replace(pointmass_rc.train, n_episodes=8, m_updates=40, seed=3,
+                      max_iter_first=30, eval_count=3, eval_use_to=False)
+    refused = []
+    if pipe == "default":
+        def fcntl_refused(*args):
+            refused.append(args)
+            raise OSError("F_SETPIPE_SZ refused")
+
+        monkeypatch.setattr(fcntl, "fcntl", fcntl_refused)
+    state = TrainerState(cfg)
+    solved = trainer.solve_iteration(state, 1)
+    learned = []
+    for cpus in (2, 1):
+        if cpus == 1:
+            _no_fork(monkeypatch)
+        copied = copy.deepcopy(state)
+        evaluation, report = trainer.learn_iteration(copied, 1, *solved)
+        learned.append((_state_bytes(copied), _without_times(evaluation.finish(report))))
+    assert len(forks()) == 1 and procs._alive == 0
+    assert len(refused) == (2 if pipe == "default" else 0)
+    assert learned[0] == learned[1]
+
+
 @pytest.mark.parametrize("where", ["next solve", "std-critic updates"])
 def test_interrupt_kills_the_eval_child(monkeypatch, forks, where):
     # a KeyboardInterrupt in iteration 2's solve, or in the std-critic updates
-    # that run beside the eval, ends the sleeping eval's child at once (and
-    # conftest's no_child_left finds none left).  Iteration 1's checkpoint,
-    # which does not wait for its eval, survives an interrupt in iteration 2
+    # that run beside the actor's child, ends the child at once while it
+    # sleeps in its eval (and conftest's no_child_left finds none left).
+    # Iteration 1's checkpoint, which does not wait for its eval, survives an
+    # interrupt in iteration 2
     cfg = _tiny_toy_config()
     monkeypatch.setattr(trainer, "evaluate_policy_costs",
                         lambda *args: time.sleep(60))
@@ -413,6 +452,63 @@ def _interrupt(monkeypatch, cfg, where):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(nets, "std_critic_loss", std_loss)
+
+
+def _fail_at(monkeypatch, module, name, k, fail):
+    """module.name calls fail() at its k-th call (from 0) in the process that
+    makes it: the actor's child, where one is forked, for nets.actor_loss and
+    trainer._critic_error."""
+    real, calls = getattr(module, name), []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == k + 1:
+            fail()
+        return real(*args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("where", ["critic updates", "std-critic updates"])
+def test_interrupt_kills_the_actor_child(monkeypatch, forks, where):
+    # a KeyboardInterrupt in the critic's third update, while the child
+    # sleeps in its first actor update, or in the std-critic's first, while
+    # it sleeps in the critic's error on the second std-critic minibatch,
+    # ends the child at once
+    cfg = _tiny_toy_config()
+    if where == "critic updates":
+        _fail_at(monkeypatch, nets, "actor_loss", 0, lambda: time.sleep(60))
+        _fail_at(monkeypatch, nets, "critic_loss", 2, _raise(KeyboardInterrupt))
+    else:
+        _fail_at(monkeypatch, trainer, "_critic_error", 1, lambda: time.sleep(60))
+        _interrupt(monkeypatch, cfg, where)
+    checkpoints = []
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, checkpoint_cb=checkpoints.append)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks()) == 1 and checkpoints == [] and procs._alive == 0
+
+
+@pytest.mark.parametrize("k", [0, 39])
+def test_failed_actor_update_in_the_child_raises_its_error(monkeypatch, forks, k):
+    # the parent raises the child's own error: found by a send to the dead
+    # child (at update 0, as 40 critics of about 69 KB overfill the pipe), or
+    # where it waits for the actor (at the last update), and never a
+    # BrokenPipeError.  The iteration aborts before its checkpoint
+    cfg = _tiny_toy_config(m_updates=40)
+    _fail_at(monkeypatch, nets, "actor_loss", k,
+             _raise(FloatingPointError(f"actor update {k} failed")))
+    checkpoints = []
+    with pytest.raises(FloatingPointError, match=f"actor update {k} failed"):
+        train(cfg, checkpoint_cb=checkpoints.append)
+    assert len(forks()) == 1 and checkpoints == [] and procs._alive == 0
 
 
 def test_interrupt_on_one_cpu_keeps_the_finished_iteration(monkeypatch):
@@ -479,8 +575,9 @@ def test_checkpoint_callback_fires_every_iteration():
 
 def _check_phase_times(monkeypatch, cpus):
     """On one CPU each eval moves the clock 1000 s on; on two, the fork of
-    its child and the wait for it each do.  Where that delay is counted
-    shows whatever the host's speed."""
+    the actor's child and the wait for its eval each do: the fork is nets
+    time, the wait eval time.  Where that delay is counted shows whatever
+    the host's speed."""
     clock, skew = time.perf_counter, [0.0]
 
     def delay(fn):
@@ -502,14 +599,16 @@ def _check_phase_times(monkeypatch, cpus):
     reports = train(_tiny_toy_config(max_iter_first=None, max_iter_later=None))[3]
     total = time.perf_counter() - t0
     for rep in reports:
-        assert rep.t_eval_s >= 1000.0 * cpus
-        assert max(rep.t_to_s, rep.t_nets_s) < 1000.0
+        assert 1000.0 <= rep.t_eval_s < 2000.0
+        assert 1000.0 * (cpus - 1) <= rep.t_nets_s < 1000.0 * cpus
+        assert rep.t_to_s < 1000.0
     assert sum(rep.t_to_s + rep.t_nets_s + rep.t_eval_s
                for rep in reports) <= total
 
 
 def test_phase_times_split_eval_from_to(monkeypatch):
-    # the eval in a child: the fork and the wait are the eval's time
+    # the actor's updates and the eval in a child: its fork is the updates'
+    # time, the wait for its eval the eval's
     _check_phase_times(monkeypatch, 2)
 
 
