@@ -24,35 +24,34 @@ import numpy as np
 
 from .buffer import SampleBatch
 from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
-from .envs.costs import sigmoid, softplus
 from .ilqr import Trajectory, _roll
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# -- activations (value; first and second derivative as one pair) -------------
+# -- activations ----------------------------------------------------------------
 
-# exp(0) = 1 and expm1(0) = 0 exactly, so these equal the branchwise formulas
-# (z > 0: z, 1, 0; else expm1(z), exp(z), exp(z)) bit for bit.
+# Each takes a hidden layer's pre-activation z, writes the activation over it,
+# and returns it with its first derivative (order >= 1) and its second
+# (order 2), else None.  exp(0) = 1 and expm1(0) = 0 exactly, so the ELU's
+# three equal the branchwise formulas (z > 0: z, 1, 0; else expm1(z), exp(z),
+# exp(z)) bit for bit.
 
-def _elu(z):
-    return np.maximum(z, 0.0) + np.expm1(np.minimum(z, 0.0))
-
-
-def _elu_derivs(z):
-    e = np.exp(np.minimum(z, 0.0))
-    return e, e * (z <= 0.0)
-
-
-def _tanh_derivs(z):
-    t = np.tanh(z)
-    d1 = 1.0 - t**2
-    return d1, -2.0 * t * d1
+def _elu(z, order):
+    m = np.minimum(z, 0.0)
+    below = z <= 0.0 if order == 2 else None
+    act = np.maximum(z, 0.0, out=z)
+    act += np.expm1(m, out=None if order else m)
+    d1 = np.exp(m, out=m) if order else None
+    return act, d1, None if below is None else d1 * below
 
 
-_ACTIVATIONS = {
-    "elu": (_elu, _elu_derivs),
-    "tanh": (np.tanh, _tanh_derivs),
-}
+def _tanh(z, order):
+    t = np.tanh(z, out=z)
+    d1 = 1.0 - t**2 if order else None
+    return t, d1, -2.0 * t * d1 if order == 2 else None
+
+
+_ACTIVATIONS = {"elu": _elu, "tanh": _tanh}
 _HEADS = ("linear", "tanh", "std")
 
 
@@ -158,16 +157,20 @@ def _normalize(mlp: Mlp, x):
     return (x - mlp.in_center) / mlp.in_half
 
 
-def _forward_caches(mlp: Mlp, xa):
-    act = _ACTIVATIONS[mlp.activation][0]
-    a = [_normalize(mlp, xa)]
-    zs = []
-    for i in range(len(mlp.weights) - 1):
-        z = a[-1] @ mlp.weights[i].T + mlp.biases[i]
-        zs.append(z)
-        a.append(act(z))
-    o = a[-1] @ mlp.weights[-1].T + mlp.biases[-1]
-    return zs, a, o
+def _forward_caches(mlp: Mlp, xa, order: int):
+    """One forward pass: each layer's input a[i] (a[0] the normalised xa), the
+    hidden layers' activation derivatives d1[i] and d2[i] up to order (None
+    above it), and the pre-head output o.  Returns (a, d1, d2, o)."""
+    act = _ACTIVATIONS[mlp.activation]
+    a, d1, d2 = [_normalize(mlp, xa)], [], []
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        z = a[-1] @ w.T
+        z += b
+        for out, x in zip((a, d1, d2), act(z, order)):
+            out.append(x)
+    o = a[-1] @ mlp.weights[-1].T
+    o += mlp.biases[-1]
+    return a, d1, d2, o
 
 
 def _head(mlp: Mlp, o):
@@ -177,7 +180,8 @@ def _head(mlp: Mlp, o):
     if mlp.head == "tanh":
         t = np.tanh(o)
         return mlp.out_scale * t, mlp.out_scale * (1.0 - t**2)
-    return mlp.sigma_min + softplus(o), sigmoid(o)      # "std"
+    sp = np.logaddexp(0.0, o)       # "std": softplus, and sigmoid = exp(o - sp)
+    return mlp.sigma_min + sp, np.exp(o - sp)
 
 
 def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
@@ -191,15 +195,9 @@ def mlp_forward(mlp: Mlp, xa) -> np.ndarray:
     single = xa.ndim == 1
     if xa.shape[-1] != mlp.in_dim:
         raise ValueError(f"input dim {xa.shape[-1]} != {mlp.in_dim}")
-    _, _, o = _forward_caches(mlp, xa if not single else xa[None, :])
+    o = _forward_caches(mlp, xa if not single else xa[None, :], 0)[-1]
     y = _head(mlp, o)[0]
     return y[0] if single else y
-
-
-def _act_derivs(mlp: Mlp, zs):
-    """Per-layer first and second activation derivatives, each computed once."""
-    pairs = [_ACTIVATIONS[mlp.activation][1](z) for z in zs]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _input_sweep(mlp: Mlp, d1, bsz: int):
@@ -220,8 +218,8 @@ def value_and_state_grad(mlp: Mlp, xa):
     """Scalar-output fast path: (values (B,), d value/d input (B, in))."""
     assert mlp.head == "linear" and mlp.out_dim == 1
     xa = np.asarray(xa, dtype=float)
-    zs, _, o = _forward_caches(mlp, xa)
-    s, _, half = _input_sweep(mlp, _act_derivs(mlp, zs)[0], xa.shape[0])
+    _, d1, _, o = _forward_caches(mlp, xa, 1)
+    s, _, half = _input_sweep(mlp, d1, xa.shape[0])
     return o[:, 0], s[0] / half
 
 
@@ -238,12 +236,13 @@ def _backprop_from_output(mlp: Mlp, d1, a, delta, grads, zeta=None):
     gb[last] += delta.sum(axis=0)
     abar = delta @ mlp.weights[last]
     for i in range(last - 1, -1, -1):
-        zbar = d1[i] * abar
+        zbar = np.multiply(d1[i], abar, out=abar)
         if zeta is not None:
-            zbar = zbar + zeta[i]
+            zbar += zeta[i]
         gw[i] += zbar.T @ a[i]
         gb[i] += zbar.sum(axis=0)
-        abar = zbar @ mlp.weights[i]
+        if i:       # no caller reads the input's cotangent
+            abar = zbar @ mlp.weights[i]
 
 
 def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
@@ -261,14 +260,15 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     n = batch.n
     xa = batch.xa
 
-    y = batch.v_bar.copy()
+    y = batch.v_bar
     if critic_target is not None:
-        v_next = mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
         gate = batch.xa_plus_k[:, -1] < batch.t_max
+        # no target forward when every window ends at the horizon (K >= t_max)
+        v_next = (mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
+                  if gate.any() else 0.0)
         y = y + np.where(gate, v_next, 0.0)
 
-    zs, a, o = _forward_caches(critic, xa)
-    d1, d2 = _act_derivs(critic, zs)
+    a, d1, d2, o = _forward_caches(critic, xa, 2)
     ws = critic.weights
     last = len(ws) - 1
 
@@ -291,8 +291,9 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     for i in range(last):
         rbar = u @ ws[i].T
         gw[i] += ds[i].T @ u
-        zeta[i] = d2[i] * s_list[i + 1] * rbar
-        u = d1[i] * rbar
+        zeta[i] = np.multiply(d2[i], s_list[i + 1], out=d2[i])
+        zeta[i] *= rbar
+        u = np.multiply(d1[i], rbar, out=rbar)
     gw[last] += u.sum(axis=0, keepdims=True)
 
     # cotangent on the value path plus the injected zeta terms
@@ -322,7 +323,7 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     system = system_for(model)
     cost = cost_for(model, field)
 
-    zs, a, o = _forward_caches(actor, xa)
+    a, d1, _, o = _forward_caches(actor, xa, 1)
     u, du_do = _head(actor, o)
 
     l, lu = cost.stage(x, u), cost.effort_grad(u)
@@ -336,7 +337,7 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
 
     grads = np.zeros_like(actor.flat_params())
     delta = (dq_du / bsz) * du_do
-    _backprop_from_output(actor, _act_derivs(actor, zs)[0], a, delta, grads)
+    _backprop_from_output(actor, d1, a, delta, grads)
     return loss, grads, skipped
 
 
@@ -344,18 +345,18 @@ def std_critic_loss(std_net: Mlp, err: np.ndarray, xa: np.ndarray):
     """Gaussian negative log-likelihood of the critic's errors err (B,) at the
     augmented states xa (B, n+1); the errors are constant w.r.t. the std
     network's parameters."""
-    if len(err) == 0:
-        raise ValueError("empty batch")
+    if len(err) == 0 or len(err) != len(xa):
+        raise ValueError(f"{len(err)} errors for {len(xa)} states")
     bsz = len(err)
 
-    zs, a, o = _forward_caches(std_net, xa)
+    a, d1, _, o = _forward_caches(std_net, xa, 1)
     sigma, dsigma_do = (h[:, 0] for h in _head(std_net, o))
     loss = float((np.log(sigma) + 0.5 * err**2 / sigma**2).mean())
 
     dl_dsigma = (1.0 / sigma - err**2 / sigma**3) / bsz
     grads = np.zeros_like(std_net.flat_params())
     delta = (dl_dsigma * dsigma_do)[:, None]
-    _backprop_from_output(std_net, _act_derivs(std_net, zs)[0], a, delta, grads)
+    _backprop_from_output(std_net, d1, a, delta, grads)
     return loss, grads
 
 
@@ -381,15 +382,29 @@ def adam_step(params: np.ndarray, state: AdamState, grads: np.ndarray):
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
-    params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params, replace(state, m=m, v=v, step=t)
+    # new vectors built in place, in the operand order of m = b1 m + (1 - b1) g,
+    # v = b2 v + (1 - b2) g^2 and params - lr (m / bc1) / (sqrt(v / bc2) + eps)
+    tmp = grads * (1.0 - ADAM_BETA1)
+    m = state.m * ADAM_BETA1
+    m += tmp
+    np.multiply(grads, grads, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v = state.v * ADAM_BETA2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    new = m / bc1
+    new *= state.lr
+    new /= tmp
+    np.subtract(params, new, out=new)
+    return new, replace(state, m=m, v=v, step=t)
 
 
 def polyak(target: Mlp, online: Mlp, tau: float) -> Mlp:
-    return target.with_params((1.0 - tau) * target.flat_params()
-                              + tau * online.flat_params())
+    theta = target.flat_params() * (1.0 - tau)
+    theta += tau * online.flat_params()
+    return target.with_params(theta)
 
 
 # -- policy rollout -------------------------------------------------------------

@@ -326,6 +326,14 @@ def test_std_loss_gradients_match_finite_differences():
     _assert_grads_close(grads, fd)
 
 
+@pytest.mark.parametrize("n_err", [0, 1, 9])
+def test_std_loss_rejects_errors_that_do_not_fit_the_states(n_err):
+    # a length-1 err would broadcast against 8 states without the check
+    net = init_mlp([4, 6, 1], np.random.default_rng(0), head="std")
+    with pytest.raises(ValueError, match=f"{n_err} errors for 8 states"):
+        std_critic_loss(net, np.ones(n_err), np.zeros((8, 4)))
+
+
 def test_std_outputs_respect_floor():
     rng = np.random.default_rng(16)
     net = init_mlp([4, 16, 1], rng, head="std", sigma_min=1e-3)
@@ -377,6 +385,25 @@ def test_adam_rejects_shape_mismatch():
     state = AdamState.init(params)
     with pytest.raises(ValueError):
         adam_step(params, state, np.zeros(3))
+
+
+def test_adam_step_and_polyak_write_no_input():
+    # with_params shares the vector it is given, and a forked actor child
+    # pickles its Adam state, so an update must build new arrays
+    rng = np.random.default_rng(34)
+    net, target = init_mlp([3, 8, 2], rng), init_mlp([3, 8, 2], rng)
+    params = net.flat_params()
+    state = AdamState(m=rng.normal(0.0, 1.0, params.shape),
+                      v=rng.uniform(0.0, 1.0, params.shape), step=3, lr=1e-2)
+    grads = rng.normal(0.0, 1.0, params.shape)
+    inputs = (params, state.m, state.v, grads, target.flat_params())
+    before = [x.copy() for x in inputs]
+    new, new_state = adam_step(params, state, grads)
+    mixed = polyak(target, net, 0.25)
+    for x, was in zip(inputs, before):
+        _assert_bitwise(x, was)
+    for out in (new, new_state.m, new_state.v, mixed.flat_params()):
+        assert not any(np.shares_memory(out, x) for x in inputs)
 
 
 # -- rollout / polyak / checkpoints ------------------------------------------------
@@ -609,8 +636,8 @@ def _ref_tanh_d2(z):
     return -2.0 * t * (1.0 - t**2)
 
 
-_REF_DERIVS = {"elu": (_ref_elu_d1, _ref_elu_d2),
-               "tanh": (_ref_tanh_d1, _ref_tanh_d2)}
+_REF_ACTIVATIONS = {"elu": (_ref_elu, _ref_elu_d1, _ref_elu_d2),
+                    "tanh": (np.tanh, _ref_tanh_d1, _ref_tanh_d2)}
 
 
 def _assert_bitwise(got, want):
@@ -620,31 +647,135 @@ def _assert_bitwise(got, want):
 
 
 def test_activation_derivative_pairs_match_separate_formulas_bitwise():
+    # each activation, with the derivatives up to the order a forward pass asks
     z = np.random.default_rng(25).normal(0.0, 3.0, 5000)
     z[:8] = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf]
-    _assert_bitwise(nets._elu(z), _ref_elu(z))
-    for name, (d1, d2) in _REF_DERIVS.items():
-        got1, got2 = nets._ACTIVATIONS[name][1](z)
-        _assert_bitwise(got1, d1(z))
-        _assert_bitwise(got2, d2(z))
+    for name, refs in _REF_ACTIVATIONS.items():
+        for order in (0, 1, 2):
+            zc = z.copy()
+            got = nets._ACTIVATIONS[name](zc, order)
+            assert got[0] is zc             # written over the pre-activation
+            for k, (g, ref) in enumerate(zip(got, refs)):
+                if k > order:
+                    assert g is None
+                else:
+                    _assert_bitwise(g, ref(z))
+
+
+def _ref_forward(mlp, xa):
+    """Per-layer pre-activations z[i], layer inputs a[i] and the pre-head
+    output, each layer computed as a @ W.T + b."""
+    act = _REF_ACTIVATIONS[mlp.activation][0]
+    a = [xa if mlp.in_center is None else (xa - mlp.in_center) / mlp.in_half]
+    zs = []
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        zs.append(a[-1] @ w.T + b)
+        a.append(act(zs[-1]))
+    return zs, a, a[-1] @ mlp.weights[-1].T + mlp.biases[-1]
+
+
+def _ref_head(mlp, o):
+    """The head's value and its derivative, with the cost module's softplus
+    and sigmoid for the std head."""
+    if mlp.head == "linear":
+        return o, np.ones_like(o)
+    if mlp.head == "tanh":
+        return mlp.out_scale * np.tanh(o), mlp.out_scale * (1.0 - np.tanh(o) ** 2)
+    return mlp.sigma_min + envs.costs.softplus(o), envs.costs.sigmoid(o)
+
+
+def _ref_input_sweep(mlp, zs, bsz):
+    """Sensitivities s[i] of the scalar output to each layer's input, with the
+    activation derivative recomputed at every use."""
+    d1 = _REF_ACTIVATIONS[mlp.activation][1]
+    ws = mlp.weights
+    s = [None] * len(ws)
+    s[-1] = np.broadcast_to(ws[-1][0], (bsz, ws[-1].shape[1]))
+    for i in range(len(ws) - 2, -1, -1):
+        s[i] = (d1(zs[i]) * s[i + 1]) @ ws[i]
+    half = mlp.in_half if mlp.in_center is not None else np.ones(mlp.in_dim)
+    return s, half
+
+
+def _ref_backprop(mlp, zs, a, delta, gw, gb, zeta=None):
+    """Accumulate the value path's parameter gradient into per-layer arrays."""
+    d1 = _REF_ACTIVATIONS[mlp.activation][1]
+    ws, last = mlp.weights, len(mlp.weights) - 1
+    gw[last] += delta.T @ a[last]
+    gb[last] += delta.sum(axis=0)
+    abar = delta @ ws[last]
+    for i in range(last - 1, -1, -1):
+        zbar = d1(zs[i]) * abar
+        if zeta is not None:
+            zbar = zbar + zeta[i]
+        gw[i] += zbar.T @ a[i]
+        gb[i] += zbar.sum(axis=0)
+        abar = zbar @ ws[i]
+
+
+def _flat(gw, gb):
+    return np.concatenate([g.ravel() for wb in zip(gw, gb) for g in wb])
+
+
+def _ref_net(rng, activation, head, hidden=(16, 12, 8), d=4, out=1):
+    """A network whose scaled parameters reach both ELU branches."""
+    net = init_mlp([d, *hidden, out], rng, activation, head=head,
+                   out_scale=np.linspace(0.5, 2.0, out) if head == "tanh" else None,
+                   in_center=np.zeros(d), in_half=np.array([2.0, 1.0, 3.0, 50.0]))
+    return net.with_params(net.flat_params() * 3.0)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+@pytest.mark.parametrize("head", ["linear", "tanh", "std"])
+def test_mlp_forward_matches_per_layer_reference_bitwise(activation, head):
+    rng = np.random.default_rng(28)
+    net = _ref_net(rng, activation, head, out=2)
+    xa = rng.normal(0.0, 2.0, (40, 4))
+    zs, a, o = _ref_forward(net, xa)
+    _assert_bitwise(mlp_forward(net, xa), _ref_head(net, o)[0])
+    # the (B, 1, d) stack path rounds each row as a single input does
+    rows = [_ref_head(net, _ref_forward(net, x[None, :])[2])[0][0] for x in xa]
+    _assert_bitwise(mlp_forward(net, xa[:, None])[:, 0], rows)
+    _assert_bitwise(mlp_forward(net, xa[0]), rows[0])
+    # and the one forward pass returns the derivatives asked of it
+    refs = _REF_ACTIVATIONS[activation]
+    for order in (0, 1, 2):
+        got_a, got_d1, got_d2, got_o = nets._forward_caches(net, xa, order)
+        _assert_bitwise(got_o, o)
+        for i, z in enumerate(zs):
+            _assert_bitwise(got_a[i + 1], a[i + 1])
+            for got, k in ((got_d1[i], 1), (got_d2[i], 2)):
+                if k > order:
+                    assert got is None
+                else:
+                    _assert_bitwise(got, refs[k](z))
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (10,), (16, 12, 8)])
+def test_value_and_state_grad_matches_per_use_reference_bitwise(activation, hidden):
+    rng = np.random.default_rng(29)
+    net = _ref_net(rng, activation, "linear", hidden)
+    xa = rng.normal(0.0, 2.0, (40, 4))
+    zs, _, o = _ref_forward(net, xa)
+    s, half = _ref_input_sweep(net, zs, len(xa))
+    values, grads = value_and_state_grad(net, xa)
+    _assert_bitwise(values, o[:, 0])
+    _assert_bitwise(grads, s[0] / half)
 
 
 def _ref_critic_loss(critic, critic_target, batch, k_s, gamma_bootstrap):
     """critic_loss on per-layer gradient arrays, recomputing the activation
     derivatives at every use; returns the gradient in the flat layout."""
-    d1, d2 = _REF_DERIVS[critic.activation]
+    _, d1, d2 = _REF_ACTIVATIONS[critic.activation]
     bsz, n, ws = len(batch), batch.n, critic.weights
     y = batch.v_bar.copy()
     if gamma_bootstrap and critic_target is not None:
         v_next = mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
         y = y + np.where(batch.xa_plus_k[:, -1] < batch.t_max, v_next, 0.0)
-    zs, a, o = nets._forward_caches(critic, batch.xa)
+    zs, a, o = _ref_forward(critic, batch.xa)
     last = len(ws) - 1
-    s_list = [None] * len(ws)
-    s_list[last] = np.broadcast_to(ws[last][0], (bsz, ws[last].shape[1]))
-    for i in range(last - 1, -1, -1):
-        s_list[i] = (d1(zs[i]) * s_list[i + 1]) @ ws[i]
-    half = critic.in_half if critic.in_center is not None else np.ones(critic.in_dim)
+    s_list, half = _ref_input_sweep(critic, zs, bsz)
     e_v = y - o[:, 0]
     e_g = batch.v_bar_x - (s_list[0] / half)[:, :n]
     loss = float((e_v**2).mean() + k_s * (e_g**2).sum(axis=1).mean())
@@ -659,32 +790,60 @@ def _ref_critic_loss(critic, critic_target, batch, k_s, gamma_bootstrap):
         zeta.append(d2(zs[i]) * s_list[i + 1] * rbar)
         u = d1(zs[i]) * rbar
     gw[last] += u.sum(axis=0, keepdims=True)
-    delta = (-2.0 / bsz) * e_v[:, None]
-    gw[last] += delta.T @ a[last]
-    gb[last] += delta.sum(axis=0)
-    abar = delta @ ws[last]
-    for i in range(last - 1, -1, -1):
-        zbar = d1(zs[i]) * abar + zeta[i]
-        gw[i] += zbar.T @ a[i]
-        gb[i] += zbar.sum(axis=0)
-        abar = zbar @ ws[i]
-    return loss, np.concatenate([g.ravel() for wb in zip(gw, gb) for g in wb])
+    _ref_backprop(critic, zs, a, (-2.0 / bsz) * e_v[:, None], gw, gb, zeta)
+    return loss, _flat(gw, gb)
 
 
-@pytest.mark.parametrize("activation", ["elu", "tanh"])
-@pytest.mark.parametrize("hidden", [(), (10,), (16, 12, 8)])
-def test_critic_loss_matches_per_use_derivative_reference_bitwise(activation, hidden):
+def _ref_case(activation, hidden):
     rng = np.random.default_rng(26)
     sizes = [4, *hidden, 1]
     critic = init_mlp(sizes, rng, activation, in_center=np.zeros(4),
                       in_half=np.array([2.0, 1.0, 3.0, 50.0]))
     critic = critic.with_params(critic.flat_params() * 3.0)    # reach both ELU branches
-    target = init_mlp(sizes, rng, activation)
-    batch = _rand_batch(rng, 3, 64)
+    return critic, init_mlp(sizes, rng, activation), _rand_batch(rng, 3, 64)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (10,), (16, 12, 8)])
+def test_critic_loss_matches_per_use_derivative_reference_bitwise(activation, hidden):
+    critic, target, batch = _ref_case(activation, hidden)
     loss, grads = critic_loss(critic, target, batch, 0.7)
     ref_loss, ref_grads = _ref_critic_loss(critic, target, batch, 0.7, True)
     assert loss == ref_loss
     _assert_bitwise(grads, ref_grads)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+def test_critic_loss_skips_the_target_forward_that_no_window_reads(activation, monkeypatch):
+    # every window ends at the horizon, as when K >= t_max: the same bits
+    # without the target critic's forward
+    critic, target, batch = _ref_case(activation, (16, 12, 8))
+    batch.xa_plus_k[:, -1] = batch.t_max
+    ref_loss, ref_grads = _ref_critic_loss(critic, target, batch, 0.7, True)
+    forwards = []
+    monkeypatch.setattr(nets, "mlp_forward",
+                        lambda *args: forwards.append(args) or mlp_forward(*args))
+    loss, grads = critic_loss(critic, target, batch, 0.7)
+    assert forwards == [] and loss == ref_loss
+    _assert_bitwise(grads, ref_grads)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (10,), (16, 12, 8)])
+def test_std_critic_loss_matches_per_use_reference_bitwise(activation, hidden):
+    rng = np.random.default_rng(30)
+    std_net = _ref_net(rng, activation, "std", hidden)
+    xa = rng.normal(0.0, 2.0, (64, 4))
+    err = rng.normal(0.0, 1.0, 64)
+    loss, grads = std_critic_loss(std_net, err, xa)
+    zs, a, o = _ref_forward(std_net, xa)
+    sigma, dsigma_do = (h[:, 0] for h in _ref_head(std_net, o))
+    assert loss == float((np.log(sigma) + 0.5 * err**2 / sigma**2).mean())
+    delta = ((1.0 / sigma - err**2 / sigma**3) / len(err) * dsigma_do)[:, None]
+    gw = [np.zeros_like(w) for w in std_net.weights]
+    gb = [np.zeros_like(b) for b in std_net.biases]
+    _ref_backprop(std_net, zs, a, delta, gw, gb)
+    _assert_bitwise(grads, _flat(gw, gb))
 
 
 def _ref_adam_step(params, m, v, step, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
