@@ -5,8 +5,8 @@ plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
 3 checkpoint error, 4 model mismatch, 1 runtime failure.  `eval` writes nan
 for a start whose rollout or solve failed, and exits 1 only when every start
 failed.  It costs the actor's rollouts, refined by a solve (capped at [solver]
-eval_max_iter) only under --with-to; [trainer] eval_use_to sets the same choice
-for the eval that closes each iteration of a `train` run.
+eval_max_iter) only under --with-to, which sets [trainer] eval_use_to, the
+field that makes the same choice for the eval closing each `train` iteration.
 
 The run seed is taken from --seed when given, else from the CACTO_SEED
 environment variable when set, else from the config's trainer seed;
@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
         "to_s": sum(r.t_to_s for r in reports),
         "nets_s": sum(r.t_nets_s for r in reports),
         # where a spare CPU runs an eval in a child beside the next iteration,
-        # only the wait for its result (see trainer.learn_iteration)
+        # only the wait for its result (see the trainer module's docstring)
         "eval_s": sum(r.t_eval_s for r in reports),
     })
     print(f"trained {cfg.iterations} iterations "
@@ -177,7 +177,8 @@ def cmd_eval(args) -> int:
     starts = sample_initial_states(rc.model, rc.train.eval_count,
                                    seed, region)
     t0 = time.perf_counter()
-    costs = evaluate_policy_costs(actor, rc.train, starts, use_to=args.with_to)
+    costs = evaluate_policy_costs(actor, replace(rc.train, eval_use_to=args.with_to),
+                                  starts)
     _write_timings(out, {"total_s": time.perf_counter() - t0})
 
     _write_csv(out / "eval_costs.csv",

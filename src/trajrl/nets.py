@@ -263,9 +263,7 @@ def critic_loss(critic: Mlp, critic_target: Optional[Mlp], batch: SampleBatch,
     y = batch.v_bar
     if critic_target is not None:
         gate = batch.xa_plus_k[:, -1] < batch.t_max
-        # no target forward when every window ends at the horizon (K >= t_max)
-        v_next = (mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
-                  if gate.any() else 0.0)
+        v_next = mlp_forward(critic_target, batch.xa_plus_k)[:, 0]
         y = y + np.where(gate, v_next, 0.0)
 
     a, d1, d2, o = _forward_caches(critic, xa, 2)

@@ -1,6 +1,6 @@
 """Work on the second CPU, in a forked child process: `solve_batch` solves half
-of a large call there, and `train` each iteration's actor updates and eval,
-beside what follows them.  At most min(2, CPUs) processes run: while a Child
+of a large call there, and `train` each iteration's actor updates and eval
+(see the trainer module's docstring).  At most min(2, CPUs) processes run: while a Child
 is alive, neither it nor its parent forks another (`spare_cpu`).  From the
 first fork on, numpy's OpenBLAS runs on one thread in both, so that neither
 process's BLAS threads wait on a CPU the other holds; between children it

@@ -9,13 +9,23 @@ iteration 2 on, the std-critic ranks a pool of candidate starts and the top
 fraction is kept.  All randomness is derived from
 the run seed, so fixed-seed runs repeat exactly.
 
-Each iteration solves (solve_iteration, which changes no state), learns
-(learn_iteration) and closes with an eval of its actor.  Where a second CPU
-is spare, a forked child runs the actor's updates beside the critic's and
-the std-critic's, and then the eval beside the next solve, which reads
-nothing it changes; while it runs, no solve splits across processes, and
-the eval's report follows once the next solve is done.  The reports and
-networks are those of a run in one process, bit for bit.
+Each iteration has two phases and an eval.  solve_iteration samples the
+starts, applies BIC, poses the probes and warm starts, solves, and reads a
+calibrated later cap back into state.max_iter; it changes no network.
+learn_iteration turns the results into replay rows and runs the update
+cycles.  The eval (_eval) then costs that iteration's actor.
+
+Two processes: where procs.spare_cpu allows, learn_iteration forks one child
+(_actor_child) before its update loop.  The parent runs the critic's updates
+and sends each updated critic through the child's feed; the child draws the
+same minibatches from its forked copy of rng_batches and the buffer, runs the
+actor's updates, and sends back the actor and its Adam state, then the final
+critic's error on each of the std-critic's minibatches, and last the eval's
+costs.  So the eval runs beside the parent's std-critic updates and the next
+solve, which reads nothing it reads, and train joins it once that solve is
+done.  While the child lives, no solve splits across processes (see
+solve_batch): in a 2-CPU train only a fixed-cap iteration 1 can split.  The
+reports and networks are those of a run in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -151,7 +161,9 @@ class TrainerState:
         sizes = [d_in, *config.hidden, 1]
         self.critic = nets.init_mlp(sizes, rng, config.activation,
                                     in_center=center, in_half=half)
-        self.critic_target = self.critic
+        # only a window that ends before the horizon reads the target
+        self.critic_target = (self.critic if config.bootstrap
+                              and config.k_lookahead < model.t_max else None)
         self.actor = nets.init_mlp([d_in, *config.hidden, model.m], rng,
                                    config.activation, head="tanh",
                                    out_scale=model.u_bound,
@@ -305,33 +317,6 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
                        xa[np.minimum(steps + K, t_hor)], t_max)
 
 
-class _Eval:
-    """The eval that closes an iteration: evaluate_policy_costs of its actor,
-    which the actor's child sends once its updates are done (see
-    learn_iteration), or which finish() runs in this process where no child
-    was forked.  t_eval_s is this process's own time on it: the wait for the
-    child's result, or the whole eval."""
-
-    def __init__(self, state: TrainerState, child: Optional[procs.Child]):
-        cfg = state.config
-        self._run = partial(evaluate_policy_costs, state.actor, cfg,
-                            state.eval_starts, cfg.eval_use_to)
-        self.child = child
-
-    def kill(self):
-        if self.child is not None:
-            self.child.kill()
-
-    def finish(self, report) -> IterationReport:
-        """report given the eval's fields; called once, raises the eval's error."""
-        t = time.perf_counter()
-        costs = self._run() if self.child is None else self.child.join()
-        ok = np.isfinite(costs)
-        return report(eval_mean_cost=float(costs[ok].mean()),
-                      eval_failed=int(np.count_nonzero(~ok)),
-                      t_eval_s=time.perf_counter() - t)
-
-
 def _actor_update(state: TrainerState, xa: np.ndarray):
     """One actor update on the minibatch states xa, against state.critic."""
     cfg = state.config
@@ -346,12 +331,16 @@ def _critic_error(critic: nets.Mlp, batch: SampleBatch) -> np.ndarray:
     return batch.v_bar - nets.mlp_forward(critic, batch.xa)[:, 0]
 
 
+def _eval(state: TrainerState) -> np.ndarray:
+    """The eval that closes an iteration: the costs of state's actor."""
+    return evaluate_policy_costs(state.actor, state.config, state.eval_starts)
+
+
 def _actor_child(state: TrainerState, read_into):
-    """The actor's process (see learn_iteration), in its forked copy of state,
-    drawing the minibatches that the parent draws beside it: the actor
-    updates, each on the critic the parent sends; then the actor and its
-    Adam state, the final critic's error on each std-critic minibatch, and
-    the eval's costs."""
+    """The actor's process (see the module docstring), in its forked copy of
+    state: the actor updates, each on the critic the parent sends; then the
+    actor and its Adam state, the final critic's error on each std-critic
+    minibatch, and the eval's costs."""
     cfg = state.config
     for _ in range(cfg.m_updates):
         batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
@@ -363,15 +352,15 @@ def _actor_child(state: TrainerState, read_into):
     for _ in range(cfg.m_updates):
         yield _critic_error(state.critic, state.buffer.sample_minibatch(
             cfg.minibatch, state.rng_batches))
-    return evaluate_policy_costs(state.actor, cfg, state.eval_starts,
-                                 cfg.eval_use_to)
+    return _eval(state)
 
 
 def solve_iteration(state: TrainerState, iter_idx: int):
     """An iteration's first phase: sample the starts, apply BIC, pose the
-    probes and warm starts, and solve.  It changes no state, so the previous
-    iteration's eval may run beside it.  Returns the results (see
-    _solve_each), solve_batch's probes or None, and its time.
+    probes and warm starts, solve, and keep a calibrated later cap in
+    state.max_iter.  It changes nothing else, so the previous iteration's
+    eval may run beside it.  Returns the batch's results (see _solve_each),
+    without the probes', and its time.
     """
     cfg = state.config
     model = cfg.model
@@ -395,34 +384,28 @@ def solve_iteration(state: TrainerState, iter_idx: int):
     else:
         warms = _warmstarts(state, starts, first)
     results = _solve_each(cfg, starts, warms, max_iter, probes)
-    return results, probes, time.perf_counter() - t0
+    if probes is not None:
+        if not first:
+            state.max_iter = _calibrated_cap(cfg, results[:probes.n])
+        results = results[probes.n:]
+    return results, time.perf_counter() - t0
 
 
-def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve):
-    """An iteration's second phase, on solve_iteration's outcome: the later
-    cap's readback, the replay rows, the network updates, and the eval of the
-    updated actor.  Returns the _Eval and the report but the eval's fields.
+def learn_iteration(state: TrainerState, iter_idx: int, results, t_solve):
+    """An iteration's second phase, on solve_iteration's outcome: the replay
+    rows and the network updates.  Returns the actor's child, which sends the
+    eval's costs, or None where none was forked, and the report but the
+    eval's fields.
 
-    Update i draws minibatch i, steps the critic (and its target) on it, and
-    then the actor against that new critic; the std-critic's updates follow,
-    on minibatches drawn after the m_updates of the loop, each learning the
-    final critic's error on its minibatch.  Where a CPU is spare, the
-    actor's updates run in a forked child (_actor_child) beside the
-    critic's: the parent sends each updated critic through the child's feed,
-    and the child draws the same minibatches from its copy of rng_batches
-    and the buffer.  It sends back the actor and its Adam state, then the
-    critic's errors as the parent's std-critic updates take them, and goes
-    on to the eval, beside those updates and the next solve; while it runs,
-    no solve splits (see solve_batch).  The bits are those of the loop in
-    one process.
+    Update i draws minibatch i, steps the critic (and its target, if any) on
+    it, and then the actor against that new critic; the std-critic's updates
+    follow, on minibatches drawn after the m_updates of the loop, each
+    learning the final critic's error on its minibatch.  The actor's updates
+    run in the child where one is forked (see the module docstring).
     """
     cfg = state.config
     model = cfg.model
     t0 = time.perf_counter()
-    if probes is not None:
-        if iter_idx > 1:
-            state.max_iter = _calibrated_cap(cfg, results[:probes.n])
-        results = results[probes.n:]
     solved = [r for r in results if r is not None]
     for res in solved:
         state.buffer.push_many(kstep_targets(res, cfg.k_lookahead, model.t_max))
@@ -441,13 +424,13 @@ def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve
         for i in range(cfg.m_updates):
             batch = state.buffer.sample_minibatch(cfg.minibatch, state.rng_batches)
             critic_losses[i], cgrads = nets.critic_loss(
-                state.critic, state.critic_target if cfg.bootstrap else None,
-                batch, cfg.k_s)
+                state.critic, state.critic_target, batch, cfg.k_s)
             params, state.adam_critic = nets.adam_step(
                 state.critic.flat_params(), state.adam_critic, cgrads)
             state.critic = state.critic.with_params(params)
-            state.critic_target = nets.polyak(state.critic_target, state.critic,
-                                              cfg.tau)
+            if state.critic_target is not None:
+                state.critic_target = nets.polyak(state.critic_target,
+                                                  state.critic, cfg.tau)
             if child is None:
                 _actor_update(state, batch.xa)
             else:
@@ -468,7 +451,7 @@ def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve
         raise
     t_nets = time.perf_counter() - t1
 
-    return _Eval(state, child), partial(
+    return child, partial(
         IterationReport,
         iteration=iter_idx,
         episodes_cum=state.episodes_cum,
@@ -484,18 +467,18 @@ def learn_iteration(state: TrainerState, iter_idx: int, results, probes, t_solve
 
 
 def evaluate_policy_costs(actor: nets.Mlp, cfg: TrainConfig,
-                          eval_starts: list[TimeState], use_to: bool) -> np.ndarray:
-    """Per-start cost of actor rollouts, optionally (use_to) refined by a
-    solve warm-started from the rollout, capped at cfg.eval_max_iter.
+                          eval_starts: list[TimeState]) -> np.ndarray:
+    """Per-start cost of actor rollouts, refined where cfg.eval_use_to is set
+    by a solve warm-started from the rollout, capped at cfg.eval_max_iter.
 
     A start fails alone: its cost is nan when its solve fails, or when its
-    rollout cost is not finite and use_to is off.  Only when every start
+    rollout cost is not finite and eval_use_to is off.  Only when every start
     fails is a BatchSolveError raised.
     """
     if not eval_starts:
         raise ValueError("eval_starts must be non-empty")
     results = nets.actor_rollout(actor, cfg.model, cfg.field, eval_starts)
-    if use_to:
+    if cfg.eval_use_to:
         results = _solve_each(cfg, eval_starts, [r.U for r in results],
                               cfg.eval_max_iter)
     costs = np.array([np.nan if r is None else r.cost for r in results])
@@ -513,26 +496,35 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
 
     Iteration j runs solve_iteration, reports iteration j-1, runs
     learn_iteration, calls checkpoint_cb(state), and reports at once where
-    its eval ran in this process.  So checkpoint_cb fires once per completed
-    iteration, and an abort leaves the last completed iteration's networks.
-    Where a spare CPU runs the actor's updates and the eval in a child,
-    report_cb(report) fires once the next solve has returned or raised, or
-    after the last iteration; a failed eval aborts there, its error raised
-    in place of a failed solve's, and a failed actor update aborts the
-    iteration it belongs to.  An interrupt (a BaseException that is not an
-    Exception) kills the child at once, and its report is lost.
+    no child was forked, running _eval(state) there.  So checkpoint_cb fires
+    once per completed iteration, and an abort leaves the last completed
+    iteration's networks.  Where the actor's child runs the eval (see the
+    module docstring), report_cb(report) fires once the next solve has
+    returned or raised, or after the last iteration; a failed eval aborts
+    there, its error raised in place of a failed solve's, and a failed actor
+    update aborts the iteration it belongs to.  An interrupt (a BaseException
+    that is not an Exception) kills the child at once, and its report is
+    lost.  Either way state.actor is the eval's actor, as solve_iteration
+    changes no network.
     """
     state = TrainerState(config)
     reports: list[IterationReport] = []
-    pending = None      # an _Eval not yet finished, and its report
+    pending = None      # the last iteration's child or None, and its report
 
     def report():
-        # the pending eval's report, once it is done; raises the eval's error
+        # the pending report given its eval's fields; raises the eval's error.
+        # t_eval_s is this process's own time on it: the whole eval, or the
+        # wait for the child's result
         nonlocal pending
         if pending is None:
             return
-        (evaluation, fields), pending = pending, None
-        reports.append(evaluation.finish(fields))
+        (child, fields), pending = pending, None
+        t = time.perf_counter()
+        costs = _eval(state) if child is None else child.join()
+        ok = np.isfinite(costs)
+        reports.append(fields(eval_mean_cost=float(costs[ok].mean()),
+                              eval_failed=int(np.count_nonzero(~ok)),
+                              t_eval_s=time.perf_counter() - t))
         if report_cb is not None:
             report_cb(reports[-1])
 
@@ -548,11 +540,11 @@ def train(config: TrainConfig, checkpoint_cb: Optional[Callable] = None,
             del solved      # so the results are freed before the next solve
             if checkpoint_cb is not None:
                 checkpoint_cb(state)
-            if pending[0].child is None:
+            if pending[0] is None:
                 report()
         report()
     finally:
-        if pending is not None:
+        if pending is not None and pending[0] is not None:
             pending[0].kill()
     return state.actor, state.critic, state.std, reports
 

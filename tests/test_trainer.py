@@ -172,29 +172,30 @@ def test_evaluate_single_start_equals_trajectory_cost():
     cfg, actor = _trained_tiny()
     start = TimeState(np.array([1.0]), 0)
     traj = nets.actor_rollout(actor, cfg.model, cfg.field, [start])[0]
-    costs = evaluate_policy_costs(actor, cfg, [start], use_to=False)
+    costs = evaluate_policy_costs(actor, replace(cfg, eval_use_to=False), [start])
     assert costs.mean() == pytest.approx(traj.cost, abs=1e-12)
 
 
 def test_evaluate_with_to_never_worse_than_rollout():
     cfg, actor = _trained_tiny()
     starts = envs.sample_initial_states(cfg.model, 6, 11, Region.HARD_REGION)
-    plain = evaluate_policy_costs(actor, cfg, starts, use_to=False)
-    refined = evaluate_policy_costs(actor, replace(cfg, eval_max_iter=80), starts,
-                                    use_to=True)
+    plain = evaluate_policy_costs(actor, replace(cfg, eval_use_to=False), starts)
+    refined = evaluate_policy_costs(
+        actor, replace(cfg, eval_use_to=True, eval_max_iter=80), starts)
     assert np.all(refined <= plain + 1e-9)
 
 
 def test_evaluate_requires_starts():
     cfg, actor = _trained_tiny()
     with pytest.raises(ValueError):
-        evaluate_policy_costs(actor, cfg, [], use_to=False)
+        evaluate_policy_costs(actor, replace(cfg, eval_use_to=False), [])
 
 
 def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
     cfg, actor = _trained_tiny()
+    cfg = replace(cfg, eval_use_to=False)
     starts = envs.sample_initial_states(cfg.model, 4, 11, Region.HARD_REGION)
-    want = evaluate_policy_costs(actor, cfg, starts, use_to=False)
+    want = evaluate_policy_costs(actor, cfg, starts)
     real = nets.actor_rollout
 
     def overflowing(bad):
@@ -206,12 +207,12 @@ def test_non_finite_rollout_cost_fails_its_eval_start(monkeypatch):
         return rollout
 
     monkeypatch.setattr(nets, "actor_rollout", overflowing({1}))
-    got = evaluate_policy_costs(actor, cfg, starts, use_to=False)
+    got = evaluate_policy_costs(actor, cfg, starts)
     assert np.isnan(got[1])
     assert np.delete(got, 1).tobytes() == np.delete(want, 1).tobytes()
     monkeypatch.setattr(nets, "actor_rollout", overflowing(range(4)))
     with pytest.raises(BatchSolveError, match="4 of 4 problems failed"):
-        evaluate_policy_costs(actor, cfg, starts, use_to=False)
+        evaluate_policy_costs(actor, cfg, starts)
 
 
 def _failing_eval_solves(monkeypatch, cfg, failing, log):
@@ -259,7 +260,7 @@ def test_run_ends_when_every_eval_problem_fails(monkeypatch, tmp_path):
 # -- eval in a child process, beside the next iteration --------------------------------
 
 def _params(*mlps):
-    return [m.flat_params().tobytes() for m in mlps]
+    return [None if m is None else m.flat_params().tobytes() for m in mlps]
 
 
 def _recording_train(cfg):
@@ -293,7 +294,7 @@ def test_forked_evals_report_the_checkpointed_actor_bitwise(monkeypatch, forks):
     assert seen == reports and len(checkpoints) == cfg.iterations
     starts = TrainerState(cfg).eval_starts
     for rep, (actor, _, episodes, _) in zip(reports, checkpoints):
-        costs = evaluate_policy_costs(actor, cfg, starts, True)
+        costs = evaluate_policy_costs(actor, cfg, starts)
         ok = np.isfinite(costs)
         assert rep.eval_mean_cost == float(costs[ok].mean())
         assert rep.eval_failed == np.count_nonzero(~ok)
@@ -369,15 +370,18 @@ def _state_bytes(state):
 
 def test_solve_iteration_changes_no_state():
     # so the previous eval may run beside it: iteration 1 at its fixed cap,
-    # iteration 2 calibrating the later cap
-    cfg = _tiny_toy_config(max_iter_later=None)
+    # iteration 2 calibrating the later cap, which it keeps, and iteration 3
+    # at that cap.  Only the batch's results are returned, not the probes'
+    cfg = _tiny_toy_config(iterations=3, max_iter_later=None)
     state = TrainerState(cfg)
-    for j in (1, 2):
+    for j in (1, 2, 3):
         before = _state_bytes(state)
-        solved = trainer.solve_iteration(state, j)
-        assert (solved[1] is None) == (j == 1)
-        assert _state_bytes(state) == before
-        _iterate(state, j)
+        results, _ = trainer.solve_iteration(state, j)
+        assert len(results) == (cfg.n_episodes if j == 1 else cfg.later_batch)
+        after = _state_bytes(state)
+        assert after[:2] + after[3:] == before[:2] + before[3:]
+        assert (after[2] != before[2]) == (j == 2)
+        _iterate(state, j, results)
     assert state.max_iter is not None
 
 
@@ -408,11 +412,42 @@ def test_forked_learn_iteration_equals_one_process(monkeypatch, forks, pointmass
         if cpus == 1:
             _no_fork(monkeypatch)
         copied = copy.deepcopy(state)
-        evaluation, report = trainer.learn_iteration(copied, 1, *solved)
-        learned.append((_state_bytes(copied), _without_times(evaluation.finish(report))))
+        child, report = trainer.learn_iteration(copied, 1, *solved)
+        learned.append((_state_bytes(copied),
+                         _without_times(_finish(copied, child, report))))
     assert len(forks()) == 1 and procs._alive == 0
     assert len(refused) == (2 if pipe == "default" else 0)
     assert learned[0] == learned[1]
+
+
+@pytest.mark.parametrize("system", ["toy1d", "pointmass"])
+def test_target_critic_is_kept_only_where_a_window_reads_it(monkeypatch, pointmass_rc,
+                                                           system):
+    # toy1d's windows (k_lookahead = t_max) all end at the horizon, so no
+    # replay row reads a target critic: none is kept or Polyak-updated, and
+    # the run is a bootstrap = false run bit for bit.  Pointmass's windows
+    # (k_lookahead < t_max) read one, updated after each critic update
+    if system == "toy1d":
+        cfg = _tiny_toy_config()
+    else:
+        cfg = replace(pointmass_rc.train, n_episodes=8, m_updates=20, iterations=2,
+                      seed=3, max_iter_first=30, max_iter_later=30, eval_count=3,
+                      eval_use_to=False)
+    assert cfg.bootstrap and (cfg.k_lookahead < cfg.model.t_max) == (system != "toy1d")
+    calls, real = [], nets.polyak
+    monkeypatch.setattr(nets, "polyak", lambda *args: calls.append(1) or real(*args))
+    state = TrainerState(cfg)
+    assert (state.critic_target is None) == (system == "toy1d")
+    reports = []
+    for j in range(1, cfg.iterations + 1):
+        reports.append(_iterate(state, j))
+        assert len(calls) == (0 if system == "toy1d" else j * cfg.m_updates)
+    if system == "toy1d":
+        actor, critic, std, want = train(replace(cfg, bootstrap=False))
+        assert _params(state.actor, state.critic, state.std) == _params(actor, critic, std)
+        assert [_without_times(r) for r in reports] == [_without_times(r) for r in want]
+    else:
+        assert _params(state.critic_target) != _params(state.critic)
 
 
 @pytest.mark.parametrize("where", ["next solve", "std-critic updates"])
@@ -682,11 +717,20 @@ def test_calibrate_matches_sort_oracle(pointmass_rc, monkeypatch):
     assert np.any(solved[-1][0] != 0.0)
 
 
-def _iterate(state, j):
-    """Iteration j of state, as train runs it; returns its report."""
-    evaluation, report = trainer.learn_iteration(
-        state, j, *trainer.solve_iteration(state, j))
-    return evaluation.finish(report)
+def _finish(state, child, report):
+    """learn_iteration's report given its eval's fields, as train fills them
+    (t_eval_s aside)."""
+    costs = trainer._eval(state) if child is None else child.join()
+    ok = np.isfinite(costs)
+    return report(eval_mean_cost=float(costs[ok].mean()),
+                  eval_failed=int(np.count_nonzero(~ok)), t_eval_s=0.0)
+
+
+def _iterate(state, j, results=None):
+    """Iteration j of state, as train runs it, or its learn phase on the
+    results of its solve phase; returns its report."""
+    solved = trainer.solve_iteration(state, j) if results is None else (results, 0.0)
+    return _finish(state, *trainer.learn_iteration(state, j, *solved))
 
 
 def test_failed_calibration_probe_counts_as_the_cap(monkeypatch):

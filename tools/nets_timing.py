@@ -6,8 +6,9 @@ Imports `trajrl` from this checkout's `src/`, with BLAS on one thread.  Fills
 the replay buffer with CONFIG's iteration-1 solves, as `train` does, and draws
 CALLS minibatches of the config's size from it.  Then, in this one process,
 calls each kernel once per minibatch, R times over, on the networks a run
-starts from (`adam_step` and `polyak` on the critic's vectors).  Prints one
-JSON object: the minimum over the R repeats of the microseconds per call.
+starts from (`adam_step` on the critic's vectors, `polyak` on the critic
+target's, or on the critic's own where the config keeps no target).  Prints
+one JSON object: the minimum over the R repeats of the microseconds per call.
 """
 
 import argparse
@@ -31,7 +32,9 @@ CALLS = 200     # minibatches, drawn once; a repeat calls a kernel on each
 def _kernels(state, batches):
     """name -> f(batch), one call of each kernel as an update cycle makes it."""
     cfg = state.config
-    target = state.critic_target if cfg.bootstrap else None
+    target = state.critic_target
+    # on the critic's own vectors where the config keeps no target
+    polyak_from = state.critic if target is None else target
     _, cgrads = nets.critic_loss(state.critic, target, batches[0], cfg.k_s)
     err = trainer._critic_error(state.critic, batches[0])
     return {
@@ -41,7 +44,7 @@ def _kernels(state, batches):
         "std_critic_loss": lambda b: nets.std_critic_loss(state.std, err, b.xa),
         "adam_step": lambda b: nets.adam_step(state.critic.flat_params(),
                                               state.adam_critic, cgrads),
-        "polyak": lambda b: nets.polyak(state.critic_target, state.critic, cfg.tau),
+        "polyak": lambda b: nets.polyak(polyak_from, state.critic, cfg.tau),
         "mlp_forward": lambda b: nets.mlp_forward(state.critic, b.xa),
     }
 
@@ -55,8 +58,7 @@ def main(argv=None) -> int:
         ap.error("--reps must be >= 1")
     cfg = load_config(args.config).train
     state = trainer.TrainerState(cfg)
-    results, probes, _ = trainer.solve_iteration(state, 1)
-    for res in results[probes.n if probes is not None else 0:]:
+    for res in trainer.solve_iteration(state, 1)[0]:
         if res is not None:
             state.buffer.push_many(trainer.kstep_targets(res, cfg.k_lookahead,
                                                          cfg.model.t_max))
