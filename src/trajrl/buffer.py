@@ -49,15 +49,15 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def push_many(self, batch: SampleBatch) -> int:
-        """Append in order with FIFO eviction; returns the number stored.
+    def push_many(self, batch: SampleBatch):
+        """Append in order with FIFO eviction.
 
         A batch with a non-finite v_bar is rejected whole, before any row is
         written.
         """
         count = len(batch)
         if count == 0:
-            return 0
+            return
         if not np.all(np.isfinite(batch.v_bar)):
             raise ValueError("v_bar must be finite")
         start = max(0, count - self.capacity)          # keep only the newest
@@ -69,7 +69,6 @@ class ReplayBuffer:
         self._xk[idx] = batch.xa_plus_k[start:]
         self._cursor = int((self._cursor + kept) % self.capacity)
         self._size = min(self._size + kept, self.capacity)
-        return kept
 
     def sample_minibatch(self, batch_size: int, rng: np.random.Generator) -> SampleBatch:
         """Uniform with replacement; deterministic for a given generator state."""

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, eval, demo1d.  Every command writes its outputs
-plus a manifest.json into --out.  Exit codes: 0 success, 2 config error,
-3 checkpoint error, 4 model mismatch, 1 runtime failure.  `eval` writes nan
+plus a manifest.json into --out.  Exit codes: 0 success, 2 config error
+(naming the key and line of a malformed or out-of-range value), 3 checkpoint
+error (unreadable, malformed, or not an actor), 4 model mismatch (an actor for
+another model, demo1d on another system), 1 runtime failure.  `eval` writes nan
 for a start whose rollout or solve failed, and exits 1 only when every start
 failed.  It costs the actor's rollouts, refined by a solve (capped at [solver]
 eval_max_iter) only under --with-to, which sets [trainer] eval_use_to, the
@@ -158,7 +160,7 @@ def _load_actor(path, rc: RunConfig):
     except (OSError, KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"cannot load checkpoint {path}: {err}") from None
     if meta["model"] != rc.model.name or mlp.in_dim != rc.model.n + 1:
-        raise CheckpointError(
+        raise ModelMismatch(
             f"checkpoint is for model '{meta['model']}' "
             f"(input dim {mlp.in_dim}), config wants '{rc.model.name}' "
             f"(input dim {rc.model.n + 1})")

@@ -5,9 +5,11 @@ Keys are optional; anything missing falls back to the defaults of the
 system class ([model]) or of the dataclass field.  Each key is parsed by the
 annotated type of the field it fills.  A [solver], [nets] or [trainer] key
 fills the TrainConfig field of its name, and that field declares its section.
-A key the parser does not read is an error, so a misspelt or retired key does
-not pass silently; so is any [DEFAULT] key.  Errors carry the config line they
-came from where possible.
+Ranges are declared on the fields (envs.setting) and on a system's param_<name>
+keys (System.extra_interval), and checked where each key is read.  A key the
+parser does not read is an error, so a misspelt or retired key does not pass
+silently; so is any [DEFAULT] key.  Errors carry the config line they came from
+where possible.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .envs import (CostField, Ellipse, ModelSpec, cost_for, default_model,
-                   system_for)
+                   in_range, system_class, system_for)
 from .trainer import TrainConfig
 
 
@@ -107,14 +109,17 @@ def load_config(path) -> RunConfig:
         used.add((sec, key))
         return section(sec).get(key)
 
-    def take(sec, key, conv, default):
+    def take(sec, key, conv, default, interval=None):
         raw = get(sec, key)
         if raw is None:
             return default
         try:
             if not raw.strip():
                 raise ValueError("empty value")
-            return conv(raw)
+            value = conv(raw)
+            if interval:
+                in_range(key, value, interval)
+            return value
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for [{sec}] {key}: {err}",
                               path=path, line=_find_line(text, sec, key)) from None
@@ -129,7 +134,8 @@ def load_config(path) -> RunConfig:
                           line=_find_line(text, "model", "name")) from None
 
     # only the parameters the system defines may be set, as param_<name>
-    extra = tuple((key, take("model", f"param_{key}", float, value))
+    interval = system_class(base.name).extra_interval
+    extra = tuple((key, take("model", f"param_{key}", float, value, interval))
                   for key, value in base.extra)
     try:
         model = _from_fields(ModelSpec, take, lambda _: "model",
@@ -183,8 +189,10 @@ _PARSERS = {"int": int, "Optional[int]": int, "float": float, "bool": _bool,
 
 def _from_fields(cls, take, section, default, **fixed):
     """cls(**fixed), every other field read from the key of its name in
-    config section section(field), parsed by the field's annotated type and
-    falling back to default(field) when the key is absent."""
+    config section section(field), parsed by the field's annotated type,
+    checked against its interval and falling back to default(field) when the
+    key is absent."""
     return cls(**fixed, **{
-        f.name: take(section(f), f.name, _PARSERS[f.type], default(f))
+        f.name: take(section(f), f.name, _PARSERS[f.type], default(f),
+                     f.metadata.get("interval"))
         for f in fields(cls) if f.name not in fixed})

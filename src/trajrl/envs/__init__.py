@@ -7,7 +7,8 @@ from functools import lru_cache
 import numpy as np
 
 from .base import (Bounds, CostField, Ellipse, ModelSpec, Region, System,
-                   TimeState, register_system, system_class)
+                   TimeState, check_ranges, in_range, register_system, setting,
+                   system_class)
 from .costs import Cost, toy1d_cost
 from . import systems as _systems          # noqa: F401  (registers systems)
 from . import manipulator as _manipulator  # noqa: F401
@@ -15,7 +16,8 @@ from . import manipulator as _manipulator  # noqa: F401
 __all__ = [
     "Bounds", "CostField", "Ellipse", "ModelSpec", "Region", "System",
     "TimeState", "Cost", "toy1d_cost", "default_model", "system_for",
-    "cost_for", "sample_initial_states", "register_system",
+    "cost_for", "sample_initial_states", "register_system", "system_class",
+    "check_ranges", "in_range", "setting",
 ]
 
 

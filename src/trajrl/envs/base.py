@@ -14,11 +14,35 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 Bounds = tuple[tuple[float, float], ...]
+
+
+def in_range(name: str, value, interval: str):
+    """Raise ValueError unless value lies in interval, written "(0, 1]" or
+    "[1, inf)": NaN lies in none, and an infinity only at a closed end."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not ((lo <= value if interval[0] == "[" else lo < value) and
+            (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must be in {interval}, got {value}")
+
+
+def setting(default=MISSING, interval=None, section=None):
+    """A settings field: its default, the interval of its value (see
+    check_ranges) and the config section of its key, where not implied."""
+    return field(default=default, metadata={"interval": interval,
+                                            "section": section})
+
+
+def check_ranges(obj):
+    """in_range for each field of the dataclass obj that declares an interval,
+    unless it holds None."""
+    for f in fields(obj):
+        if f.metadata.get("interval") and getattr(obj, f.name) is not None:
+            in_range(f.name, getattr(obj, f.name), f.metadata["interval"])
 
 
 class Region(enum.Enum):
@@ -71,19 +95,14 @@ class CostField:
 
     target: tuple[float, float] = (-7.0, 0.0)
     obstacles: tuple[Ellipse, ...] = ()
-    obstacle_weight: float = 0.0
-    target_reward_weight: float = 0.0
-    target_reward_radius: float = 1.0
-    control_weight: float = 0.0
-    distance_weight: float = 1.0
+    obstacle_weight: float = setting(0.0, "[0, inf)")
+    target_reward_weight: float = setting(0.0, "[0, inf)")
+    target_reward_radius: float = setting(1.0, "(0, inf)")
+    control_weight: float = setting(0.0, "[0, inf)")
+    distance_weight: float = setting(1.0, "[0, inf)")
 
     def __post_init__(self):
-        for w in (self.obstacle_weight, self.target_reward_weight,
-                  self.control_weight, self.distance_weight):
-            if not w >= 0.0:
-                raise ValueError("cost weights must be non-negative")
-        if not self.target_reward_radius > 0.0:
-            raise ValueError("target_reward_radius must be positive")
+        check_ranges(self)
         if len(self.target) != 2:
             raise ValueError(f"target must have 2 entries, got {len(self.target)}")
         if not all(-math.inf < v < math.inf for v in self.target):
@@ -97,17 +116,16 @@ class ModelSpec:
     name: str
     n: int
     m: int
-    dt: float
-    t_max: int
+    dt: float = setting(interval="(0, inf)")
+    t_max: int = setting(interval="[1, inf)")
     u_max: tuple[float, ...]
     workspace: Bounds
     hard_region: Bounds
     extra: tuple[tuple[str, float], ...] = field(default=())
 
     def __post_init__(self):
+        check_ranges(self)
         # every check is a negated test, so that a NaN fails it too
-        if not 0.0 < self.dt < math.inf or self.t_max < 1:
-            raise ValueError("need dt > 0 and t_max >= 1, with dt finite")
         if len(self.u_max) != self.m or not all(0 < b < math.inf for b in self.u_max):
             raise ValueError("u_max must have m finite positive components")
         for bounds, label in ((self.workspace, "workspace"),
@@ -140,8 +158,11 @@ class System:
     """
 
     defaults: dict = {}     # ModelSpec fields other than name
+    extra_interval = "(-inf, inf)"  # of each extra parameter, key param_<name>
 
     def __init__(self, spec: ModelSpec):
+        for key, value in spec.extra:
+            in_range(f"param_{key}", value, self.extra_interval)
         self.spec = spec
         self.n = spec.n
         self.m = spec.m

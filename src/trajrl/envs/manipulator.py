@@ -26,6 +26,7 @@ class PlanarChain(TaskSpaceSystem):
 
     # extra: link lengths l1..lN and masses m1..mN, each set by a config's
     # param_<name> key
+    extra_interval = "(0, inf)"
     defaults = dict(
         n=6, m=3, dt=0.05, t_max=100, u_max=(100.0, 60.0, 25.0),
         workspace=((-_PI, _PI), (-_PI, _PI), (-_PI, _PI),
@@ -38,9 +39,6 @@ class PlanarChain(TaskSpaceSystem):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         p = spec.extra_params()
-        for key, value in p.items():
-            if not 0.0 < value < np.inf:    # negated, so that NaN fails too
-                raise ValueError(f"param_{key} must be in (0, inf), got {value}")
         self.links = links = spec.n // 2
         ls = [p[f"l{k}"] for k in range(1, links + 1)]
         ms = [p[f"m{k}"] for k in range(1, links + 1)]

@@ -30,7 +30,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .envs import CostField, ModelSpec, TimeState, cost_for, system_for
+from .envs import (CostField, ModelSpec, TimeState, check_ranges, cost_for,
+                   setting, system_for)
 from .procs import Child, spare_cpu
 
 LINE_SEARCH_ALPHAS = tuple(0.5**i for i in range(11))
@@ -69,11 +70,10 @@ class BatchSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegularizerConfig:
-    eps: float = 1e-6
+    eps: float = setting(1e-6, "(0, inf)")      # the eigenvalue floor
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eigenvalue floor must be positive")
+        check_ranges(self)
 
 
 def _finite(a) -> bool:

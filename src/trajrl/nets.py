@@ -305,14 +305,12 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     """One-step Q objective: mean of l(x, mu(x)) + V(f(x, mu(x)), t+1) over
     the augmented states xa, shape (B, n+1), rows [x, t].
 
-    States already at the horizon are skipped (their count is returned third);
-    gradients flow through the running cost and through the critic via the
-    control Jacobian of the dynamics.
+    States already at the horizon are skipped; gradients flow through the
+    running cost and through the critic via the control Jacobian of the
+    dynamics.
     """
     xa = np.asarray(xa, dtype=float)
-    keep = xa[:, -1] < model.t_max
-    skipped = int((~keep).sum())
-    xa = xa[keep]
+    xa = xa[xa[:, -1] < model.t_max]
     if xa.shape[0] == 0:
         raise ValueError("all states are at the horizon")
     bsz = xa.shape[0]
@@ -336,7 +334,7 @@ def actor_loss(actor: Mlp, critic: Mlp, model: ModelSpec, field: CostField,
     grads = np.zeros_like(actor.flat_params())
     delta = (dq_du / bsz) * du_do
     _backprop_from_output(actor, d1, a, delta, grads)
-    return loss, grads, skipped
+    return loss, grads
 
 
 def std_critic_loss(std_net: Mlp, err: np.ndarray, xa: np.ndarray):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -41,84 +41,54 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nets, procs
 from .buffer import ReplayBuffer, SampleBatch
-from .envs import (CostField, ModelSpec, Region, TimeState,
-                   sample_initial_states)
+from .envs import (CostField, ModelSpec, Region, TimeState, check_ranges,
+                   sample_initial_states, setting)
 from .ilqr import (BatchSolveError, Probes, RegularizerConfig, SolveResult,
                    SolverError, solve_batch)
-
-
-def _key(section: str, default):
-    """A TrainConfig field that a config file sets as a key of [section]."""
-    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
     field: CostField
-    n_episodes: int = _key("trainer", 300)           # TO problems in iteration 1
-    episode_fraction: float = _key("trainer", 0.25)  # batch fraction from iteration 2 on
-    candidate_multiplier: int = _key("trainer", 10)  # candidate pool size per kept start
-    m_updates: int = _key("trainer", 500)            # network update cycles per iteration
-    k_lookahead: int = _key("trainer", 10)           # TD lookahead steps for targets
-    k_s: float = _key("nets", 1.0)                   # weight of the gradient-matching term
-    lr_actor: float = _key("nets", 5e-4)
-    lr_critic: float = _key("nets", 1e-3)
-    lr_std: float = _key("nets", 1e-3)
-    minibatch: int = _key("trainer", 128)
-    iterations: int = _key("trainer", 5)
-    seed: int = _key("trainer", 0)
-    bic: bool = _key("trainer", True)
-    bootstrap: bool = _key("nets", True)
-    tau: float = _key("nets", 0.005)
-    sigma_min: float = _key("nets", 1e-3)
-    hidden: tuple[int, ...] = _key("nets", (64, 64, 64))
-    activation: str = _key("nets", "elu")
-    reg_eps: float = _key("solver", 1e-6)
-    tol: float = _key("solver", 1e-6)
-    p_first: float = _key("solver", 99.0)
-    p_later: float = _key("solver", 50.0)
-    max_iter_first: Optional[int] = _key("solver", None)  # overrides calibration when set
-    max_iter_later: Optional[int] = _key("solver", None)
-    calibration_probes: int = _key("solver", 100)
-    calibration_cap: int = _key("solver", 1000)
-    eval_count: int = _key("trainer", 100)
-    eval_use_to: bool = _key("trainer", True)
-    eval_max_iter: int = _key("solver", 300)
-    buffer_capacity: int = _key("trainer", 2**20)
-    randomize_initial_time: bool = _key("trainer", False)
+    n_episodes: int = setting(300, "[1, inf)", "trainer")           # problems in iteration 1
+    episode_fraction: float = setting(0.25, "(0, 1]", "trainer")    # share, iteration 2 on
+    candidate_multiplier: int = setting(10, "[1, inf)", "trainer")  # pool per kept start
+    m_updates: int = setting(500, "[1, inf)", "trainer")            # cycles per iteration
+    k_lookahead: int = setting(10, "[1, inf)", "trainer")           # TD lookahead steps
+    k_s: float = setting(1.0, "[0, inf)", "nets")                   # gradient-match weight
+    lr_actor: float = setting(5e-4, "(0, inf)", "nets")
+    lr_critic: float = setting(1e-3, "(0, inf)", "nets")
+    lr_std: float = setting(1e-3, "(0, inf)", "nets")
+    minibatch: int = setting(128, "[1, inf)", "trainer")
+    iterations: int = setting(5, "[1, inf)", "trainer")
+    seed: int = setting(0, "[0, inf)", "trainer")
+    bic: bool = setting(True, section="trainer")
+    bootstrap: bool = setting(True, section="nets")
+    tau: float = setting(0.005, "(0, 1]", "nets")
+    sigma_min: float = setting(1e-3, "(0, inf)", "nets")
+    hidden: tuple[int, ...] = setting((64, 64, 64), section="nets")
+    activation: str = setting("elu", section="nets")
+    reg_eps: float = setting(1e-6, "(0, inf)", "solver")
+    tol: float = setting(1e-6, "[0, inf)", "solver")
+    p_first: float = setting(99.0, "(0, 100]", "solver")
+    p_later: float = setting(50.0, "(0, 100]", "solver")
+    max_iter_first: Optional[int] = setting(None, "[1, inf)", "solver")  # None: calibrated
+    max_iter_later: Optional[int] = setting(None, "[1, inf)", "solver")
+    calibration_probes: int = setting(100, "[10, inf)", "solver")
+    calibration_cap: int = setting(1000, "[1, inf)", "solver")
+    eval_count: int = setting(100, "[1, inf)", "trainer")
+    eval_use_to: bool = setting(True, section="trainer")
+    eval_max_iter: int = setting(300, "[1, inf)", "solver")
+    buffer_capacity: int = setting(2**20, "[1, inf)", "trainer")
+    randomize_initial_time: bool = setting(False, section="trainer")
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_episodes < 1 or self.candidate_multiplier < 1:
-            raise ValueError("n_episodes and candidate_multiplier must be >= 1")
-        if not 0.0 < self.episode_fraction <= 1.0:
-            raise ValueError("episode_fraction must be in (0, 1]")
-        if min(self.k_lookahead, self.m_updates, self.iterations,
-               self.buffer_capacity) < 1:
-            raise ValueError("k_lookahead, m_updates, iterations and "
-                             "buffer_capacity must be >= 1")
-        # written so that a NaN fails them too
-        if not all(v > 0.0 for v in (self.lr_actor, self.lr_critic, self.lr_std,
-                                     self.reg_eps, self.sigma_min)):
-            raise ValueError("lr_actor, lr_critic, lr_std, reg_eps and "
-                             "sigma_min must be positive")
-        if not (self.tol >= 0.0 and self.k_s >= 0.0):
-            raise ValueError("tol and k_s must be >= 0")
+        check_ranges(self)
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
-        caps = (self.calibration_cap, self.eval_max_iter, self.max_iter_first, self.max_iter_later)
-        if min(self.eval_count, self.minibatch, *(c for c in caps if c is not None)) < 1:
-            raise ValueError("eval_count, minibatch and the iteration caps must be >= 1")
         if self.activation not in nets._ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.calibration_probes < 10:
-            raise ValueError("calibration_probes must be >= 10")
-        if not (0.0 < self.p_first <= 100.0 and 0.0 < self.p_later <= 100.0):
-            raise ValueError("p_first and p_later must be in (0, 100]")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.iterations > 1 and self.later_batch < 1:
             raise ValueError("episode_fraction * n_episodes must round to >= 1 problems")
 
@@ -320,7 +290,7 @@ def kstep_targets(result: SolveResult, K: int, t_max: int) -> SampleBatch:
 def _actor_update(state: TrainerState, xa: np.ndarray):
     """One actor update on the minibatch states xa, against state.critic."""
     cfg = state.config
-    _, grads, _ = nets.actor_loss(state.actor, state.critic, cfg.model, cfg.field, xa)
+    _, grads = nets.actor_loss(state.actor, state.critic, cfg.model, cfg.field, xa)
     params, state.adam_actor = nets.adam_step(state.actor.flat_params(),
                                               state.adam_actor, grads)
     state.actor = state.actor.with_params(params)

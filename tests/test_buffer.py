@@ -22,8 +22,8 @@ def _make(capacity=10):
 
 def test_push_partial_fill():
     buf = _make()
-    stored = buf.push_many(_batch(range(5)))
-    assert stored == 5 and len(buf) == 5
+    buf.push_many(_batch(range(5)))
+    assert len(buf) == 5
 
 
 def test_push_overflow_evicts_oldest_first():
@@ -38,14 +38,14 @@ def test_push_overflow_evicts_oldest_first():
 
 def test_push_empty_is_noop():
     buf = _make()
-    assert buf.push_many(_batch([])) == 0
-    assert len(buf) == 0
+    buf.push_many(_batch([]))
+    assert len(buf) == 0 and buf._cursor == 0
 
 
 def test_push_beyond_capacity_in_one_call_keeps_newest():
     buf = _make(capacity=4)
-    stored = buf.push_many(_batch(range(9)))
-    assert stored == 4 and len(buf) == 4
+    buf.push_many(_batch(range(9)))
+    assert len(buf) == 4
     batch = buf.sample_minibatch(200, np.random.default_rng(1))
     assert set(np.unique(batch.v_bar)) == {5.0, 6.0, 7.0, 8.0}
 
@@ -115,11 +115,10 @@ def test_ring_invariants_under_random_push_sizes(capacity, sizes):
     pushed = 0
     for size in sizes:
         cursor = buf._cursor
-        stored = buf.push_many(_batch(range(pushed, pushed + size)))
+        buf.push_many(_batch(range(pushed, pushed + size)))
         pushed += size
-        assert stored == min(size, capacity)
         assert len(buf) == min(pushed, capacity) <= capacity
-        assert buf._cursor == (cursor + stored) % capacity
+        assert buf._cursor == (cursor + min(size, capacity)) % capacity
         # oldest to newest, starting at the cursor once the ring is full
         order = (buf._cursor - len(buf) + np.arange(len(buf))) % capacity
         newest = np.arange(pushed - len(buf), pushed, dtype=float)

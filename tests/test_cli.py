@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,10 @@ import pytest
 from trajrl import nets, trainer
 from trajrl.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MODEL_MISMATCH,
                         EXIT_OK, EXIT_RUNTIME, main)
-from trajrl.trainer import IterationReport
+from trajrl.config import load_config
+from trajrl.envs import CostField, ModelSpec
+from trajrl.ilqr import RegularizerConfig
+from trajrl.trainer import IterationReport, TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -197,50 +202,57 @@ MALFORMED = {
                         "unknown key [DEFAULT] seed"),
     "empty-dt": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt ="), "dt =",
                  "bad value for [model] dt: empty value"),
-    "dt-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = nan"), None,
-               "need dt > 0 and t_max >= 1"),
+    "dt-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = nan"), "dt = nan",
+               "bad value for [model] dt: dt must be in (0, inf), got nan"),
     "control-weight-nan": (TINY_TOY1D.replace("control_weight = 0.01",
                                               "control_weight = nan"),
-                           None, "cost weights must be non-negative"),
+                           "control_weight = nan", "bad value for [cost] control_weight: "
+                           "control_weight must be in [0, inf), got nan"),
     "empty-hidden": (TINY_TOY1D.replace("hidden = 8", "hidden ="), "hidden =",
                      "bad value for [nets] hidden: empty value"),
-    "eval-count-zero": (TINY_TOY1D.replace("eval_count = 2", "eval_count = 0"), None,
-                        "eval_count, minibatch and the iteration caps must be >= 1"),
-    "minibatch-zero": (TINY_TOY1D.replace("minibatch = 8", "minibatch = 0"), None,
-                       "eval_count, minibatch and the iteration caps must be >= 1"),
+    "eval-count-zero": (TINY_TOY1D.replace("eval_count = 2", "eval_count = 0"),
+                        "eval_count = 0", "bad value for [trainer] eval_count: "
+                        "eval_count must be in [1, inf), got 0"),
+    "minibatch-zero": (TINY_TOY1D.replace("minibatch = 8", "minibatch = 0"),
+                       "minibatch = 0", "bad value for [trainer] minibatch: "
+                       "minibatch must be in [1, inf), got 0"),
     "p-first-zero": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0.1\np_first = 0"),
-                     None, "p_first and p_later must be in (0, 100]"),
+                     "p_first = 0", "bad value for [solver] p_first: "
+                     "p_first must be in (0, 100], got 0.0"),
     "few-probes": (TINY_TOY1D.replace("reg_eps = 0.1",
                                       "reg_eps = 0.1\ncalibration_probes = 5"),
-                   None, "calibration_probes must be >= 10"),
-    "tau-two": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\ntau = 2"), None,
-                "tau must be in (0, 1], got 2.0"),
-    "cap-zero": (TINY_TOY1D.replace("max_iter_first = 5", "max_iter_first = 0"), None,
-                 "eval_count, minibatch and the iteration caps must be >= 1"),
+                   "calibration_probes = 5", "bad value for [solver] calibration_probes: "
+                   "calibration_probes must be in [10, inf), got 5"),
+    "tau-two": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\ntau = 2"), "tau = 2",
+                "bad value for [nets] tau: tau must be in (0, 1], got 2.0"),
+    "cap-zero": (TINY_TOY1D.replace("max_iter_first = 5", "max_iter_first = 0"),
+                 "max_iter_first = 0", "bad value for [solver] max_iter_first: "
+                 "max_iter_first must be in [1, inf), got 0"),
     "activation-relu": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nactivation = relu"),
                         None, "unknown activation 'relu'"),
     "lr-actor-negative": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nlr_actor = -1"),
-                          None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
-                          "must be positive"),
+                          "lr_actor = -1", "bad value for [nets] lr_actor: "
+                          "lr_actor must be in (0, inf), got -1.0"),
     "lr-critic-nan": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nlr_critic = nan"),
-                      None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
-                      "must be positive"),
+                      "lr_critic = nan", "bad value for [nets] lr_critic: "
+                      "lr_critic must be in (0, inf), got nan"),
     "sigma-min-zero": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nsigma_min = 0"),
-                       None, "lr_actor, lr_critic, lr_std, reg_eps and sigma_min "
-                       "must be positive"),
-    "reg-eps-zero": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0"), None,
-                     "lr_actor, lr_critic, lr_std, reg_eps and sigma_min must be positive"),
-    "k-s-negative": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nk_s = -1"), None,
-                     "tol and k_s must be >= 0"),
+                       "sigma_min = 0", "bad value for [nets] sigma_min: "
+                       "sigma_min must be in (0, inf), got 0.0"),
+    "reg-eps-zero": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0"), "reg_eps = 0",
+                     "bad value for [solver] reg_eps: reg_eps must be in (0, inf), got 0.0"),
+    "k-s-negative": (TINY_TOY1D.replace("hidden = 8", "hidden = 8\nk_s = -1"), "k_s = -1",
+                     "bad value for [nets] k_s: k_s must be in [0, inf), got -1.0"),
     "tol-negative": (TINY_TOY1D.replace("reg_eps = 0.1", "reg_eps = 0.1\ntol = -1"),
-                     None, "tol and k_s must be >= 0"),
-    "iterations-zero": (TINY_TOY1D.replace("iterations = 2", "iterations = 0"), None,
-                        "k_lookahead, m_updates, iterations and buffer_capacity "
-                        "must be >= 1"),
+                     "tol = -1", "bad value for [solver] tol: "
+                     "tol must be in [0, inf), got -1.0"),
+    "iterations-zero": (TINY_TOY1D.replace("iterations = 2", "iterations = 0"),
+                        "iterations = 0", "bad value for [trainer] iterations: "
+                        "iterations must be in [1, inf), got 0"),
     "buffer-capacity-zero": (TINY_TOY1D.replace("eval_count = 2",
                                                 "eval_count = 2\nbuffer_capacity = 0"),
-                             None, "k_lookahead, m_updates, iterations and "
-                             "buffer_capacity must be >= 1"),
+                             "buffer_capacity = 0", "bad value for [trainer] "
+                             "buffer_capacity: buffer_capacity must be in [1, inf), got 0"),
     "empty-out-dir": (TINY_TOY1D + "\n[cli]\nout_dir =\n", "out_dir =",
                       "bad value for [cli] out_dir: empty value"),
     "workspace-inverted": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nworkspace = 2 -2"),
@@ -249,12 +261,12 @@ MALFORMED = {
     "hard-region-nan": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nhard_region = nan 1"),
                         None, "hard_region bounds must be finite with lo <= hi, "
                         "got (nan, 1.0)"),
-    "dt-inf": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = inf"), None,
-               "need dt > 0 and t_max >= 1, with dt finite"),
+    "dt-inf": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\ndt = inf"), "dt = inf",
+               "bad value for [model] dt: dt must be in (0, inf), got inf"),
     "u-max-inf": (TINY_TOY1D.replace("t_max = 10", "t_max = 10\nu_max = inf"), None,
                   "u_max must have m finite positive components"),
-    "seed-negative": (TINY_TOY1D.replace("seed = 11", "seed = -3"), None,
-                      "seed must be >= 0, got -3"),
+    "seed-negative": (TINY_TOY1D.replace("seed = 11", "seed = -3"), "seed = -3",
+                      "bad value for [trainer] seed: seed must be in [0, inf), got -3"),
     "target-nan": (TINY_POINTMASS.replace("[cost]\n", "[cost]\ntarget = nan, 0\n"),
                    None, "target must be finite, got (nan, 0.0)"),
     "obstacle-center-inf": (TINY_POINTMASS.replace("obstacle1 = 0.0, 3.5,",
@@ -276,14 +288,17 @@ MALFORMED = {
     "later-batch-half": (TINY_TOY1D.replace("n_episodes = 4", "n_episodes = 2"), None,
                          "episode_fraction * n_episodes must round to >= 1 problems"),
     "chain-length-negative": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l2 = -3.5"),
-                              None, "invalid [model] section: param_l2 must be in (0, inf), "
-                              "got -3.5"),
+                              "param_l2 = -3.5", "bad value for [model] param_l2: "
+                              "param_l2 must be in (0, inf), got -3.5"),
     "chain-mass-nan": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_m2 = nan"),
-                       None, "invalid [model] section: param_m2 must be in (0, inf), got nan"),
+                       "param_m2 = nan", "bad value for [model] param_m2: "
+                       "param_m2 must be in (0, inf), got nan"),
     "chain-length-inf": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_l1 = inf"),
-                         None, "invalid [model] section: param_l1 must be in (0, inf), got inf"),
+                         "param_l1 = inf", "bad value for [model] param_l1: "
+                         "param_l1 must be in (0, inf), got inf"),
     "chain-mass-zero": (TINY_MANIPULATOR.replace("t_max = 10", "t_max = 10\nparam_m3 = 0"),
-                        None, "invalid [model] section: param_m3 must be in (0, inf), got 0.0"),
+                        "param_m3 = 0", "bad value for [model] param_m3: "
+                        "param_m3 must be in (0, inf), got 0.0"),
     "toy1d-ignored-cost-keys": (TINY_TOY1D.replace("[cost]\n", "[cost]\ndistance_weight = 5\n"),
                                 None, "invalid [cost] section: toy1d takes only "
                                 "control_weight from [cost]"),
@@ -302,6 +317,84 @@ def test_malformed_model_cost_nets_exit_config_error(tmp_path, capsys, case):
     else:
         assert f"{path}:{text.splitlines().index(bad_line) + 1}:" in err
     assert message in err
+
+
+def _with_key(text, section, key, value):
+    """text with `key = value` in [section], in place of any line of key, and
+    the 1-based line number of that line."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, f"{key} = {value}")
+    return "\n".join(lines) + "\n", at + 1
+
+
+# (section, field) of every field a config key sets that declares an interval
+RANGED = [(section or f.metadata["section"], f)
+          for cls, section in ((TrainConfig, None), (ModelSpec, "model"),
+                               (CostField, "cost"))
+          for f in dataclasses.fields(cls) if f.metadata.get("interval")]
+
+
+def _ends(f):
+    """(end, closed, outward sign) of the low and the high end of f's interval."""
+    interval = f.metadata["interval"]
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo, interval[0] == "[", -1), (hi, interval[-1] == "]", 1)
+
+
+def _outside(f, is_int):
+    """NaN, the infinity at each open infinite end, and the value just past
+    each finite end (the end itself where it is open)."""
+    out = [math.nan]
+    for end, closed, side in _ends(f):
+        if math.isinf(end):
+            assert not closed
+            out.append(end)
+        elif not closed:
+            out.append(int(end) if is_int else end)
+        else:
+            out.append(int(end) + side if is_int else math.nextafter(end, side * math.inf))
+    return out
+
+
+def _owner(rc, section):
+    return {"model": rc.model, "cost": rc.field}.get(section, rc.train)
+
+
+@pytest.mark.parametrize("section, f", RANGED, ids=[f"{sec}-{f.name}" for sec, f in RANGED])
+def test_every_declared_interval_is_checked_where_its_key_is_read(tmp_path, capsys,
+                                                                  section, f):
+    # an int key reads NaN and the infinities as malformed values; the rest
+    # are out of range, where the key's line says what the field would
+    is_int = f.type in ("int", "Optional[int]")
+    owner = _owner(load_config(CONFIGS / "pointmass.ini"), section)
+    path = tmp_path / "bad.ini"
+    for bad in _outside(f, is_int):
+        text, line = _with_key(TINY_POINTMASS, section, f.name, repr(bad))
+        path.write_text(text)
+        assert _train(path, tmp_path / "run") == EXIT_CONFIG, bad
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: bad value for [{section}] {f.name}: " in err
+        message = f"{f.name} must be in {f.metadata['interval']}, got {bad}"
+        if not (is_int and not math.isfinite(bad)):
+            assert message in err
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(owner, **{f.name: bad})
+    # in one iteration, which sizes no later batch
+    one = _with_key(TINY_POINTMASS, "trainer", "iterations", 1)[0]
+    for end, closed, _ in _ends(f):
+        if closed:
+            value = int(end) if is_int else end
+            path.write_text(_with_key(one, section, f.name, value)[0])
+            assert getattr(_owner(load_config(path), section), f.name) == value
+
+
+def test_regularizer_eps_interval():
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        message = f"eps must be in (0, inf), got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RegularizerConfig(bad)
+    assert RegularizerConfig(5e-324).eps == 5e-324
 
 
 def test_runtime_failure_exits_runtime_error(toy_config, tmp_path, monkeypatch,
@@ -352,6 +445,24 @@ def test_eval_malformed_checkpoint_exits_checkpoint_error(toy_config, tmp_path,
     assert code == EXIT_CHECKPOINT
     err = capsys.readouterr().err
     assert "checkpoint error" in err and message in err
+
+
+@pytest.mark.parametrize("sizes, kind, model, code, message", [
+    ([5, 8, 2], "actor", "pointmass", EXIT_MODEL_MISMATCH,
+     "model mismatch: checkpoint is for model 'pointmass' (input dim 5), "
+     "config wants 'toy1d' (input dim 2)"),
+    ([2, 8, 1], "critic", "toy1d", EXIT_CHECKPOINT,
+     "checkpoint error: expected an actor checkpoint, got critic"),
+], ids=["other-model", "critic"])
+def test_eval_wrong_checkpoint_exit_codes(toy_config, tmp_path, capsys, sizes, kind,
+                                          model, code, message):
+    ckpt = tmp_path / f"{kind}.json"
+    net = nets.init_mlp(sizes, np.random.default_rng(0))
+    nets.save_checkpoint(ckpt, net, kind, model, "cafebabe")
+    out = tmp_path / "eval"
+    assert main(["eval", str(ckpt), str(toy_config), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_demo1d_on_pointmass_exits_model_mismatch(tmp_path, capsys):

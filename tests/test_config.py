@@ -7,7 +7,11 @@ from trajrl.config import load_config
 from trajrl.envs import CostField, Ellipse, ModelSpec, cost_for, system_for
 from trajrl.trainer import TrainConfig
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
+# the shipped configs and, read but never written here, the benchmark's
+SHIPPED = {p.name: p for p in CONFIGS.glob("*.ini")} | {
+    f"perfbench/{p.name}": p for p in (REPO / "perfbench" / "configs").glob("*.ini")}
 
 # One non-default value for every TrainConfig field a config file may set.
 NON_DEFAULT = {
@@ -102,9 +106,9 @@ def test_missing_model_and_cost_keys_take_the_defaults(tmp_path):
     assert rc.field == CostField()
 
 
-@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+@pytest.mark.parametrize("config", sorted(SHIPPED))
 def test_every_shipped_config_loads_and_builds_its_system(config):
-    rc = load_config(CONFIGS / config)
+    rc = load_config(SHIPPED[config])
     system = system_for(rc.model)
     assert system.spec == rc.model and system.n == rc.model.n
     assert cost_for(rc.model, rc.field) is not None

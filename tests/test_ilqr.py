@@ -685,6 +685,58 @@ def _assert_same_result(a, b):
         (b.cost, b.iters_used, b.converged, b.traj.t0)
 
 
+def test_invalid_start_or_warm_start_fails_alone(pointmass_rc):
+    # problem 1's warm start runs one step past t_max, problem 3's state has
+    # the wrong dimension; both fail before the lockstep, which solves the
+    # rest as it would without them
+    model, field = pointmass_rc.model, pointmass_rc.field
+    starts = envs.sample_initial_states(model, 5, 77, Region.WORKSPACE)
+    starts[1] = TimeState(starts[1].x, 40)
+    starts[3] = TimeState(np.zeros(model.n - 1), 0)
+    warms = [np.zeros((model.t_max - s.t, model.m)) for s in starts]
+    warms[1] = np.zeros((model.t_max - 39, model.m))
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=8, reg=REG)
+    errors = exc.value.errors
+    assert set(errors) == {1, 3}
+    assert str(errors[1]) == f"horizon {model.t_max - 39} starting at t=40 exceeds " \
+        f"t_max={model.t_max}"
+    assert str(errors[3]) == f"state dim ({model.n - 1},) != ({model.n},)"
+    kept = [0, 2, 4]
+    alone = solve_batch(model, field, [starts[i] for i in kept],
+                        [warms[i] for i in kept], max_iter=8, reg=REG)
+    for i, want in zip(kept, alone):
+        _assert_same_result(exc.value.results[i], want)
+    with pytest.raises(ValueError, match="equal length"):
+        solve_batch(model, field, starts, warms[:-1], max_iter=8, reg=REG)
+
+
+def test_non_finite_stage_derivative_fails_its_problem_alone(pointmass_rc, monkeypatch):
+    # problem 2's l_xx is NaN at its start state, which is its step 0 in every
+    # backward pass; it fails in the first, the others solve as without it
+    model, field = pointmass_rc.model, pointmass_rc.field
+    starts = envs.sample_initial_states(model, 4, 78, Region.WORKSPACE)
+    warms = [np.zeros((model.t_max, model.m))] * len(starts)
+    kept = [0, 1, 3]
+    alone = solve_batch(model, field, [starts[i] for i in kept],
+                        [warms[i] for i in kept], max_iter=8, reg=REG)
+    cost_cls = type(envs.cost_for(model, field))
+    real = cost_cls.stage_derivs
+
+    def nan_at_start(self, x, u):
+        lx, lu, lxx, luu = real(self, x, u)
+        lxx[(x == starts[2].x).all(axis=-1)] = np.nan
+        return lx, lu, lxx, luu
+
+    monkeypatch.setattr(cost_cls, "stage_derivs", nan_at_start)
+    with pytest.raises(BatchSolveError) as exc:
+        solve_batch(model, field, starts, warms, max_iter=8, reg=REG)
+    assert {i: str(e) for i, e in exc.value.errors.items()} == \
+        {2: "non-finite lxx at step 0"}
+    for i, want in zip(kept, alone):
+        _assert_same_result(exc.value.results[i], want)
+
+
 def test_mixed_start_times_equal_batch_of_one_bitwise(pointmass_rc):
     # ragged horizons, as randomize_initial_time produces
     model, field = pointmass_rc.model, pointmass_rc.field

@@ -198,9 +198,7 @@ def test_actor_loss_zero_grads_when_nothing_depends_on_u():
                                 distance_weight=0.02)
     const_critic = _with_zero_output_layer(critic)
     xa = np.append(rng.uniform(-5, 5, 4), 3.0)[None, :]
-    loss, grads, skipped = actor_loss(actor, const_critic, model, free_field,
-                                      xa)
-    assert skipped == 0
+    loss, grads = actor_loss(actor, const_critic, model, free_field, xa)
     assert np.abs(grads).max() < 1e-14
 
 
@@ -208,18 +206,20 @@ def test_actor_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     model, field, actor, critic = _pm_setup(rng)
     xa = np.column_stack([rng.uniform(-5.0, 5.0, (4, 4)), [0, 7, 22, 59]])
-    loss, grads, _ = actor_loss(actor, critic, model, field, xa)
+    loss, grads = actor_loss(actor, critic, model, field, xa)
     fd = _fd_grads(lambda m: actor_loss(m, critic, model, field, xa)[0],
                    actor, rng=rng)
     _assert_grads_close(grads, fd)
 
 
-def test_actor_loss_skips_horizon_states_with_count():
+def test_actor_loss_skips_horizon_states():
+    # the loss and gradients over rows at the horizon are those of the rest
     rng = np.random.default_rng(11)
     model, field, actor, critic = _pm_setup(rng)
     xa = np.column_stack([rng.uniform(-5, 5, (3, 4)), [0, 60, 60]])
-    _, _, skipped = actor_loss(actor, critic, model, field, xa)
-    assert skipped == 2
+    loss, grads = actor_loss(actor, critic, model, field, xa)
+    kept_loss, kept_grads = actor_loss(actor, critic, model, field, xa[:1])
+    assert loss == kept_loss and grads.tobytes() == kept_grads.tobytes()
     with pytest.raises(ValueError):
         actor_loss(actor, critic, model, field, np.append(np.zeros(4), 60.0)[None, :])
 
@@ -237,7 +237,7 @@ def test_actor_loss_gradients_match_stage_derivs_bitwise(request, rc_name,
     starts = envs.sample_initial_states(model, 128, 42, envs.Region.WORKSPACE)
     xa = np.column_stack([np.stack([s.x for s in starts]),
                           rng.integers(0, model.t_max, len(starts))])
-    loss, grads, _ = actor_loss(actor, critic, model, field, xa)
+    loss, grads = actor_loss(actor, critic, model, field, xa)
     cost = envs.cost_for(model, field)
 
     class FromStageDerivs:
@@ -249,7 +249,7 @@ def test_actor_loss_gradients_match_stage_derivs_bitwise(request, rc_name,
             return self.lu
 
     monkeypatch.setattr(nets, "cost_for", lambda *_: FromStageDerivs())
-    old_loss, old_grads, _ = actor_loss(actor, critic, model, field, xa)
+    old_loss, old_grads = actor_loss(actor, critic, model, field, xa)
     _assert_bitwise(grads, old_grads)
     assert loss == pytest.approx(old_loss, rel=1e-12, abs=0.0)
 
@@ -269,7 +269,7 @@ def test_actor_training_recovers_analytic_one_step_action():
     xa = np.append(rng.normal(0.0, 1.0, 3), 4.0)[None, :]
     opt = AdamState.init(actor.flat_params(), lr=5e-3)
     for _ in range(4000):
-        _, grads, _ = actor_loss(actor, critic, spec, field, xa)
+        _, grads = actor_loss(actor, critic, spec, field, xa)
         params, opt = adam_step(actor.flat_params(), opt, grads)
         actor = actor.with_params(params)
     mu = mlp_forward(actor, xa[0])
